@@ -121,9 +121,12 @@ def predict_doc_baseline(model: DocBaselineModel, report: Report) -> tuple[str, 
 # ---------------------------------------------------------------------------
 
 
+_BUNDLE_VERSION = 1
+
+
 def baseline_to_dict(model: DocBaselineModel) -> dict:
     return {
-        "version": 1,
+        "version": _BUNDLE_VERSION,
         "kind": model.kind,
         "attribute": model.attribute,
         "vocab": model.vocab.to_dict(),
@@ -136,6 +139,11 @@ def baseline_to_dict(model: DocBaselineModel) -> dict:
 
 
 def baseline_from_dict(payload: dict) -> DocBaselineModel:
+    if payload.get("version") != _BUNDLE_VERSION:
+        raise ValueError(
+            f"unsupported baseline bundle version {payload.get('version')!r}"
+            f" (expected {_BUNDLE_VERSION})"
+        )
     return DocBaselineModel(
         attribute=payload["attribute"],
         kind=payload["kind"],

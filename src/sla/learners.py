@@ -41,12 +41,11 @@ from .textproc import SparseVector, to_csr
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) is exactly exp(-z) where z >= 0 and exp(z) elsewhere, so this
+    # equals the two-sided masked formula bit for bit and never overflows.
+    e = np.exp(-np.abs(z))
+    denom = 1.0 + e
+    return np.where(z >= 0, 1.0 / denom, e / denom)
 
 
 def _sigmoid_scalar(z: float) -> float:
@@ -433,17 +432,36 @@ def logloss_value_grad(
     sample_weights: np.ndarray,
 ) -> tuple[float, np.ndarray, float]:
     """Weighted logistic loss (the smooth part of the objective) and its
-    gradient in (w, b).  y_pm is +/-1.  Exposed for verification."""
+    gradient in (w, b).  y_pm is +/-1.  Exposed for verification: it runs
+    the same loss and gradient expressions as the solver."""
     z = X.dot(w) + b
-    value = float(np.dot(sample_weights, np.logaddexp(0.0, -y_pm * z)))
-    coef = sample_weights * (-y_pm) * _sigmoid(-y_pm * z)
-    grad_w = X.T.dot(coef)
-    grad_b = float(coef.sum())
-    return value, np.asarray(grad_w, dtype=np.float64), grad_b
+    neg_y = -y_pm
+    grad_w, grad_b = _smooth_grad(X.T, z, neg_y, sample_weights * neg_y)
+    return _smooth_value(z, neg_y, sample_weights), grad_w, grad_b
+
+
+def _smooth_value(z: np.ndarray, neg_y: np.ndarray, sample_weights: np.ndarray) -> float:
+    """sum_i s_i * log(1 + exp(-y_i * z_i)), with neg_y = -y."""
+    return float(np.dot(sample_weights, np.logaddexp(0.0, neg_y * z)))
+
+
+def _smooth_grad(
+    XT, z: np.ndarray, neg_y: np.ndarray, sw_neg_y: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Gradient of ``_smooth_value`` in (w, b) at margins z = X.w + b, given
+    XT = X.T and sw_neg_y = s * (-y)."""
+    coef = sw_neg_y * _sigmoid(neg_y * z)
+    return np.asarray(XT @ coef, dtype=np.float64), float(coef.sum())
 
 
 def _soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+    # Not v - clip(v, -t, t): that gives +0.0 where this gives -0.0 (negative
+    # v with |v| <= t), and the signed zeros reach the model bundle's JSON.
+    out = np.abs(v)
+    out -= thresh
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(v)
+    return out
 
 
 def _fit_l1_binary(
@@ -461,28 +479,26 @@ def _fit_l1_binary(
     stops once the objective improves by less than tol.
     """
     n, d = X.shape
+    XT = X.T  # a CSC view sharing X's arrays; building one costs more than a matvec
+    neg_y = -y_pm
+    sw_neg_y = sample_weights * neg_y
     w = np.zeros(d, dtype=np.float64)
     b = 0.0
     z = np.zeros(n, dtype=np.float64)
 
-    def smooth_at(z_vec: np.ndarray) -> float:
-        return float(np.dot(sample_weights, np.logaddexp(0.0, -y_pm * z_vec)))
-
-    f = smooth_at(z)
+    f = _smooth_value(z, neg_y, sample_weights)
     obj = f  # ||w||_1 is zero at the start
     step = 1.0
     for _ in range(max_iter):
-        coef = sample_weights * (-y_pm) * _sigmoid(-y_pm * z)
-        grad_w = np.asarray(X.T.dot(coef), dtype=np.float64)
-        grad_b = float(coef.sum())
+        grad_w, grad_b = _smooth_grad(XT, z, neg_y, sw_neg_y)
 
         while True:
             w_new = _soft_threshold(w - step * grad_w, step * lam)
             b_new = b - step * grad_b
             dw = w_new - w
             db = b_new - b
-            z_new = z + X.dot(dw) + db
-            f_new = smooth_at(z_new)
+            z_new = z + X @ dw + db
+            f_new = _smooth_value(z_new, neg_y, sample_weights)
             bound = (
                 f
                 + float(np.dot(grad_w, dw))

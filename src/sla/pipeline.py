@@ -24,7 +24,7 @@ Variants:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -458,6 +458,8 @@ def model_to_dict(model: SlaModel) -> dict:
             "line_ngram_n": hyper.line_ngram_n,
             "final_ngram_n": hyper.final_ngram_n,
             "k": hyper.k,
+            "gbt": asdict(hyper.gbt),
+            "lin": asdict(hyper.lin),
         },
     }
 
@@ -465,12 +467,21 @@ def model_to_dict(model: SlaModel) -> dict:
 def model_from_dict(payload: dict) -> SlaModel:
     if payload.get("kind") != "sla":
         raise ValueError(f"not an sla model bundle: kind={payload.get('kind')!r}")
+    if payload.get("version") != _BUNDLE_VERSION:
+        raise ValueError(
+            f"unsupported sla model bundle version {payload.get('version')!r}"
+            f" (expected {_BUNDLE_VERSION})"
+        )
     hyper = None
     if payload.get("hyper"):
+        h = payload["hyper"]
         hyper = SlaHyperParams(
-            line_ngram_n=payload["hyper"]["line_ngram_n"],
-            final_ngram_n=payload["hyper"]["final_ngram_n"],
-            k=payload["hyper"]["k"],
+            line_ngram_n=h["line_ngram_n"],
+            final_ngram_n=h["final_ngram_n"],
+            k=h["k"],
+            # bundles written before gbt and lin were serialized get the defaults
+            gbt=GbtParams(**h.get("gbt", {})),
+            lin=LinParams(**h.get("lin", {})),
         )
     return SlaModel(
         attribute=payload["attribute"],

@@ -81,3 +81,12 @@ def test_bundle_roundtrip(tmp_path, kind):
         expect = predict_doc_baseline(model, d.report)
         assert predict_doc_baseline(again, d.report) == expect
         assert predict_doc_baseline(loaded, d.report) == expect
+
+
+def test_bundle_rejects_unknown_version():
+    docs = tiny_corpus(n=24, seed=29)
+    payload = baseline_to_dict(train_doc_baseline(docs, "grade"))
+    for version in (999, 0, None):
+        payload["version"] = version
+        with pytest.raises(ValueError, match="version"):
+            baseline_from_dict(payload)

@@ -101,7 +101,7 @@ def test_validate_clean_and_dirty(workdir, capsys, tmp_path):
     assert "not in schema" in payload["violations"][0]["message"]
 
 
-def test_train_predict_evaluate_chain(workdir, capsys):
+def test_train_predict_evaluate_chain(workdir, capsys, tmp_path):
     corpus = workdir / "corpus.jsonl"
     model = workdir / "model.json"
     code, out, _ = run(
@@ -127,6 +127,13 @@ def test_train_predict_evaluate_chain(workdir, capsys):
             joined = " ".join(docs[r["id"]]["lines"][seg["start"] : seg["end"] + 1])
             assert seg["text"] == joined
             assert seg["weight"] == 1.0  # rules variant
+
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps({**json.loads(model.read_text()), "version": 999}), encoding="utf-8")
+    code, _, err = run(capsys, "predict", "--model", str(stale),
+                       "--corpus", str(corpus), "--out", str(tmp_path / "stale.jsonl"))
+    assert code == 2
+    assert "version 999" in err
 
     report_path = workdir / "eval.json"
     code, out, _ = run(

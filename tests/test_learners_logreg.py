@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from sla import learners
 from sla.learners import (
     LinearModel,
     LinParams,
@@ -212,3 +213,159 @@ def test_rejects_empty_and_mismatched_inputs():
         train_l1_logreg(sparse.csr_matrix((0, 2)), [])
     with pytest.raises(ValueError):
         LinParams(l1_strength=0.0)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit agreement with the reference solver
+# ---------------------------------------------------------------------------
+#
+# The functions below are the first, straightforward implementation of the
+# proximal-gradient solver, kept as the reference: it rebuilds X.T and every
+# temporary on each iteration.  The solver in sla.learners must give the
+# same weights and intercepts to the last bit, so they are compared with
+# tobytes().
+
+
+def _ref_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _ref_soft_threshold(v, thresh):
+    return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+
+
+def _ref_fit_l1_binary(X, y_pm, sample_weights, lam, max_iter, tol):
+    n, d = X.shape
+    w = np.zeros(d, dtype=np.float64)
+    b = 0.0
+    z = np.zeros(n, dtype=np.float64)
+
+    def smooth_at(z_vec):
+        return float(np.dot(sample_weights, np.logaddexp(0.0, -y_pm * z_vec)))
+
+    f = smooth_at(z)
+    obj = f
+    step = 1.0
+    for _ in range(max_iter):
+        coef = sample_weights * (-y_pm) * _ref_sigmoid(-y_pm * z)
+        grad_w = np.asarray(X.T.dot(coef), dtype=np.float64)
+        grad_b = float(coef.sum())
+
+        while True:
+            w_new = _ref_soft_threshold(w - step * grad_w, step * lam)
+            b_new = b - step * grad_b
+            dw = w_new - w
+            db = b_new - b
+            z_new = z + X.dot(dw) + db
+            f_new = smooth_at(z_new)
+            bound = (
+                f
+                + float(np.dot(grad_w, dw))
+                + grad_b * db
+                + (float(np.dot(dw, dw)) + db * db) / (2.0 * step)
+            )
+            if f_new <= bound + 1e-12:
+                break
+            step *= 0.5
+            if step < 1e-18:
+                return w, b
+
+        obj_new = f_new + lam * float(np.abs(w_new).sum())
+        delta = obj - obj_new
+        w, b, z, f, obj = w_new, b_new, z_new, f_new, obj_new
+        step *= 1.25
+        if delta < tol:
+            break
+    return w, b
+
+
+def _oracle_problem(kind, n_classes, seed):
+    """Seeded problem: binary presence features, or non-negative weighted
+    features shaped like stage-2 vectors (sums of up to three segment
+    vectors scaled by line scores in (0, 1), with repeated n-grams)."""
+    rng = np.random.default_rng(seed)
+    n, d = 36, 90
+    mask = rng.random((n, d)) < 0.12
+    if kind == "binary":
+        dense = mask.astype(np.float64)
+    else:
+        counts = rng.integers(1, 4, size=(n, d))
+        scores = rng.uniform(0.05, 1.0, size=(n, d, 3))
+        segments = rng.integers(1, 4, size=(n, d))
+        weight = np.where(np.arange(3) < segments[..., None], scores, 0.0).sum(axis=2)
+        dense = np.where(mask, counts * weight, 0.0)
+    labels = [f"c{int(v)}" for v in rng.integers(0, n_classes, size=n)]
+    labels[:n_classes] = [f"c{k}" for k in range(n_classes)]  # every class present
+    return sparse.csr_matrix(dense), labels
+
+
+def _fit_both(monkeypatch, X, y, params, sample_weights=None):
+    fast = train_l1_logreg(X, y, params, sample_weights=sample_weights)
+    with monkeypatch.context() as m:
+        m.setattr(learners, "_fit_l1_binary", _ref_fit_l1_binary)
+        ref = train_l1_logreg(X, y, params, sample_weights=sample_weights)
+    return fast, ref
+
+
+@pytest.mark.parametrize("C", [0.03, 1.0, 100.0, 3162.0])
+@pytest.mark.parametrize(
+    "kind, n_classes, weighting",
+    [
+        ("binary", 2, "balanced"),
+        ("binary", 5, "unbalanced"),
+        ("stage2", 5, "balanced"),
+        ("stage2", 2, "explicit"),
+    ],
+)
+def test_solver_matches_reference_bit_for_bit(monkeypatch, C, kind, n_classes, weighting):
+    X, y = _oracle_problem(kind, n_classes, seed=n_classes * 100 + len(kind))
+    params = LinParams(l1_strength=C, balanced=weighting != "unbalanced")
+    explicit = None
+    if weighting == "explicit":
+        explicit = {f"c{k}": 0.5 + 0.75 * k for k in range(n_classes)}
+    fast, ref = _fit_both(monkeypatch, X, y, params, explicit)
+    assert fast.classes == ref.classes
+    assert fast.weights.tobytes() == ref.weights.tobytes()
+    assert fast.intercepts.tobytes() == ref.intercepts.tobytes()
+
+
+def test_solver_matches_reference_when_stopped_by_max_iter(monkeypatch):
+    X, y = _oracle_problem("stage2", 5, seed=3)
+    params = LinParams(l1_strength=100.0, max_iter=7, tol=0.0)
+    fast, ref = _fit_both(monkeypatch, X, y, params)
+    assert np.any(fast.weights != 0.0)
+    assert fast.weights.tobytes() == ref.weights.tobytes()
+    assert fast.intercepts.tobytes() == ref.intercepts.tobytes()
+
+
+def test_sigmoid_matches_masked_formula_bit_for_bit():
+    edges = [0.0, 5e-324, 36.7, 700.0, 745.2, 800.0, np.inf]
+    rng = np.random.default_rng(41)
+    z = np.concatenate([
+        np.array(edges + [-v for v in edges]),
+        rng.normal(scale=40.0, size=50_000),
+        rng.uniform(-800.0, 800.0, size=50_000),
+    ])
+    assert np.signbit(z[len(edges)])  # -0.0 is in the sample
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = learners._sigmoid(z)
+        want = _ref_sigmoid(z)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_soft_threshold_matches_reference_and_keeps_signed_zeros():
+    rng = np.random.default_rng(43)
+    t = 0.25
+    v = np.concatenate([
+        np.array([0.0, -0.0, t, -t, 0.1, -0.1]),
+        rng.normal(scale=0.5, size=10_000),
+    ])
+    got = learners._soft_threshold(v, t)
+    assert got.tobytes() == _ref_soft_threshold(v, t).tobytes()
+    # a small negative weight thresholds to -0.0, which the bundle JSON keeps
+    assert np.signbit(got[5]) and got[5] == 0.0

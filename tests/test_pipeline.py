@@ -30,7 +30,7 @@ from sla.pipeline import (
     select_top_k,
     train_sla,
 )
-from sla.learners import GbtParams
+from sla.learners import GbtParams, LinParams
 from sla.textproc import build_vocabulary, tokenize, vectorize
 
 
@@ -318,6 +318,34 @@ def test_model_bundle_roundtrip(tmp_path):
     save_model(model, str(path))
     loaded = load_model(str(path))
     assert predict_sla(loaded, docs[0].report).label == predict_sla(model, docs[0].report).label
+
+
+def test_model_bundle_keeps_learner_hyperparameters():
+    docs = tiny_corpus(n=30, seed=17)
+    hyper = SlaHyperParams(
+        k=2,
+        gbt=GbtParams(num_rounds=12, learning_rate=0.2, max_depth=4, seed=5),
+        lin=LinParams(l1_strength=37.0, balanced=False, max_iter=900, tol=1e-7),
+    )
+    model = train_sla(docs, "grade", hyper=hyper, schemas=load_schemas())
+    again = model_from_dict(model_to_dict(model))
+    assert again.hyper == hyper
+    assert again.hyper.lin.l1_strength == 37
+
+    # a version-1 bundle written before gbt and lin were serialized
+    payload = model_to_dict(model)
+    del payload["hyper"]["gbt"], payload["hyper"]["lin"]
+    old = model_from_dict(payload)
+    assert old.hyper == SlaHyperParams(k=2)
+
+
+def test_model_bundle_rejects_unknown_version():
+    docs = tiny_corpus(n=30, seed=17)
+    payload = model_to_dict(fit(docs, "sla", k=2))
+    for version in (999, 0, None):
+        payload["version"] = version
+        with pytest.raises(ValueError, match="version"):
+            model_from_dict(payload)
 
 
 def test_multi_label_documents_compose_joint_label():
