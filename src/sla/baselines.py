@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import AttributeSchema, LabeledDocument, Report, compose_label, schema_value_order
 from .learners import (
@@ -25,25 +26,15 @@ from .learners import (
     train_gbt,
     train_l1_logreg,
 )
-from .textproc import (
-    SparseVector,
-    Vocabulary,
-    build_vocabulary,
-    to_csr,
-    tokenize_lines,
-    vectorize,
-)
+from .textproc import Vocabulary, build_vocabulary, to_csr, tokenize_lines, vectorize
 
 BASELINE_KINDS = ("doc-logreg", "doc-boost")
 
 
-def featurize_document(report: Report, vocab: Vocabulary) -> SparseVector:
-    """Union of the report's per-line n-gram features (binary presence)."""
-    idx: set[int] = set()
-    for tl in tokenize_lines(report):
-        idx.update(vectorize(tl, vocab).indices)
-    indices = tuple(sorted(idx))
-    return SparseVector(indices, (1.0,) * len(indices), vocab.dimension)
+def featurize_document(report: Report, vocab: Vocabulary) -> sparse.csr_matrix:
+    """Union of the report's per-line n-gram features, as one binary CSR row."""
+    lines = vectorize(tokenize_lines(report), vocab)
+    return to_csr([np.flatnonzero(np.bincount(lines.indices)).tolist()], vocab.dimension)
 
 
 @dataclass
@@ -78,7 +69,7 @@ def train_doc_baseline(
         )
     all_lines = [tl.tokens for d in docs for tl in tokenize_lines(d.report)]
     vocab = build_vocabulary(all_lines, ngram_n)
-    X = to_csr([featurize_document(d.report, vocab) for d in docs], vocab.dimension)
+    X = sparse.vstack([featurize_document(d.report, vocab) for d in docs], format="csr")
     labels = [
         compose_label(
             d.annotations[attribute].values,
@@ -110,8 +101,7 @@ def predict_doc_baseline(model: DocBaselineModel, report: Report) -> tuple[str, 
     classes = model.boost_classes
     if model.boost_models is None:
         return str(classes[0]), {str(classes[0]): 1.0}
-    row = to_csr([x], model.vocab.dimension)
-    probs = np.array([predict_gbt_batch(m, row)[0] for m in model.boost_models])
+    probs = np.array([predict_gbt_batch(m, x)[0] for m in model.boost_models])
     best = int(np.argmax(probs))
     return str(classes[best]), {str(c): float(p) for c, p in zip(classes, probs)}
 

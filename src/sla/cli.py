@@ -250,15 +250,7 @@ def _cmd_predict(args, argv) -> int:
     records = []
     for doc in docs:
         if sla_model is not None:
-            gold = None
-            if sla_model.variant == "oracle":
-                ann = doc.annotations.get(sla_model.attribute)
-                if ann is None:
-                    raise CorpusError(
-                        f"doc {doc.report.id}: oracle model needs gold lines for "
-                        f"{sla_model.attribute!r}"
-                    )
-                gold = ann.line_indices
+            gold = pipeline.oracle_gold_lines(sla_model, doc)
             pred = pipeline.predict_sla(sla_model, doc.report, gold_lines=gold)
             rationale = [
                 {

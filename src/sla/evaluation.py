@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import enum
 import json
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
@@ -403,88 +405,31 @@ def learning_curve(
         raise ValueError(
             f"largest size {max(sizes)} needs at most {len(docs) - 1} (corpus has {len(docs)} docs)"
         )
-    tasks = [(size, run) for size in sizes for run in range(runs)]
-
-    def _run(task: tuple[int, int]) -> CurveCell:
-        size, run = task
-        return run_curve_cell(
-            docs,
-            attribute,
-            variant,
-            size,
-            run,
-            base_seed,
-            trials,
-            folds,
-            space=space,
-            ci_iterations=ci_iterations,
-            ci_level=ci_level,
-            schemas=schemas,
-            keyword_rules=keyword_rules,
-        )
-
+    run_cell = partial(
+        run_curve_cell,
+        docs,
+        attribute,
+        variant,
+        base_seed=base_seed,
+        trials=trials,
+        folds=folds,
+        space=space,
+        ci_iterations=ci_iterations,
+        ci_level=ci_level,
+        schemas=schemas,
+        keyword_rules=keyword_rules,
+    )
+    task_sizes = [size for size in sizes for _ in range(runs)]
+    task_runs = [run for _ in sizes for run in range(runs)]
     if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [
-            (
-                docs,
-                attribute,
-                variant,
-                size,
-                run,
-                base_seed,
-                trials,
-                folds,
-                space,
-                ci_iterations,
-                ci_level,
-                schemas,
-                keyword_rules,
-            )
-            for size, run in tasks
-        ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_run_cell_args, args))
+            cells = list(pool.map(run_cell, task_sizes, task_runs))
     else:
-        cells = [_run(t) for t in tasks]
+        cells = list(map(run_cell, task_sizes, task_runs))
     return LearningCurve(
         attribute=attribute,
         variant=variant,
         sizes=sizes,
         runs=runs,
         cells=tuple(cells),
-    )
-
-
-def _run_cell_args(args) -> CurveCell:
-    (
-        docs,
-        attribute,
-        variant,
-        size,
-        run,
-        base_seed,
-        trials,
-        folds,
-        space,
-        ci_iterations,
-        ci_level,
-        schemas,
-        keyword_rules,
-    ) = args
-    return run_curve_cell(
-        docs,
-        attribute,
-        variant,
-        size,
-        run,
-        base_seed,
-        trials,
-        folds,
-        space=space,
-        ci_iterations=ci_iterations,
-        ci_level=ci_level,
-        schemas=schemas,
-        keyword_rules=keyword_rules,
     )

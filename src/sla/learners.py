@@ -27,13 +27,12 @@ L1-regularized logistic regression (one-vs-rest multiclass)
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
-
-from .textproc import SparseVector, to_csr
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -58,8 +57,6 @@ def _sigmoid_scalar(z: float) -> float:
 def _as_csr(X) -> sparse.csr_matrix:
     if sparse.issparse(X):
         return X.tocsr()
-    if isinstance(X, (list, tuple)) and X and isinstance(X[0], SparseVector):
-        return to_csr(X)
     return sparse.csr_matrix(np.asarray(X, dtype=np.float64))
 
 
@@ -349,9 +346,7 @@ def _walk_tree(node: TreeNode, present: frozenset[int]) -> float:
 
 def predict_gbt(model: GbtModel, x) -> float:
     """Probability of the positive class for a single feature vector."""
-    if isinstance(x, SparseVector):
-        present = frozenset(x.indices)
-    elif sparse.issparse(x):
+    if sparse.issparse(x):
         present = frozenset(x.tocsr().indices.tolist())
     else:
         present = frozenset(int(i) for i in np.flatnonzero(np.asarray(x)))
@@ -464,6 +459,12 @@ def _soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
     return out
 
 
+_NOT_CONVERGED = (
+    "L1 logistic regression stopped before converging (max_iter reached or"
+    " line-search step underflow); its weights may be inaccurate"
+)
+
+
 def _fit_l1_binary(
     X: sparse.csr_matrix,
     y_pm: np.ndarray,
@@ -476,7 +477,9 @@ def _fit_l1_binary(
 
     Each accepted step satisfies the standard quadratic upper bound on the
     smooth part, which makes the full objective non-increasing.  Iteration
-    stops once the objective improves by less than tol.
+    stops once the objective improves by less than tol.  Stopping at
+    ``max_iter`` or on a step-size underflow instead issues a RuntimeWarning
+    and returns the last accepted iterate.
     """
     n, d = X.shape
     XT = X.T  # a CSC view sharing X's arrays; building one costs more than a matvec
@@ -509,14 +512,17 @@ def _fit_l1_binary(
                 break
             step *= 0.5
             if step < 1e-18:
-                return w, b
+                break
+        if step < 1e-18:  # the line search underflowed (accepted steps never do)
+            break
 
         obj_new = f_new + lam * float(np.abs(w_new).sum())
         delta = obj - obj_new
         w, b, z, f, obj = w_new, b_new, z_new, f_new, obj_new
         step *= 1.25
         if delta < tol:
-            break
+            return w, b
+    warnings.warn(_NOT_CONVERGED, RuntimeWarning)
     return w, b
 
 
@@ -572,17 +578,13 @@ def train_l1_logreg(
 
 
 def decision_scores(model: LinearModel, x) -> np.ndarray:
-    """Per-class sigmoid scores for one feature vector."""
-    if isinstance(x, SparseVector):
-        if x.indices:
-            idx = np.asarray(x.indices, dtype=np.int64)
-            vals = np.asarray(x.values, dtype=np.float64)
-            margins = model.weights[:, idx].dot(vals) + model.intercepts
-        else:
-            margins = model.intercepts.copy()
-    elif sparse.issparse(x):
+    """Per-class sigmoid scores for one feature vector (a one-row sparse
+    matrix or a dense vector)."""
+    if sparse.issparse(x):
         row = x.tocsr()
-        margins = np.asarray(row.dot(model.weights.T)).ravel() + model.intercepts
+        if row.shape[0] != 1:
+            raise ValueError(f"decision_scores takes one row, got {row.shape[0]}")
+        margins = model.weights[:, row.indices].dot(row.data) + model.intercepts
     else:
         margins = model.weights.dot(np.asarray(x, dtype=np.float64)) + model.intercepts
     return _sigmoid(margins)

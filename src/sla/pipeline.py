@@ -29,9 +29,11 @@ from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import (
     AttributeSchema,
+    CorpusError,
     LabeledDocument,
     Report,
     compose_label,
@@ -48,10 +50,8 @@ from .learners import (
     train_l1_logreg,
 )
 from .textproc import (
-    SparseVector,
     Vocabulary,
     build_vocabulary,
-    sum_vectors,
     to_csr,
     tokenize,
     tokenize_lines,
@@ -67,16 +67,6 @@ _RULES_RESOURCE = "data/keyword_rules.json"
 # ---------------------------------------------------------------------------
 # types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LineRelevanceExample:
-    """One line turned into a stage-1 training example."""
-
-    vector: SparseVector
-    relevant: bool
-    doc_id: str
-    line_index: int
 
 
 @dataclass(frozen=True)
@@ -115,7 +105,7 @@ class SelectedLines:
 
 @dataclass(frozen=True)
 class DocRepresentation:
-    vector: SparseVector
+    vector: sparse.csr_matrix  # one row
     provenance: SelectedLines
 
 
@@ -210,23 +200,14 @@ def rule_select(report: Report, keyword_rules: Iterable[str]) -> tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def build_line_labels(
-    doc: LabeledDocument, attribute: str, line_vocab: Vocabulary
-) -> list[LineRelevanceExample]:
-    """Stage-1 training examples for one document: a line is positive iff
-    the annotator highlighted it for this attribute."""
+def build_line_labels(doc: LabeledDocument, attribute: str) -> np.ndarray:
+    """Stage-1 targets for one document, one per line: 1.0 where the
+    annotator highlighted the line for this attribute, else 0.0."""
     if attribute not in doc.annotations:
         raise ValueError(f"doc {doc.report.id} has no annotation for {attribute!r}")
-    gold = set(doc.annotations[attribute].line_indices)
-    return [
-        LineRelevanceExample(
-            vector=vectorize(tl, line_vocab),
-            relevant=tl.source_line_index in gold,
-            doc_id=doc.report.id,
-            line_index=tl.source_line_index,
-        )
-        for tl in tokenize_lines(doc.report)
-    ]
+    labels = np.zeros(len(doc.report.lines))
+    labels[list(doc.annotations[attribute].line_indices)] = 1.0
+    return labels
 
 
 def select_top_k(scores: Sequence[float], k: int) -> tuple[int, ...]:
@@ -269,16 +250,20 @@ def compose_representation(
     final_vocab: Vocabulary,
     weighting: bool = True,
 ) -> DocRepresentation:
-    """Weighted sum of segment vectors.  Each segment's member lines are
-    joined with a space and re-tokenized as one line, so n-grams may cross
-    the original line boundaries inside a segment.  With weighting off,
-    every segment contributes with weight 1."""
-    parts = []
-    for seg in selection.segments:
-        text = " ".join(report.lines[seg.start : seg.end + 1])
-        vec = vectorize(tokenize(text), final_vocab)
-        parts.append(vec.scaled(seg.weight if weighting else 1.0))
-    vector = sum_vectors(parts, final_vocab.dimension)
+    """Weighted sum of segment vectors, as one CSR row.  Each segment's
+    member lines are joined with a space and re-tokenized as one line, so
+    n-grams may cross the original line boundaries inside a segment.  With
+    weighting off, every segment contributes with weight 1."""
+    segments = selection.segments
+    rows = vectorize(
+        [tokenize(" ".join(report.lines[s.start : s.end + 1])) for s in segments],
+        final_vocab,
+    )
+    weights = [s.weight if weighting else 1.0 for s in segments]
+    # bincount adds each feature's segment weights in segment order
+    sums = np.bincount(rows.indices, np.repeat(weights, np.diff(rows.indptr)))
+    present = np.flatnonzero(sums)
+    vector = to_csr([present.tolist()], final_vocab.dimension, sums[present])
     return DocRepresentation(vector=vector, provenance=selection)
 
 
@@ -298,8 +283,7 @@ def _select(
     gold_lines: Sequence[int] | None,
 ) -> SelectedLines:
     if variant in SCORED_VARIANTS:
-        vecs = [vectorize(tl, line_vocab) for tl in tokenize_lines(report)]
-        scores = predict_gbt_batch(line_scorer, to_csr(vecs, line_vocab.dimension))
+        scores = predict_gbt_batch(line_scorer, vectorize(tokenize_lines(report), line_vocab))
         chosen = select_top_k(scores, k)
         if variant in ("no_join", "no_weight_no_join"):
             segments = tuple(
@@ -378,12 +362,8 @@ def train_sla(
     rules = None
     if variant in SCORED_VARIANTS:
         line_vocab = build_vocabulary(all_lines, hyper.line_ngram_n)
-        examples = [
-            ex for d in docs for ex in build_line_labels(d, attribute, line_vocab)
-        ]
-        X_lines = to_csr([ex.vector for ex in examples], line_vocab.dimension)
-        y_lines = np.array([1.0 if ex.relevant else 0.0 for ex in examples])
-        line_scorer = train_gbt(X_lines, y_lines, hyper.gbt)
+        y_lines = np.concatenate([build_line_labels(d, attribute) for d in docs])
+        line_scorer = train_gbt(vectorize(all_lines, line_vocab), y_lines, hyper.gbt)
     elif variant == "rules":
         if keyword_rules is None:
             defaults = load_keyword_rules()
@@ -407,7 +387,7 @@ def train_sla(
         reps.append(rep.vector)
         labels.append(compose_label(ann.values, order))
 
-    classifier = train_l1_logreg(to_csr(reps, final_vocab.dimension), labels, hyper.lin)
+    classifier = train_l1_logreg(sparse.vstack(reps, format="csr"), labels, hyper.lin)
     return SlaModel(
         attribute=attribute,
         variant=variant,
@@ -419,6 +399,19 @@ def train_sla(
         keyword_rules=rules,
         hyper=hyper,
     )
+
+
+def oracle_gold_lines(model: SlaModel, doc: LabeledDocument) -> tuple[int, ...] | None:
+    """The annotator's lines for ``doc`` when ``model`` is an oracle, which
+    selects exactly those; None for every other variant."""
+    if model.variant != "oracle":
+        return None
+    ann = doc.annotations.get(model.attribute)
+    if ann is None:
+        raise CorpusError(
+            f"doc {doc.report.id}: oracle model needs gold lines for {model.attribute!r}"
+        )
+    return ann.line_indices
 
 
 def predict_sla(

@@ -16,6 +16,7 @@ map through ``<UNK>`` at test time.  Features are binary presence.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from collections import Counter
@@ -141,81 +142,30 @@ def build_vocabulary(
     return Vocabulary(ngram_to_index=mapping, max_n=max_n, min_count=min_count)
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Sorted sparse feature vector; stores only nonzero entries."""
-
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
-    dimension: int
-
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.values):
-            raise ValueError("indices and values must have equal length")
-        if any(v == 0.0 for v in self.values):
-            raise ValueError("SparseVector must not store zero values")
-        prev = -1
-        for i in self.indices:
-            if i <= prev:
-                raise ValueError("indices must be strictly increasing")
-            prev = i
-        if self.indices and self.indices[-1] >= self.dimension:
-            raise ValueError("index out of range for dimension")
-
-    def scaled(self, factor: float) -> "SparseVector":
-        if factor == 0.0:
-            return SparseVector((), (), self.dimension)
-        return SparseVector(self.indices, tuple(v * factor for v in self.values), self.dimension)
-
-
-def vectorize(tokens, vocab: Vocabulary) -> SparseVector:
-    """Binary bag-of-n-grams for one token sequence under a fixed vocabulary.
+def vectorize(token_lines: Iterable, vocab: Vocabulary) -> sparse.csr_matrix:
+    """Binary bag-of-n-grams under a fixed vocabulary: one CSR row per token
+    line (a ``TokenLine`` or a token sequence).
 
     Unknown unigrams are first mapped to <UNK>; n-grams absent from the
     vocabulary are dropped.
     """
-    if hasattr(tokens, "tokens"):
-        tokens = tokens.tokens
-    mapped = tuple(vocab.map_token(t) for t in tokens)
-    idx = {
-        vocab.ngram_to_index[g]
-        for g in _ngrams(mapped, vocab.max_n)
-        if g in vocab.ngram_to_index
-    }
-    indices = tuple(sorted(idx))
-    return SparseVector(indices, (1.0,) * len(indices), vocab.dimension)
+    index = vocab.ngram_to_index
+    rows = []
+    for tokens in token_lines:
+        mapped = tuple(vocab.map_token(t) for t in getattr(tokens, "tokens", tokens))
+        rows.append(sorted({index[g] for g in _ngrams(mapped, vocab.max_n) if g in index}))
+    return to_csr(rows, vocab.dimension)
 
 
-def sum_vectors(vectors: Iterable[SparseVector], dimension: int) -> SparseVector:
-    """Weighted-sum accumulation of sparse vectors sharing a dimension."""
-    acc: dict[int, float] = {}
-    for vec in vectors:
-        if vec.dimension != dimension:
-            raise ValueError("cannot sum vectors of mismatched dimension")
-        for i, v in zip(vec.indices, vec.values):
-            acc[i] = acc.get(i, 0.0) + v
-    items = sorted((i, v) for i, v in acc.items() if v != 0.0)
-    return SparseVector(
-        tuple(i for i, _ in items), tuple(v for _, v in items), dimension
-    )
-
-
-def to_csr(vectors: Sequence[SparseVector], dimension: int | None = None) -> sparse.csr_matrix:
-    """Stack sparse vectors into a scipy CSR matrix for the learners."""
-    if dimension is None:
-        if not vectors:
-            raise ValueError("cannot infer dimension from zero vectors")
-        dimension = vectors[0].dimension
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for vec in vectors:
-        if vec.dimension != dimension:
-            raise ValueError("cannot stack vectors of mismatched dimension")
-        indices.extend(vec.indices)
-        data.extend(vec.values)
-        indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64), indptr),
-        shape=(len(vectors), dimension),
-    )
+def to_csr(
+    rows: Sequence[list[int]], dimension: int, data: np.ndarray | None = None
+) -> sparse.csr_matrix:
+    """Stack rows of sorted, distinct column indices into a CSR matrix.
+    ``data`` holds the values of every row in order; without it each stored
+    value is 1.0 (binary presence).  Rows are lists because reading Python
+    ints one by one is several times faster than reading numpy scalars."""
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.fromiter(itertools.chain.from_iterable(rows), np.int64, int(indptr[-1]))
+    if data is None:
+        data = np.ones(len(indices))
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), dimension))

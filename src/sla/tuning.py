@@ -10,7 +10,9 @@ changing the result.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +30,7 @@ from .pipeline import (
     VARIANTS,
     SlaHyperParams,
     SlaModel,
+    oracle_gold_lines,
     predict_sla,
     train_sla,
 )
@@ -122,14 +125,7 @@ class FittedVariant:
 
     def predict_label(self, doc: LabeledDocument) -> str:
         if self.sla_model is not None:
-            gold = None
-            if self.sla_model.variant == "oracle":
-                ann = doc.annotations.get(self.sla_model.attribute)
-                if ann is None:
-                    raise ValueError(
-                        f"oracle variant needs gold lines for doc {doc.report.id}"
-                    )
-                gold = ann.line_indices
+            gold = oracle_gold_lines(self.sla_model, doc)
             return predict_sla(self.sla_model, doc.report, gold_lines=gold).label
         label, _ = predict_doc_baseline(self.baseline, doc.report)
         return label
@@ -146,17 +142,17 @@ def fit_variant(
 ) -> FittedVariant:
     """Train one pipeline variant or baseline from a flat config dict."""
     cfg = dict(config or {})
+    gbt = GbtParams(
+        learning_rate=cfg.get("learning_rate", 0.1),
+        max_depth=cfg.get("max_depth", 5),
+        min_split_loss=cfg.get("min_split_loss", 0.0),
+        subsample=cfg.get("subsample", 1.0),
+        l2_lambda=cfg.get("l2_lambda", 1.0),
+        num_rounds=cfg.get("num_rounds", 100),
+        seed=seed,
+    )
+    lin = LinParams(l1_strength=cfg.get("C", 1.0))
     if method in VARIANTS:
-        gbt = GbtParams(
-            learning_rate=cfg.get("learning_rate", 0.1),
-            max_depth=cfg.get("max_depth", 5),
-            min_split_loss=cfg.get("min_split_loss", 0.0),
-            subsample=cfg.get("subsample", 1.0),
-            l2_lambda=cfg.get("l2_lambda", 1.0),
-            num_rounds=cfg.get("num_rounds", 100),
-            seed=seed,
-        )
-        lin = LinParams(l1_strength=cfg.get("C", 1.0))
         hyper = SlaHyperParams(
             line_ngram_n=cfg.get("line_ngram_n", 2),
             final_ngram_n=cfg.get("final_ngram_n", 2),
@@ -174,16 +170,6 @@ def fit_variant(
         )
         return FittedVariant(method=method, sla_model=model)
     if method in BASELINE_KINDS:
-        lin = LinParams(l1_strength=cfg.get("C", 1.0))
-        gbt = GbtParams(
-            learning_rate=cfg.get("learning_rate", 0.1),
-            max_depth=cfg.get("max_depth", 5),
-            min_split_loss=cfg.get("min_split_loss", 0.0),
-            subsample=cfg.get("subsample", 1.0),
-            l2_lambda=cfg.get("l2_lambda", 1.0),
-            num_rounds=cfg.get("num_rounds", 100),
-            seed=seed,
-        )
         model = train_doc_baseline(
             train_docs,
             attribute,
@@ -316,46 +302,24 @@ def random_search(
         sample_config(space, np.random.default_rng(ss)) for ss in trial_seeds
     ]
 
-    def _one(config: dict) -> TrialResult:
-        return cross_validate(
-            train_docs,
-            attribute,
-            config,
-            folds=folds,
-            variant=variant,
-            seed=seed,
-            schemas=schemas,
-            keyword_rules=keyword_rules,
-        )
-
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [
-            (train_docs, attribute, config, folds, variant, seed, schemas, keyword_rules)
-            for config in configs
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cross_validate_args, args))
-    else:
-        results = [_one(c) for c in configs]
-
-    best = results[0]
-    for result in results[1:]:
-        if result.mean_score > best.mean_score:
-            best = result
-    return dict(best.config), results
-
-
-def _cross_validate_args(args) -> TrialResult:
-    train_docs, attribute, config, folds, variant, seed, schemas, keyword_rules = args
-    return cross_validate(
+    evaluate = partial(
+        cross_validate,
         train_docs,
         attribute,
-        config,
         folds=folds,
         variant=variant,
         seed=seed,
         schemas=schemas,
         keyword_rules=keyword_rules,
     )
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(evaluate, configs))
+    else:
+        results = list(map(evaluate, configs))
+
+    best = results[0]
+    for result in results[1:]:
+        if result.mean_score > best.mean_score:
+            best = result
+    return dict(best.config), results

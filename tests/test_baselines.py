@@ -20,10 +20,11 @@ def test_featurize_is_binary_union_of_lines():
     report = Report(id="r", cancer="colon", lines=("alpha beta", "beta gamma", "alpha"))
     vocab = build_vocabulary([tokenize(l) for l in report.lines] * 2, max_n=2)
     vec = featurize_document(report, vocab)
+    assert vec.shape == (1, vocab.dimension)
     inv = {i: g for g, i in vocab.ngram_to_index.items()}
     grams = {inv[i] for i in vec.indices}
     assert grams == {"alpha", "beta", "gamma", "alpha beta", "beta gamma"}
-    assert set(vec.values) == {1.0}  # repeats collapse to presence
+    assert vec.data.tolist() == [1.0] * 5  # repeats collapse to presence
     assert list(vec.indices) == sorted(vec.indices)
 
 

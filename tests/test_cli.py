@@ -175,6 +175,27 @@ def test_train_baseline_and_predict(workdir, capsys, tmp_path):
     assert all(r["rationale"] == [] for r in records)
 
 
+def test_oracle_predict_needs_the_attribute_annotated(workdir, capsys, tmp_path):
+    corpus = workdir / "corpus.jsonl"
+    model = tmp_path / "oracle.json"
+    code, _, _ = run(
+        capsys, "train", "--corpus", str(corpus), "--attribute", "grade",
+        "--variant", "oracle", "--out", str(model),
+    )
+    assert code == 0
+    records = [json.loads(l) for l in corpus.read_text().splitlines()]
+    unlabeled = tmp_path / "unlabeled.jsonl"
+    unlabeled.write_text(
+        "".join(json.dumps({**r, "annotations": []}) + "\n" for r in records), encoding="utf-8"
+    )
+    preds = tmp_path / "preds.jsonl"
+    code, _, err = run(capsys, "predict", "--model", str(model),
+                       "--corpus", str(unlabeled), "--out", str(preds))
+    assert code == 2
+    assert "oracle model needs gold lines for 'grade'" in err
+    assert not preds.exists()
+
+
 def test_tune_outputs_best_and_trials(workdir, capsys, tmp_path):
     corpus = workdir / "corpus.jsonl"
     out = tmp_path / "tune"

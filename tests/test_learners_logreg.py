@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -12,7 +14,7 @@ from sla.learners import (
     predict_logreg,
     train_l1_logreg,
 )
-from sla.textproc import SparseVector
+from sla.textproc import to_csr
 
 
 def random_problem(rng, n=30, d=8):
@@ -138,7 +140,7 @@ def test_prediction_tie_breaks_to_earliest_class():
         weights=np.zeros((2, 3)),
         intercepts=np.zeros(2),
     )
-    pred, scores = predict_logreg(model, SparseVector((0,), (1.0,), 3))
+    pred, scores = predict_logreg(model, to_csr([[0]], 3))
     assert scores["a"] == scores["b"]
     assert pred == "a"
 
@@ -180,18 +182,21 @@ def test_balanced_weights_shift_decisions_toward_rare_class():
     assert s_bal[min_idx] > s_unbal[min_idx]
 
 
-def test_decision_scores_sparse_vector_fast_path_matches_csr():
+def test_decision_scores_csr_row_gathers_its_columns():
     rng = np.random.default_rng(6)
     X, y_pm, _ = random_problem(rng, n=25, d=7)
     y = ["a" if v > 0 else "b" for v in y_pm]
     model = train_l1_logreg(X, y)
     row = X[3]
-    vec = SparseVector(
-        indices=tuple(int(i) for i in row.indices),
-        values=tuple(float(v) for v in row.data),
-        dimension=7,
-    )
-    assert np.allclose(decision_scores(model, vec), decision_scores(model, row))
+    # the arithmetic of the removed single-vector fast path
+    idx = np.asarray(row.indices, dtype=np.int64)
+    expect = learners._sigmoid(model.weights[:, idx].dot(row.data) + model.intercepts)
+    assert decision_scores(model, row).tobytes() == expect.tobytes()
+    assert np.allclose(decision_scores(model, row), decision_scores(model, row.toarray()[0]))
+    empty = to_csr([[]], 7)
+    assert decision_scores(model, empty).tobytes() == learners._sigmoid(model.intercepts).tobytes()
+    with pytest.raises(ValueError):
+        decision_scores(model, X[:2])
 
 
 def test_linear_model_roundtrip():
@@ -341,6 +346,20 @@ def test_solver_matches_reference_when_stopped_by_max_iter(monkeypatch):
     assert np.any(fast.weights != 0.0)
     assert fast.weights.tobytes() == ref.weights.tobytes()
     assert fast.intercepts.tobytes() == ref.intercepts.tobytes()
+
+
+def test_solver_warns_when_stopped_by_max_iter():
+    X, y = _oracle_problem("stage2", 5, seed=3)
+    with pytest.warns(RuntimeWarning, match="stopped before converging"):
+        train_l1_logreg(X, y, LinParams(l1_strength=100.0, max_iter=7, tol=0.0))
+
+
+def test_converged_solve_does_not_warn():
+    X, y = _oracle_problem("binary", 2, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_l1_logreg(X, y, LinParams(l1_strength=1.0))
+    assert np.any(model.weights != 0.0)
 
 
 def test_sigmoid_matches_masked_formula_bit_for_bit():

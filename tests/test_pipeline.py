@@ -151,7 +151,7 @@ def test_compose_representation_joins_segment_lines():
     # (built per line), so the crossing n-gram is dropped, not invented
     assert "alpha beta" in grams
     assert "beta gamma" in grams
-    assert all(v == 0.5 for v in rep.vector.values)
+    assert all(v == 0.5 for v in rep.vector.data)
 
 
 def test_compose_representation_weighting_flag():
@@ -160,8 +160,8 @@ def test_compose_representation_weighting_flag():
     sel = SelectedLines((Segment(0, 0, 0.25), Segment(1, 1, 0.75)), k=2)
     weighted = compose_representation(sel, report, vocab, weighting=True)
     flat = compose_representation(sel, report, vocab, weighting=False)
-    assert set(weighted.vector.values) == {0.25, 0.75}
-    assert set(flat.vector.values) == {1.0}
+    assert set(weighted.vector.data) == {0.25, 0.75}
+    assert set(flat.vector.data) == {1.0}
 
 
 def test_overlapping_segment_sum_accumulates():
@@ -169,7 +169,18 @@ def test_overlapping_segment_sum_accumulates():
     vocab = build_vocabulary([tokenize(l) for l in report.lines], max_n=1)
     sel = SelectedLines((Segment(0, 0, 0.5), Segment(1, 1, 0.25)), k=2)
     rep = compose_representation(sel, report, vocab)
-    assert rep.vector.values == (0.75,)
+    assert rep.vector.data.tolist() == [0.75]
+
+
+def test_compose_representation_merges_and_drops_zeros():
+    # unigram columns a=0, b=1, c=2, d=3; segment features {a, c}, {c, d}, {d}
+    report = Report(id="r", cancer="colon", lines=("a c", "c d", "d", "b"))
+    vocab = build_vocabulary([tokenize(l) for l in report.lines] * 2, max_n=1)
+    sel = SelectedLines((Segment(0, 0, 1.0), Segment(1, 1, 2.0), Segment(2, 2, -2.0)), k=3)
+    rep = compose_representation(sel, report, vocab)
+    assert rep.vector.shape == (1, 4)
+    assert rep.vector.indices.tolist() == [0, 2]
+    assert rep.vector.data.tolist() == [1.0, 3.0]
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +194,9 @@ def test_build_line_labels_positive_only_on_highlights():
         attribute="grade", values=("x",), line_indices=(1,), scheme="minimal"
     )
     doc = LabeledDocument(report=report, annotations={"grade": ann})
-    vocab = build_vocabulary([tokenize(l) for l in report.lines] * 2, max_n=1)
-    examples = build_line_labels(doc, "grade", vocab)
-    assert [ex.relevant for ex in examples] == [False, True, False]
-    assert [ex.line_index for ex in examples] == [0, 1, 2]
+    assert build_line_labels(doc, "grade").tolist() == [0.0, 1.0, 0.0]
     with pytest.raises(ValueError):
-        build_line_labels(doc, "laterality", vocab)
+        build_line_labels(doc, "laterality")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,11 +6,9 @@ from hypothesis import strategies as st
 from sla.corpus import Report
 from sla.textproc import (
     UNK,
-    SparseVector,
     Vocabulary,
     build_vocabulary,
     normalize,
-    sum_vectors,
     to_csr,
     tokenize,
     tokenize_lines,
@@ -137,11 +136,11 @@ def test_vocabulary_roundtrip():
 
 def test_vectorize_binary_presence_and_oov_mapping():
     vocab = build_vocabulary(_lines("grade : 2", "grade : 2"), max_n=2)
-    vec = vectorize(("grade", ":", "2", "2", "unseen"), vocab)
+    vec = vectorize([("grade", ":", "2", "2", "unseen")], vocab)
     # repeated tokens do not raise the value above 1
-    assert all(v == 1.0 for v in vec.values)
+    assert all(v == 1.0 for v in vec.data)
     assert len(vec.indices) == len(set(vec.indices))
-    assert vec.dimension == vocab.dimension
+    assert vec.shape == (1, vocab.dimension)
     # unseen maps through UNK, which is absent from this vocab -> dropped
     names = {g for g, i in vocab.ngram_to_index.items() if i in vec.indices}
     assert "grade : 2" not in names or UNK not in names
@@ -149,33 +148,18 @@ def test_vectorize_binary_presence_and_oov_mapping():
 
 def test_vectorize_known_ngrams_only():
     vocab = build_vocabulary(_lines("a b", "a b"), max_n=2)
-    vec = vectorize(("b", "a"), vocab)
+    vec = vectorize([("b", "a")], vocab)
     got = {g for g, i in vocab.ngram_to_index.items() if i in vec.indices}
     assert got == {"a", "b"}  # "b a" bigram never seen in training
 
 
-def test_sparse_vector_validation():
-    with pytest.raises(ValueError):
-        SparseVector(indices=(2, 1), values=(1.0, 1.0), dimension=5)
-    with pytest.raises(ValueError):
-        SparseVector(indices=(0,), values=(0.0,), dimension=5)
-    with pytest.raises(ValueError):
-        SparseVector(indices=(5,), values=(1.0,), dimension=5)
-
-
-def test_sparse_vector_scaled():
-    v = SparseVector(indices=(1, 3), values=(1.0, 2.0), dimension=4)
-    assert v.scaled(0.5).values == (0.5, 1.0)
-    assert v.scaled(0.5).indices == v.indices
-
-
-def test_sum_vectors_merges_and_drops_zeros():
-    a = SparseVector(indices=(0, 2), values=(1.0, 1.0), dimension=4)
-    b = SparseVector(indices=(2, 3), values=(2.0, 1.0), dimension=4)
-    c = SparseVector(indices=(3,), values=(-1.0,), dimension=4)
-    s = sum_vectors([a, b, c], dimension=4)
-    assert s.indices == (0, 2)
-    assert s.values == (1.0, 3.0)
+def test_vectorize_rows_follow_lines_and_take_token_lines():
+    report = Report(id="r", cancer="colon", lines=("a b", "", "b b"))
+    vocab = build_vocabulary(tokenize_lines(report) * 2, max_n=2)
+    rows = vectorize(tokenize_lines(report), vocab)
+    assert rows.shape == (3, vocab.dimension)
+    assert rows.indptr.tolist() == [0, 3, 3, 5]  # a, a b, b | (empty) | b, b b
+    assert vectorize([], vocab).shape == (0, vocab.dimension)
 
 
 @given(
@@ -192,7 +176,8 @@ def test_vectorize_matches_manual_ngram_membership(token_lines):
     )
     vocab = build_vocabulary(tokenize_lines(report), max_n=2)
     inv = {i: g for g, i in vocab.ngram_to_index.items()}
-    for toks in token_lines:
+    rows = vectorize([tuple(toks) for toks in token_lines], vocab)
+    for r, toks in enumerate(token_lines):
         mapped = [vocab.map_token(t) for t in toks]
         expect = set()
         for n in (1, 2):
@@ -200,15 +185,12 @@ def test_vectorize_matches_manual_ngram_membership(token_lines):
                 gram = " ".join(mapped[i : i + n])
                 if gram in vocab.ngram_to_index:
                     expect.add(gram)
-        vec = vectorize(tuple(toks), vocab)
-        assert {inv[i] for i in vec.indices} == expect
+        row = rows.indices[rows.indptr[r] : rows.indptr[r + 1]]
+        assert {inv[i] for i in row} == expect
 
 
 def test_to_csr_matches_dense_layout():
-    vecs = [
-        SparseVector(indices=(0, 2), values=(1.0, 1.0), dimension=3),
-        SparseVector(indices=(1,), values=(2.0,), dimension=3),
-    ]
-    m = to_csr(vecs)
-    assert m.shape == (2, 3)
-    assert m.toarray().tolist() == [[1.0, 0.0, 1.0], [0.0, 2.0, 0.0]]
+    m = to_csr([[0, 2], [1], []], 3, np.array([1.0, 0.5, 2.0]))
+    assert m.shape == (3, 3)
+    assert m.toarray().tolist() == [[1.0, 0.0, 0.5], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
+    assert to_csr([[0, 2]], 3).toarray().tolist() == [[1.0, 0.0, 1.0]]

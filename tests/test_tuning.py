@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sla.corpus import load_schemas
+from sla.corpus import CorpusError, load_schemas
 from sla.tuning import (
     METHODS,
     SearchSpace,
@@ -158,5 +158,5 @@ def test_oracle_fitted_variant_requires_annotation_at_predict():
     docs = tiny_corpus(n=16, seed=41)
     fitted = fit_variant("oracle", docs, "grade", schemas=load_schemas())
     stripped = type(docs[0])(report=docs[0].report, annotations={})
-    with pytest.raises(ValueError, match="gold lines"):
+    with pytest.raises(CorpusError, match="gold lines"):
         fitted.predict_label(stripped)
