@@ -178,23 +178,27 @@ def _leaf_value(g_sum: float, h_sum: float, lam: float) -> float:
 
 
 def _grow_tree(
-    X_csr: sparse.csr_matrix,
     X_csc: sparse.csc_matrix,
     rows: np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
     params: GbtParams,
-) -> TreeNode:
+) -> tuple[TreeNode, list[tuple[float, np.ndarray]]]:
     """Grow one tree level by level on the given row subset.
 
-    Split statistics for every (frontier node, feature) pair come from two
-    sparse matrix products per level, which keeps the cost at
-    O(nnz) per level regardless of how many nodes are open.
+    Split statistics for every (frontier node, feature) pair come from one
+    sparse-dense product per level: M holds each frontier node's gradients,
+    hessians and ones on its rows, and X.T @ M sums them per feature.  X is
+    binary and the product adds each cell in ascending row order, so every
+    sum has the bits of a per-node sparse product.  Returns the tree and
+    its leaf partition of ``rows`` as (leaf value, rows at that leaf).
     """
-    n_total = X_csr.shape[0]
+    n_total = X_csc.shape[0]
+    XT = X_csc.T  # CSR over features, each row's sample indices ascending
     lam = params.l2_lambda
     gamma = params.min_split_loss
     nodes: list[dict] = [{}]
+    leaves: list[tuple[float, np.ndarray]] = []
     frontier: list[tuple[int, np.ndarray]] = [(0, rows)]
     col_mark = np.zeros(n_total, dtype=bool)
     indptr, col_indices = X_csc.indptr, X_csc.indices
@@ -205,30 +209,21 @@ def _grow_tree(
         if depth == params.max_depth:
             for nid, nrows in frontier:
                 g, h = grad[nrows].sum(), hess[nrows].sum()
-                nodes[nid] = {"value": _leaf_value(g, h, lam)}
+                nodes[nid] = {"value": float(_leaf_value(g, h, lam))}
+                leaves.append((nodes[nid]["value"], nrows))
             break
 
+        F = len(frontier)
         sizes = np.array([len(nrows) for _, nrows in frontier])
         all_rows = np.concatenate([nrows for _, nrows in frontier])
-        owner = np.repeat(np.arange(len(frontier)), sizes)
-        shape = (len(frontier), n_total)
-        G1 = np.asarray(
-            sparse.csr_matrix((grad[all_rows], (owner, all_rows)), shape=shape)
-            .dot(X_csr)
-            .todense()
-        )
-        H1 = np.asarray(
-            sparse.csr_matrix((hess[all_rows], (owner, all_rows)), shape=shape)
-            .dot(X_csr)
-            .todense()
-        )
-        C1 = np.asarray(
-            sparse.csr_matrix(
-                (np.ones(len(all_rows)), (owner, all_rows)), shape=shape
-            )
-            .dot(X_csr)
-            .todense()
-        )
+        owner = np.repeat(np.arange(F), sizes)
+        M = np.zeros((n_total, 3 * F))
+        M[all_rows, owner] = grad[all_rows]
+        M[all_rows, F + owner] = hess[all_rows]
+        M[all_rows, 2 * F + owner] = 1.0
+        S = (XT @ M).T
+        del M  # freed before the gain's (F x features) temporaries
+        G1, H1, C1 = S[:F], S[F : 2 * F], S[2 * F :]
         Gt = np.array([grad[nrows].sum() for _, nrows in frontier])
         Ht = np.array([hess[nrows].sum() for _, nrows in frontier])
 
@@ -243,13 +238,13 @@ def _grow_tree(
         invalid = (C1 < 1) | (C1 > (sizes[:, None] - 1))
         gain[invalid] = -np.inf
         best_j = np.argmax(gain, axis=1)
-        best_gain = gain[np.arange(len(frontier)), best_j]
+        best_gain = gain[np.arange(F), best_j]
 
         next_frontier: list[tuple[int, np.ndarray]] = []
         for i, (nid, nrows) in enumerate(frontier):
             if len(nrows) < 2 or not best_gain[i] > _MIN_GAIN:
-                g, h = Gt[i], Ht[i]
-                nodes[nid] = {"value": _leaf_value(g, h, lam)}
+                nodes[nid] = {"value": float(_leaf_value(Gt[i], Ht[i], lam))}
+                leaves.append((nodes[nid]["value"], nrows))
                 continue
             j = int(best_j[i])
             col_rows = col_indices[indptr[j] : indptr[j + 1]]
@@ -268,21 +263,21 @@ def _grow_tree(
     def assemble(nid: int) -> TreeNode:
         nd = nodes[nid]
         if "value" in nd:
-            return TreeNode(value=float(nd["value"]))
+            return TreeNode(value=nd["value"])
         return TreeNode(
             feature=nd["feature"], left=assemble(nd["left"]), right=assemble(nd["right"])
         )
 
-    return assemble(0)
+    return assemble(0), leaves
 
 
-def _tree_outputs(root: TreeNode, X_csc: sparse.csc_matrix) -> np.ndarray:
-    """Leaf value per row of X for one tree, computed by row partitioning."""
-    n = X_csc.shape[0]
-    out = np.zeros(n, dtype=np.float64)
-    mark = np.zeros(n, dtype=bool)
+def _tree_outputs(root: TreeNode, X_csc: sparse.csc_matrix, rows: np.ndarray) -> np.ndarray:
+    """Leaf value for each of ``rows`` of X for one tree, computed by row
+    partitioning; the other entries of the result are 0."""
+    out = np.zeros(X_csc.shape[0], dtype=np.float64)
+    mark = np.zeros(X_csc.shape[0], dtype=bool)
     indptr, col_indices = X_csc.indptr, X_csc.indices
-    stack = [(root, np.arange(n))]
+    stack = [(root, rows)]
     while stack:
         node, rows = stack.pop()
         if len(rows) == 0:
@@ -302,7 +297,7 @@ def _tree_outputs(root: TreeNode, X_csc: sparse.csc_matrix) -> np.ndarray:
 
 
 def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
-    """Fit a boosted-tree binary classifier on binary presence features."""
+    """Fit a boosted-tree binary classifier on binary (0/1) presence features."""
     params = params or GbtParams()
     X_csr = _as_csr(X)
     y_arr = np.asarray(y, dtype=np.float64)
@@ -310,6 +305,10 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
         raise ValueError("X and y must have matching first dimension")
     if not set(np.unique(y_arr)) <= {0.0, 1.0}:
         raise ValueError("labels must be binary 0/1")
+    X_csc = X_csr.tocsc()
+    X_csc.sum_duplicates()  # a cell stored twice holds the sum of its entries
+    if not np.all(X_csc.data == 1.0):
+        raise ValueError("X must be binary: every stored value must be 1.0")
     n = X_csr.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -317,7 +316,6 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
     prior = min(max(float(y_arr.mean()), _PRIOR_EPS), 1.0 - _PRIOR_EPS)
     base = math.log(prior / (1.0 - prior))
     margins = np.full(n, base, dtype=np.float64)
-    X_csc = X_csr.tocsc()
     rng = np.random.default_rng(params.seed)
     all_rows = np.arange(n)
     subsample_size = max(1, int(round(params.subsample * n)))
@@ -331,8 +329,14 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
         p = _sigmoid(margins)
         grad = p - y_arr
         hess = p * (1.0 - p)
-        tree = _grow_tree(X_csr, X_csc, rows, grad, hess, params)
-        margins += params.learning_rate * _tree_outputs(tree, X_csc)
+        tree, leaves = _grow_tree(X_csc, rows, grad, hess, params)
+        for value, leaf_rows in leaves:
+            margins[leaf_rows] += params.learning_rate * value
+        if params.subsample < 1.0:  # rows left out of the sample walk the new tree
+            out_of_bag = np.ones(n, dtype=bool)
+            out_of_bag[rows] = False
+            oob = np.flatnonzero(out_of_bag)
+            margins[oob] += params.learning_rate * _tree_outputs(tree, X_csc, oob)[oob]
         trees.append(tree)
 
     return GbtModel(params=params, base_score=base, trees=trees, num_features=X_csr.shape[1])
@@ -361,9 +365,12 @@ def predict_gbt_margin(model: GbtModel, X, num_trees: int | None = None) -> np.n
     prefix of the tree sequence; useful for inspecting the boosting path."""
     X_csc = _as_csr(X).tocsc()
     k = len(model.trees) if num_trees is None else num_trees
+    if not 0 <= k <= len(model.trees):
+        raise ValueError(f"num_trees must be in [0, {len(model.trees)}], got {k}")
     margins = np.full(X_csc.shape[0], model.base_score, dtype=np.float64)
+    rows = np.arange(X_csc.shape[0])
     for tree in model.trees[:k]:
-        margins += model.params.learning_rate * _tree_outputs(tree, X_csc)
+        margins += model.params.learning_rate * _tree_outputs(tree, X_csc, rows)
     return margins
 
 

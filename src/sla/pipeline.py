@@ -276,14 +276,13 @@ def _flat_weight_one(selection: SelectedLines) -> SelectedLines:
 def _select(
     variant: str,
     k: int,
-    line_vocab: Vocabulary | None,
-    line_scorer: GbtModel | None,
     keyword_rules: Sequence[str] | None,
     report: Report,
     gold_lines: Sequence[int] | None,
+    scores: np.ndarray | None,
 ) -> SelectedLines:
+    """Selection for one report, given its lines' stage-1 scores if scored."""
     if variant in SCORED_VARIANTS:
-        scores = predict_gbt_batch(line_scorer, vectorize(tokenize_lines(report), line_vocab))
         chosen = select_top_k(scores, k)
         if variant in ("no_join", "no_weight_no_join"):
             segments = tuple(
@@ -308,15 +307,11 @@ def select_segments(
     model: "SlaModel", report: Report, gold_lines: Sequence[int] | None = None
 ) -> SelectedLines:
     """Run the variant's line-selection policy for one report."""
-    return _select(
-        model.variant,
-        model.k,
-        model.line_vocab,
-        model.line_scorer,
-        model.keyword_rules,
-        report,
-        gold_lines,
-    )
+    scores = None
+    if model.variant in SCORED_VARIANTS:
+        lines = vectorize(tokenize_lines(report), model.line_vocab)
+        scores = predict_gbt_batch(model.line_scorer, lines)
+    return _select(model.variant, model.k, model.keyword_rules, report, gold_lines, scores)
 
 
 def represent_document(
@@ -357,13 +352,18 @@ def train_sla(
         )
 
     all_lines = [tl.tokens for d in docs for tl in tokenize_lines(d.report)]
+    offsets = np.cumsum([0] + [len(d.report.lines) for d in docs])
 
-    line_vocab = line_scorer = None
+    line_vocab = line_scorer = line_scores = None
     rules = None
     if variant in SCORED_VARIANTS:
         line_vocab = build_vocabulary(all_lines, hyper.line_ngram_n)
         y_lines = np.concatenate([build_line_labels(d, attribute) for d in docs])
-        line_scorer = train_gbt(vectorize(all_lines, line_vocab), y_lines, hyper.gbt)
+        X_lines = vectorize(all_lines, line_vocab)
+        line_scorer = train_gbt(X_lines, y_lines, hyper.gbt)
+        # rows score independently, so one call gives each document's scores
+        line_scores = predict_gbt_batch(line_scorer, X_lines)
+        del X_lines  # not held through the stage-2 fit
     elif variant == "rules":
         if keyword_rules is None:
             defaults = load_keyword_rules()
@@ -377,11 +377,10 @@ def train_sla(
 
     reps = []
     labels = []
-    for d in docs:
+    for i, d in enumerate(docs):
         ann = d.annotations[attribute]
-        selection = _select(
-            variant, hyper.k, line_vocab, line_scorer, rules, d.report, ann.line_indices
-        )
+        scores = None if line_scores is None else line_scores[offsets[i] : offsets[i + 1]]
+        selection = _select(variant, hyper.k, rules, d.report, ann.line_indices, scores)
         rep = compose_representation(selection, d.report, final_vocab, weighting=True)
         order = schema_value_order(schemas, d.report.cancer, attribute)
         reps.append(rep.vector)

@@ -211,3 +211,35 @@ def test_gbt_rejects_bad_labels_and_params():
         GbtParams(subsample=0.0)
     with pytest.raises(ValueError):
         GbtParams(max_depth=0)
+
+
+def test_gbt_rejects_non_binary_features():
+    # a value of 2.0 would be counted twice and hide the valid split
+    with pytest.raises(ValueError, match="binary"):
+        train_gbt(dense_to_csr([(2.0,), (0.0,)]), [1, 0])
+    # an explicitly stored 0.0 would count as present and empty a leaf
+    stored_zero = sparse.csr_matrix(
+        (np.array([1.0, 0.0]), np.array([0, 0]), np.array([0, 1, 2])), shape=(2, 1)
+    )
+    assert stored_zero.nnz == 2
+    with pytest.raises(ValueError, match="binary"):
+        train_gbt(stored_zero, [1, 0])
+    # a cell stored twice holds 2.0
+    stored_twice = sparse.csr_matrix(
+        (np.array([1.0, 1.0]), np.array([0, 0]), np.array([0, 2, 2])), shape=(2, 1)
+    )
+    assert stored_twice.toarray().tolist() == [[2.0], [0.0]]
+    with pytest.raises(ValueError, match="binary"):
+        train_gbt(stored_twice, [1, 0])
+
+
+def test_predict_margin_checks_the_tree_count():
+    X = dense_to_csr(STUMP_X)
+    model = train_gbt(X, STUMP_Y, GbtParams(num_rounds=3, max_depth=1))
+    base = np.full(len(STUMP_X), model.base_score)
+    assert predict_gbt_margin(model, X, num_trees=0).tobytes() == base.tobytes()
+    full = predict_gbt_margin(model, X).tobytes()
+    assert predict_gbt_margin(model, X, num_trees=3).tobytes() == full
+    for bad in (-1, 4, 99):
+        with pytest.raises(ValueError, match="num_trees"):
+            predict_gbt_margin(model, X, num_trees=bad)

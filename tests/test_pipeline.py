@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from sla import synth
 from sla.corpus import (
     EnrichedAnnotation,
     LabeledDocument,
     Report,
+    compose_label,
     load_schemas,
+    schema_value_order,
     select_documents,
     split_corpus,
 )
 from sla.pipeline import (
+    SCORED_VARIANTS,
     Segment,
     SelectedLines,
     SlaHyperParams,
@@ -30,7 +34,7 @@ from sla.pipeline import (
     select_top_k,
     train_sla,
 )
-from sla.learners import GbtParams, LinParams
+from sla.learners import GbtParams, LinParams, train_l1_logreg
 from sla.textproc import build_vocabulary, tokenize, vectorize
 
 
@@ -301,6 +305,26 @@ def test_scored_variants_share_selection_until_weighting():
     assert select_segments(sla, report).line_indices() == select_segments(
         nw, report
     ).line_indices()
+
+
+@pytest.mark.parametrize("variant", SCORED_VARIANTS)
+def test_train_sla_scores_training_lines_as_select_segments_does(variant):
+    """train_sla scores every training line in one call; rebuilding the
+    stage-2 matrix document by document through the public per-report path
+    and refitting it must give the same classifier, bit for bit."""
+    schemas = load_schemas()
+    docs = tiny_corpus(n=30, seed=17)
+    model = fit(docs, variant, k=3)
+    rows, labels = [], []
+    for d in docs:
+        selection = select_segments(model, d.report)
+        rows.append(compose_representation(selection, d.report, model.final_vocab).vector)
+        ann = d.annotations["grade"]
+        labels.append(compose_label(ann.values, schema_value_order(schemas, "colon", "grade")))
+    refit = train_l1_logreg(sparse.vstack(rows, format="csr"), labels, model.hyper.lin)
+    assert refit.classes == model.final_classifier.classes
+    assert refit.weights.tobytes() == model.final_classifier.weights.tobytes()
+    assert refit.intercepts.tobytes() == model.final_classifier.intercepts.tobytes()
 
 
 def test_train_sla_needs_two_annotated_docs():
