@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import AttributeSchema, LabeledDocument, Report, compose_label, schema_value_order
+from .corpus import AttributeSchema, LabeledDocument, Report, gold_label
 from .learners import (
     GbtModel,
     GbtParams,
@@ -70,13 +70,7 @@ def train_doc_baseline(
     all_lines = [tl.tokens for d in docs for tl in tokenize_lines(d.report)]
     vocab = build_vocabulary(all_lines, ngram_n)
     X = sparse.vstack([featurize_document(d.report, vocab) for d in docs], format="csr")
-    labels = [
-        compose_label(
-            d.annotations[attribute].values,
-            schema_value_order(schemas, d.report.cancer, attribute),
-        )
-        for d in docs
-    ]
+    labels = [gold_label(d, attribute, schemas) for d in docs]
     model = DocBaselineModel(attribute=attribute, kind=kind, vocab=vocab)
     if kind == "doc-logreg":
         model.linear = train_l1_logreg(X, labels, lin or LinParams())

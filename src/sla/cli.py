@@ -24,14 +24,13 @@ import tempfile
 import time
 from datetime import datetime, timezone
 
-from . import baselines, evaluation, pipeline, stage, synth, tuning
+from . import evaluation, pipeline, stage, synth, tuning
 from .corpus import (
     CorpusError,
-    compose_label,
     corpus_to_jsonl,
+    gold_label,
     load_corpus,
     load_schemas,
-    schema_value_order,
     validate_against_schema,
 )
 
@@ -112,13 +111,6 @@ def _write_manifest(
     path = _manifest_path(out_target)
     _atomic_write(path, _json_text(manifest))
     return path
-
-
-def _gold_label(doc, attribute, schemas):
-    return compose_label(
-        doc.annotations[attribute].values,
-        schema_value_order(schemas, doc.report.cancer, attribute),
-    )
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -213,11 +205,7 @@ def _cmd_train(args, argv) -> int:
         schemas=schemas,
         keyword_rules=rules,
     )
-    if fitted.sla_model is not None:
-        bundle = pipeline.model_to_dict(fitted.sla_model)
-    else:
-        bundle = baselines.baseline_to_dict(fitted.baseline)
-    _atomic_write(args.out, json.dumps(bundle) + "\n")
+    _atomic_write(args.out, json.dumps(fitted.to_dict()) + "\n")
     resolved = {
         "corpus": args.corpus,
         "attribute": args.attribute,
@@ -232,55 +220,31 @@ def _cmd_train(args, argv) -> int:
     return EXIT_OK
 
 
-def _load_model_bundle(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    kind = payload.get("kind")
-    if kind == "sla":
-        return pipeline.model_from_dict(payload), None
-    if kind in baselines.BASELINE_KINDS:
-        return None, baselines.baseline_from_dict(payload)
-    raise CorpusError(f"{path}: unknown model bundle kind {kind!r}")
-
-
 def _cmd_predict(args, argv) -> int:
     started = time.time()
     docs = load_corpus(args.corpus)
-    sla_model, baseline = _load_model_bundle(args.model)
+    fitted = tuning.FittedVariant.load(args.model)
     records = []
     for doc in docs:
-        if sla_model is not None:
-            gold = pipeline.oracle_gold_lines(sla_model, doc)
-            pred = pipeline.predict_sla(sla_model, doc.report, gold_lines=gold)
-            rationale = [
-                {
-                    "start": seg.start,
-                    "end": seg.end,
-                    "weight": seg.weight,
-                    "text": " ".join(doc.report.lines[seg.start : seg.end + 1]),
-                }
-                for seg in pred.rationale.segments
-            ]
-            records.append(
-                {
-                    "id": doc.report.id,
-                    "attribute": sla_model.attribute,
-                    "label": pred.label,
-                    "scores": pred.scores,
-                    "rationale": rationale,
-                }
-            )
-        else:
-            label, scores = baselines.predict_doc_baseline(baseline, doc.report)
-            records.append(
-                {
-                    "id": doc.report.id,
-                    "attribute": baseline.attribute,
-                    "label": label,
-                    "scores": scores,
-                    "rationale": [],
-                }
-            )
+        pred = fitted.predict(doc)
+        rationale = [
+            {
+                "start": seg.start,
+                "end": seg.end,
+                "weight": seg.weight,
+                "text": " ".join(doc.report.lines[seg.start : seg.end + 1]),
+            }
+            for seg in pred.rationale.segments
+        ]
+        records.append(
+            {
+                "id": doc.report.id,
+                "attribute": fitted.attribute,
+                "label": pred.label,
+                "scores": pred.scores,
+                "rationale": rationale,
+            }
+        )
     text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
     _atomic_write(args.out, text)
     resolved = {
@@ -328,29 +292,22 @@ def _cmd_evaluate(args, argv) -> int:
         if attribute not in doc.annotations:
             raise CorpusError(f"doc {doc_id} has no gold label for {attribute!r}")
         grouped.setdefault(attribute, []).append(
-            (label, _gold_label(doc, attribute, schemas))
+            (label, gold_label(doc, attribute, schemas))
         )
     if not grouped:
         raise CorpusError(f"{args.preds}: no predictions to evaluate")
     attr_reports = {}
     payload_attrs = {}
     for attribute in sorted(grouped):
-        outcomes = grouped[attribute]
-        p = [x for x, _ in outcomes]
-        g = [x for _, x in outcomes]
-        report = evaluation.evaluate_attribute(p, g)
-        micro_ci = evaluation.bootstrap_ci(
-            outcomes, evaluation.micro_f1, args.bootstrap_iterations, args.ci_level, args.seed
-        )
-        macro_ci = evaluation.bootstrap_ci(
-            outcomes, evaluation.macro_f1, args.bootstrap_iterations, args.ci_level, args.seed
+        report = evaluation.score_outcomes(
+            grouped[attribute], args.bootstrap_iterations, args.ci_level, args.seed
         )
         attr_reports[attribute] = report
         payload_attrs[attribute] = {
             "micro_f1": report.micro_f1,
             "macro_f1": report.macro_f1,
-            "micro_ci": list(micro_ci),
-            "macro_ci": list(macro_ci),
+            "micro_ci": list(report.micro_ci),
+            "macro_ci": list(report.macro_ci),
             "n_docs": report.n_docs,
             "per_class": {
                 c: {

@@ -219,6 +219,19 @@ def schema_value_order(
     return schema.allowed_values if schema is not None else None
 
 
+def gold_label(
+    doc: LabeledDocument,
+    attribute: str,
+    schemas: Mapping[tuple[str, str], AttributeSchema] | None = None,
+) -> str:
+    """The classification label of ``doc``'s annotation for ``attribute``,
+    composed in the schema's value order when one is known."""
+    return compose_label(
+        doc.annotations[attribute].values,
+        schema_value_order(schemas, doc.report.cancer, attribute),
+    )
+
+
 def validate_against_schema(
     docs: Iterable[LabeledDocument],
     schemas: Mapping[tuple[str, str], AttributeSchema],

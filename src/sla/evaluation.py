@@ -17,13 +17,13 @@ from __future__ import annotations
 import enum
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import LabeledDocument, compose_label, schema_value_order, split_corpus, select_documents
+from .corpus import LabeledDocument, gold_label, select_documents, split_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +188,22 @@ def bootstrap_ci(
     return float(lo), float(hi)
 
 
+def score_outcomes(
+    outcomes: Sequence[tuple[Hashable, Hashable]],
+    iterations: int = 1000,
+    level: float = 0.95,
+    seed: int = 0,
+) -> AttributeReport:
+    """``evaluate_attribute`` over (pred, gold) outcomes, with the micro- and
+    macro-F1 bootstrap intervals filled in (both drawn from ``seed``)."""
+    report = evaluate_attribute([p for p, _ in outcomes], [g for _, g in outcomes])
+    return replace(
+        report,
+        micro_ci=bootstrap_ci(outcomes, micro_f1, iterations, level, seed),
+        macro_ci=bootstrap_ci(outcomes, macro_f1, iterations, level, seed),
+    )
+
+
 # ---------------------------------------------------------------------------
 # annotator agreement
 # ---------------------------------------------------------------------------
@@ -346,28 +362,7 @@ def run_curve_cell(
         schemas=schemas,
         keyword_rules=keyword_rules,
     )
-    outcomes = []
-    for doc in test:
-        pred = fitted.predict_label(doc)
-        gold = compose_label(
-            doc.annotations[attribute].values,
-            schema_value_order(schemas, doc.report.cancer, attribute),
-        )
-        outcomes.append((pred, gold))
-    preds = [p for p, _ in outcomes]
-    golds = [g for _, g in outcomes]
-    report = evaluate_attribute(preds, golds)
-    micro_ci = bootstrap_ci(outcomes, micro_f1, ci_iterations, ci_level, boot_seed)
-    macro_ci = bootstrap_ci(outcomes, macro_f1, ci_iterations, ci_level, boot_seed)
-    report = AttributeReport(
-        micro_f1=report.micro_f1,
-        macro_f1=report.macro_f1,
-        per_class=report.per_class,
-        confusion=report.confusion,
-        n_docs=report.n_docs,
-        micro_ci=micro_ci,
-        macro_ci=macro_ci,
-    )
+    outcomes = [(fitted.predict_label(d), gold_label(d, attribute, schemas)) for d in test]
     return CurveCell(
         attribute=attribute,
         size=size,
@@ -375,7 +370,7 @@ def run_curve_cell(
         split_seed=split_seed,
         search_seed=search_seed,
         best_config=best_config,
-        report=report,
+        report=score_outcomes(outcomes, ci_iterations, ci_level, boot_seed),
     )
 
 

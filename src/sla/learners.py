@@ -47,13 +47,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / denom, e / denom)
 
 
-def _sigmoid_scalar(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
-
-
 def _as_csr(X) -> sparse.csr_matrix:
     if sparse.issparse(X):
         return X.tocsr()
@@ -342,24 +335,6 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
     return GbtModel(params=params, base_score=base, trees=trees, num_features=X_csr.shape[1])
 
 
-def _walk_tree(node: TreeNode, present: frozenset[int]) -> float:
-    while not node.is_leaf:
-        node = node.right if node.feature in present else node.left
-    return node.value
-
-
-def predict_gbt(model: GbtModel, x) -> float:
-    """Probability of the positive class for a single feature vector."""
-    if sparse.issparse(x):
-        present = frozenset(x.tocsr().indices.tolist())
-    else:
-        present = frozenset(int(i) for i in np.flatnonzero(np.asarray(x)))
-    margin = model.base_score
-    for tree in model.trees:
-        margin += model.params.learning_rate * _walk_tree(tree, present)
-    return _sigmoid_scalar(margin)
-
-
 def predict_gbt_margin(model: GbtModel, X, num_trees: int | None = None) -> np.ndarray:
     """Raw margins (pre-sigmoid) for a batch, optionally truncated to a
     prefix of the tree sequence; useful for inspecting the boosting path."""
@@ -584,16 +559,13 @@ def train_l1_logreg(
     return LinearModel(classes=classes, weights=weights, intercepts=intercepts)
 
 
-def decision_scores(model: LinearModel, x) -> np.ndarray:
-    """Per-class sigmoid scores for one feature vector (a one-row sparse
-    matrix or a dense vector)."""
-    if sparse.issparse(x):
-        row = x.tocsr()
-        if row.shape[0] != 1:
-            raise ValueError(f"decision_scores takes one row, got {row.shape[0]}")
-        margins = model.weights[:, row.indices].dot(row.data) + model.intercepts
-    else:
-        margins = model.weights.dot(np.asarray(x, dtype=np.float64)) + model.intercepts
+def decision_scores(model: LinearModel, x: sparse.spmatrix) -> np.ndarray:
+    """Per-class sigmoid scores for one feature vector, a one-row sparse
+    matrix."""
+    if not sparse.issparse(x) or x.shape[0] != 1:
+        raise ValueError(f"decision_scores takes one sparse row, got shape {np.shape(x)}")
+    row = x.tocsr()
+    margins = model.weights[:, row.indices].dot(row.data) + model.intercepts
     return _sigmoid(margins)
 
 

@@ -12,13 +12,20 @@ where v is the binary bag-of-n-grams of the segment re-tokenized as one
 line and m is the segment weight.  Stage 2 classifies d_r with
 L1-regularized logistic regression.
 
-Variants:
-    sla                 scored top-k lines, joined, score-weighted
-    no_weight           scored top-k lines, joined, weight 1
-    no_join             scored top-k lines, unjoined, score-weighted
-    no_weight_no_join   scored top-k lines, unjoined, weight 1
-    rules               keyword-matched lines (no cap), joined, weight 1
-    oracle              annotator's gold lines, joined, weight 1
+The variants are the rows of ``VARIANTS``: a line selector, whether
+adjacent kept lines are joined, and whether segments carry their stage-1
+score or weight 1.
+
+    variant             selector  join  weight
+    sla                 scored    yes   score
+    rules               rules     yes   1
+    oracle              oracle    yes   1
+    no_weight           scored    yes   1
+    no_join             scored    no    score
+    no_weight_no_join   scored    no    1
+
+"scored" keeps the top-k lines by stage-1 score, "rules" every
+keyword-matched line (no cap), "oracle" the annotator's gold lines.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -36,8 +43,7 @@ from .corpus import (
     CorpusError,
     LabeledDocument,
     Report,
-    compose_label,
-    schema_value_order,
+    gold_label,
 )
 from .learners import (
     GbtModel,
@@ -58,8 +64,33 @@ from .textproc import (
     vectorize,
 )
 
-VARIANTS = ("sla", "rules", "oracle", "no_weight", "no_join", "no_weight_no_join")
-SCORED_VARIANTS = ("sla", "no_weight", "no_join", "no_weight_no_join")
+
+class Variant(NamedTuple):
+    """How a pipeline variant selects and weights lines."""
+
+    selector: str  # "scored" (stage-1 top-k), "rules" or "oracle"
+    join: bool  # merge adjacent kept lines into one segment
+    weight: bool  # segments carry their stage-1 score; else weight 1
+
+
+VARIANTS = {
+    "sla": Variant("scored", join=True, weight=True),
+    "rules": Variant("rules", join=True, weight=False),
+    "oracle": Variant("oracle", join=True, weight=False),
+    "no_weight": Variant("scored", join=True, weight=False),
+    "no_join": Variant("scored", join=False, weight=True),
+    "no_weight_no_join": Variant("scored", join=False, weight=False),
+}
+SCORED_VARIANTS = tuple(name for name, v in VARIANTS.items() if v.selector == "scored")
+
+
+def variant_row(variant: str) -> Variant:
+    """The ``VARIANTS`` row of a variant name; ValueError if unknown."""
+    row = VARIANTS.get(variant)
+    if row is None:
+        raise ValueError(f"unknown variant {variant!r}")
+    return row
+
 
 _RULES_RESOURCE = "data/keyword_rules.json"
 
@@ -149,12 +180,10 @@ class SlaModel:
     hyper: SlaHyperParams | None = None
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant in SCORED_VARIANTS:
-            if self.line_scorer is None or self.line_vocab is None:
-                raise ValueError(f"variant {self.variant} requires a line scorer")
-        if self.variant == "rules" and not self.keyword_rules:
+        selector = variant_row(self.variant).selector
+        if selector == "scored" and (self.line_scorer is None or self.line_vocab is None):
+            raise ValueError(f"variant {self.variant} requires a line scorer")
+        if selector == "rules" and not self.keyword_rules:
             raise ValueError("rules variant requires keyword rules")
 
 
@@ -245,32 +274,22 @@ def join_adjacent(
 
 
 def compose_representation(
-    selection: SelectedLines,
-    report: Report,
-    final_vocab: Vocabulary,
-    weighting: bool = True,
+    selection: SelectedLines, report: Report, final_vocab: Vocabulary
 ) -> DocRepresentation:
     """Weighted sum of segment vectors, as one CSR row.  Each segment's
     member lines are joined with a space and re-tokenized as one line, so
-    n-grams may cross the original line boundaries inside a segment.  With
-    weighting off, every segment contributes with weight 1."""
+    n-grams may cross the original line boundaries inside a segment."""
     segments = selection.segments
     rows = vectorize(
         [tokenize(" ".join(report.lines[s.start : s.end + 1])) for s in segments],
         final_vocab,
     )
-    weights = [s.weight if weighting else 1.0 for s in segments]
+    weights = [s.weight for s in segments]
     # bincount adds each feature's segment weights in segment order
     sums = np.bincount(rows.indices, np.repeat(weights, np.diff(rows.indptr)))
     present = np.flatnonzero(sums)
     vector = to_csr([present.tolist()], final_vocab.dimension, sums[present])
     return DocRepresentation(vector=vector, provenance=selection)
-
-
-def _flat_weight_one(selection: SelectedLines) -> SelectedLines:
-    return SelectedLines(
-        tuple(Segment(s.start, s.end, 1.0) for s in selection.segments), selection.k
-    )
 
 
 def _select(
@@ -281,26 +300,24 @@ def _select(
     gold_lines: Sequence[int] | None,
     scores: np.ndarray | None,
 ) -> SelectedLines:
-    """Selection for one report, given its lines' stage-1 scores if scored."""
-    if variant in SCORED_VARIANTS:
+    """Selection for one report, given its lines' stage-1 scores if scored:
+    the row's selector picks the lines, which become joined or single-line
+    segments weighted by their scores or by 1."""
+    row = VARIANTS[variant]
+    if row.selector == "scored":
         chosen = select_top_k(scores, k)
-        if variant in ("no_join", "no_weight_no_join"):
-            segments = tuple(
-                Segment(i, i, 1.0 if variant == "no_weight_no_join" else float(scores[i]))
-                for i in chosen
-            )
-            return SelectedLines(segments, k=k)
-        selection = join_adjacent(chosen, scores, k=k)
-        return _flat_weight_one(selection) if variant == "no_weight" else selection
-    if variant == "rules":
+    elif row.selector == "rules":
         chosen = rule_select(report, keyword_rules)
-        return _flat_weight_one(join_adjacent(chosen, {i: 1.0 for i in chosen}, k=len(chosen)))
-    if variant == "oracle":
+        k = len(chosen)
+    else:
         if gold_lines is None:
             raise ValueError("oracle variant needs the annotator's gold lines")
         chosen = tuple(sorted(set(gold_lines)))
-        return _flat_weight_one(join_adjacent(chosen, {i: 1.0 for i in chosen}, k=len(chosen)))
-    raise ValueError(f"unknown variant {variant!r}")
+        k = len(chosen)
+    weights = scores if row.weight else np.ones(len(report.lines))
+    if row.join:
+        return join_adjacent(chosen, weights, k=k)
+    return SelectedLines(tuple(Segment(i, i, float(weights[i])) for i in chosen), k=k)
 
 
 def select_segments(
@@ -308,7 +325,7 @@ def select_segments(
 ) -> SelectedLines:
     """Run the variant's line-selection policy for one report."""
     scores = None
-    if model.variant in SCORED_VARIANTS:
+    if VARIANTS[model.variant].selector == "scored":
         lines = vectorize(tokenize_lines(report), model.line_vocab)
         scores = predict_gbt_batch(model.line_scorer, lines)
     return _select(model.variant, model.k, model.keyword_rules, report, gold_lines, scores)
@@ -318,7 +335,7 @@ def represent_document(
     model: "SlaModel", report: Report, gold_lines: Sequence[int] | None = None
 ) -> DocRepresentation:
     selection = select_segments(model, report, gold_lines)
-    return compose_representation(selection, report, model.final_vocab, weighting=True)
+    return compose_representation(selection, report, model.final_vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +360,7 @@ def train_sla(
     """
     if hyper is None:
         hyper = SlaHyperParams()
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    selector = variant_row(variant).selector
     docs = [d for d in train_docs if attribute in d.annotations]
     if len(docs) < 2:
         raise ValueError(
@@ -356,7 +372,7 @@ def train_sla(
 
     line_vocab = line_scorer = line_scores = None
     rules = None
-    if variant in SCORED_VARIANTS:
+    if selector == "scored":
         line_vocab = build_vocabulary(all_lines, hyper.line_ngram_n)
         y_lines = np.concatenate([build_line_labels(d, attribute) for d in docs])
         X_lines = vectorize(all_lines, line_vocab)
@@ -364,7 +380,7 @@ def train_sla(
         # rows score independently, so one call gives each document's scores
         line_scores = predict_gbt_batch(line_scorer, X_lines)
         del X_lines  # not held through the stage-2 fit
-    elif variant == "rules":
+    elif selector == "rules":
         if keyword_rules is None:
             defaults = load_keyword_rules()
             if attribute not in defaults:
@@ -376,15 +392,12 @@ def train_sla(
     final_vocab = build_vocabulary(all_lines, hyper.final_ngram_n)
 
     reps = []
-    labels = []
     for i, d in enumerate(docs):
-        ann = d.annotations[attribute]
         scores = None if line_scores is None else line_scores[offsets[i] : offsets[i + 1]]
-        selection = _select(variant, hyper.k, rules, d.report, ann.line_indices, scores)
-        rep = compose_representation(selection, d.report, final_vocab, weighting=True)
-        order = schema_value_order(schemas, d.report.cancer, attribute)
-        reps.append(rep.vector)
-        labels.append(compose_label(ann.values, order))
+        gold = d.annotations[attribute].line_indices
+        selection = _select(variant, hyper.k, rules, d.report, gold, scores)
+        reps.append(compose_representation(selection, d.report, final_vocab).vector)
+    labels = [gold_label(d, attribute, schemas) for d in docs]
 
     classifier = train_l1_logreg(sparse.vstack(reps, format="csr"), labels, hyper.lin)
     return SlaModel(
@@ -403,7 +416,7 @@ def train_sla(
 def oracle_gold_lines(model: SlaModel, doc: LabeledDocument) -> tuple[int, ...] | None:
     """The annotator's lines for ``doc`` when ``model`` is an oracle, which
     selects exactly those; None for every other variant."""
-    if model.variant != "oracle":
+    if VARIANTS[model.variant].selector != "oracle":
         return None
     ann = doc.annotations.get(model.attribute)
     if ann is None:
@@ -429,13 +442,14 @@ def predict_sla(
 # ---------------------------------------------------------------------------
 
 _BUNDLE_VERSION = 1
+BUNDLE_KIND = "sla"  # a baseline bundle's kind is its baseline kind
 
 
 def model_to_dict(model: SlaModel) -> dict:
     hyper = model.hyper
     return {
         "version": _BUNDLE_VERSION,
-        "kind": "sla",
+        "kind": BUNDLE_KIND,
         "attribute": model.attribute,
         "variant": model.variant,
         "k": model.k,
@@ -457,7 +471,7 @@ def model_to_dict(model: SlaModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> SlaModel:
-    if payload.get("kind") != "sla":
+    if payload.get("kind") != BUNDLE_KIND:
         raise ValueError(f"not an sla model bundle: kind={payload.get('kind')!r}")
     if payload.get("version") != _BUNDLE_VERSION:
         raise ValueError(

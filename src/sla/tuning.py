@@ -10,8 +10,9 @@ changing the result.
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Hashable, Mapping, Sequence
 
@@ -20,22 +21,29 @@ import numpy as np
 from .baselines import (
     BASELINE_KINDS,
     DocBaselineModel,
+    baseline_from_dict,
+    baseline_to_dict,
     predict_doc_baseline,
     train_doc_baseline,
 )
-from .corpus import LabeledDocument, compose_label, schema_value_order
+from .corpus import CorpusError, LabeledDocument, gold_label
 from .evaluation import micro_f1
 from .learners import GbtParams, LinParams
 from .pipeline import (
+    BUNDLE_KIND,
     VARIANTS,
+    Prediction,
+    SelectedLines,
     SlaHyperParams,
     SlaModel,
+    model_from_dict,
+    model_to_dict,
     oracle_gold_lines,
     predict_sla,
     train_sla,
 )
 
-METHODS = VARIANTS + BASELINE_KINDS
+METHODS = tuple(VARIANTS) + BASELINE_KINDS
 
 
 # ---------------------------------------------------------------------------
@@ -77,27 +85,29 @@ _GBT_DIMS = {
 }
 _C_DIM = log_grid(-6.0, 6.0, 500)
 _NGRAM_DIM = (1, 2, 3, 4)
+_SCORED_DIMS = {
+    "line_ngram_n": _NGRAM_DIM,
+    "final_ngram_n": _NGRAM_DIM,
+    "k": (1, 2, 3, 4, 5),
+    "C": _C_DIM,
+    **_GBT_DIMS,
+}
+# rules and oracle select without a stage-1 scorer, so only stage 2 is tuned
+_UNSCORED_DIMS = {"final_ngram_n": _NGRAM_DIM, "C": _C_DIM}
+_BASELINE_DIMS = {
+    "doc-logreg": {"ngram_n": _NGRAM_DIM, "C": _C_DIM},
+    "doc-boost": {"ngram_n": _NGRAM_DIM, **_GBT_DIMS},
+}
 
 
 def default_space(method: str) -> SearchSpace:
     """The stock search space for each pipeline variant or baseline."""
-    if method in ("sla", "no_weight", "no_join", "no_weight_no_join"):
-        dims = {
-            "line_ngram_n": _NGRAM_DIM,
-            "final_ngram_n": _NGRAM_DIM,
-            "k": (1, 2, 3, 4, 5),
-            "C": _C_DIM,
-            **_GBT_DIMS,
-        }
-    elif method in ("rules", "oracle"):
-        dims = {"final_ngram_n": _NGRAM_DIM, "C": _C_DIM}
-    elif method == "doc-logreg":
-        dims = {"ngram_n": _NGRAM_DIM, "C": _C_DIM}
-    elif method == "doc-boost":
-        dims = {"ngram_n": _NGRAM_DIM, **_GBT_DIMS}
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return SearchSpace(dims)
+    if method in VARIANTS:
+        scored = VARIANTS[method].selector == "scored"
+        return SearchSpace(_SCORED_DIMS if scored else _UNSCORED_DIMS)
+    if method in _BASELINE_DIMS:
+        return SearchSpace(_BASELINE_DIMS[method])
+    raise ValueError(f"unknown method {method!r}")
 
 
 def sample_config(space: SearchSpace, rng: np.random.Generator) -> dict:
@@ -115,20 +125,63 @@ def sample_config(space: SearchSpace, rng: np.random.Generator) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# a baseline reads the whole document, so it selects no lines
+_NO_RATIONALE = SelectedLines((), k=0)
+
+
 @dataclass
 class FittedVariant:
-    """Uniform prediction interface over pipeline variants and baselines."""
+    """One trained method, pipeline variant or baseline: the one place that
+    tells the two apart, when predicting and when reading or writing a
+    model bundle."""
 
     method: str
     sla_model: SlaModel | None = None
     baseline: DocBaselineModel | None = None
 
-    def predict_label(self, doc: LabeledDocument) -> str:
+    @property
+    def attribute(self) -> str:
+        return (self.sla_model or self.baseline).attribute
+
+    def predict(self, doc: LabeledDocument) -> Prediction:
+        """Label, per-class scores and line rationale (empty for a
+        baseline).  An oracle reads its lines from ``doc``'s annotation."""
         if self.sla_model is not None:
             gold = oracle_gold_lines(self.sla_model, doc)
-            return predict_sla(self.sla_model, doc.report, gold_lines=gold).label
-        label, _ = predict_doc_baseline(self.baseline, doc.report)
-        return label
+            return predict_sla(self.sla_model, doc.report, gold_lines=gold)
+        label, scores = predict_doc_baseline(self.baseline, doc.report)
+        return Prediction(label=label, scores=scores, rationale=_NO_RATIONALE)
+
+    def predict_label(self, doc: LabeledDocument) -> str:
+        return self.predict(doc).label
+
+    def to_dict(self) -> dict:
+        """The model bundle: the sla or the baseline bundle format."""
+        if self.sla_model is not None:
+            return model_to_dict(self.sla_model)
+        return baseline_to_dict(self.baseline)
+
+    @classmethod
+    def load(cls, path: str) -> "FittedVariant":
+        """Read a model bundle written from ``to_dict``."""
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        kind = payload.get("kind")
+        if kind == BUNDLE_KIND:
+            model = model_from_dict(payload)
+            return cls(method=model.variant, sla_model=model)
+        if kind in BASELINE_KINDS:
+            model = baseline_from_dict(payload)
+            return cls(method=model.kind, baseline=model)
+        raise CorpusError(f"{path}: unknown model bundle kind {kind!r}")
+
+
+_GBT_KEYS = tuple(f.name for f in fields(GbtParams) if f.name != "seed")
+_SLA_KEYS = ("line_ngram_n", "final_ngram_n", "k")
+
+
+def _present(cfg: Mapping, keys: Sequence[str]) -> dict:
+    return {key: cfg[key] for key in keys if key in cfg}
 
 
 def fit_variant(
@@ -140,26 +193,26 @@ def fit_variant(
     schemas=None,
     keyword_rules=None,
 ) -> FittedVariant:
-    """Train one pipeline variant or baseline from a flat config dict."""
-    cfg = dict(config or {})
-    gbt = GbtParams(
-        learning_rate=cfg.get("learning_rate", 0.1),
-        max_depth=cfg.get("max_depth", 5),
-        min_split_loss=cfg.get("min_split_loss", 0.0),
-        subsample=cfg.get("subsample", 1.0),
-        l2_lambda=cfg.get("l2_lambda", 1.0),
-        num_rounds=cfg.get("num_rounds", 100),
-        seed=seed,
-    )
-    lin = LinParams(l1_strength=cfg.get("C", 1.0))
+    """Train one pipeline variant or baseline from a flat config dict.
+
+    The keys are the boosted-tree parameters, ``C`` (the L1 strength), and
+    ``line_ngram_n``, ``final_ngram_n`` and ``k`` for a pipeline variant or
+    ``ngram_n`` for a baseline.  A key that is absent takes the default of
+    the parameter it sets; any other key is a ValueError."""
     if method in VARIANTS:
-        hyper = SlaHyperParams(
-            line_ngram_n=cfg.get("line_ngram_n", 2),
-            final_ngram_n=cfg.get("final_ngram_n", 2),
-            k=cfg.get("k", 3),
-            gbt=gbt,
-            lin=lin,
-        )
+        own_keys = _SLA_KEYS
+    elif method in BASELINE_KINDS:
+        own_keys = ("ngram_n",)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    cfg = dict(config or {})
+    unknown = sorted(set(cfg) - set(own_keys) - set(_GBT_KEYS) - {"C"})
+    if unknown:
+        raise ValueError(f"unknown {method} config keys: {', '.join(unknown)}")
+    gbt = GbtParams(seed=seed, **_present(cfg, _GBT_KEYS))
+    lin = LinParams(**({"l1_strength": cfg["C"]} if "C" in cfg else {}))
+    if method in VARIANTS:
+        hyper = SlaHyperParams(gbt=gbt, lin=lin, **_present(cfg, own_keys))
         model = train_sla(
             train_docs,
             attribute,
@@ -169,18 +222,16 @@ def fit_variant(
             schemas=schemas,
         )
         return FittedVariant(method=method, sla_model=model)
-    if method in BASELINE_KINDS:
-        model = train_doc_baseline(
-            train_docs,
-            attribute,
-            kind=method,
-            ngram_n=cfg.get("ngram_n", 1),
-            lin=lin,
-            gbt=gbt,
-            schemas=schemas,
-        )
-        return FittedVariant(method=method, baseline=model)
-    raise ValueError(f"unknown method {method!r}")
+    model = train_doc_baseline(
+        train_docs,
+        attribute,
+        kind=method,
+        lin=lin,
+        gbt=gbt,
+        schemas=schemas,
+        **_present(cfg, own_keys),
+    )
+    return FittedVariant(method=method, baseline=model)
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +292,7 @@ def cross_validate(
             f"{folds}-fold cross-validation needs at least {folds} annotated "
             f"documents, got {len(docs)}"
         )
-    labels = [
-        compose_label(
-            d.annotations[attribute].values,
-            schema_value_order(schemas, d.report.cancer, attribute),
-        )
-        for d in docs
-    ]
+    labels = [gold_label(d, attribute, schemas) for d in docs]
     fold_rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     fold_of = assign_folds(labels, folds, fold_rng)
     scores = []

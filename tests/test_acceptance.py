@@ -8,7 +8,6 @@ minutes; everything is deterministic.
 
 import hashlib
 import json
-import math
 import re
 import time
 from functools import lru_cache
@@ -29,7 +28,6 @@ from sla.learners import (
     GbtParams,
     LinParams,
     logloss_value_grad,
-    predict_gbt,
     predict_gbt_batch,
     predict_gbt_margin,
     train_gbt,
@@ -299,12 +297,6 @@ def test_06_boosted_trees_correctness():
             node = node["right"] if node["feature"] in present else node["left"]
         return node["value"]
 
-    def stable_sigmoid(z):
-        if z >= 0:
-            return 1.0 / (1.0 + math.exp(-z))
-        ez = math.exp(z)
-        return ez / (1.0 + ez)
-
     oracle_ok = True
     for i in (0, 7, 19, 33, 61):
         x = Xh[i]
@@ -312,7 +304,8 @@ def test_06_boosted_trees_correctness():
         margin = payload["base_score"]
         for tree in payload["trees"]:
             margin += payload["params"]["learning_rate"] * walk(tree, present)
-        oracle_ok &= predict_gbt(hand, np.asarray(x)) == stable_sigmoid(margin)
+        # margins, not probabilities: np.exp and math.exp may differ by one ulp
+        oracle_ok &= predict_gbt_margin(hand, sparse.csr_matrix(x))[0] == margin
 
     ok = monotone_ok and separable_ok and oracle_ok
     verdict(6, ok, f"logloss monotone over {len(losses) - 1} rounds: {monotone_ok}, "

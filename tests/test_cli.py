@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from sla import cli
+from sla.corpus import gold_label, load_corpus
+from sla.pipeline import VARIANTS
+from sla.tuning import METHODS
 
 
 def run(capsys, *argv):
@@ -194,6 +197,51 @@ def test_oracle_predict_needs_the_attribute_annotated(workdir, capsys, tmp_path)
     assert code == 2
     assert "oracle model needs gold lines for 'grade'" in err
     assert not preds.exists()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_trains_predicts_and_evaluates(workdir, capsys, tmp_path, method):
+    corpus = workdir / "corpus.jsonl"
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"num_rounds": 20}), encoding="utf-8")
+    model, preds, report = (tmp_path / n for n in ("model.json", "preds.jsonl", "eval.json"))
+    code, _, err = run(capsys, "train", "--corpus", str(corpus), "--attribute", "grade",
+                       "--variant", method, "--params", str(params), "--out", str(model))
+    assert code == 0, err
+    code, _, err = run(capsys, "predict", "--model", str(model),
+                       "--corpus", str(corpus), "--out", str(preds))
+    assert code == 0, err
+
+    classes = {gold_label(d, "grade") for d in load_corpus(str(corpus))}
+    records = [json.loads(l) for l in preds.read_text().splitlines()]
+    assert len(records) == 30
+    row = VARIANTS.get(method)
+    for r in records:
+        assert r["label"] in classes
+        assert set(r["scores"]) <= classes
+        if row is None:
+            assert r["rationale"] == []
+            continue
+        if not row.join:
+            assert all(seg["start"] == seg["end"] for seg in r["rationale"])
+        if not row.weight:
+            assert all(seg["weight"] == 1.0 for seg in r["rationale"])
+
+    code, _, err = run(capsys, "evaluate", "--corpus", str(corpus), "--preds", str(preds),
+                       "--bootstrap-iterations", "50", "--out", str(report))
+    assert code == 0, err
+    assert json.loads(report.read_text())["attributes"]["grade"]["n_docs"] == 30
+
+
+def test_train_rejects_unknown_params_keys(workdir, capsys, tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"max_dpth": 3}), encoding="utf-8")
+    model = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", "--corpus", str(workdir / "corpus.jsonl"),
+                       "--attribute", "grade", "--params", str(params), "--out", str(model))
+    assert code == 2
+    assert "unknown sla config keys: max_dpth" in err
+    assert not model.exists()
 
 
 def test_tune_outputs_best_and_trials(workdir, capsys, tmp_path):

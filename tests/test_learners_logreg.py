@@ -192,7 +192,10 @@ def test_decision_scores_csr_row_gathers_its_columns():
     idx = np.asarray(row.indices, dtype=np.int64)
     expect = learners._sigmoid(model.weights[:, idx].dot(row.data) + model.intercepts)
     assert decision_scores(model, row).tobytes() == expect.tobytes()
-    assert np.allclose(decision_scores(model, row), decision_scores(model, row.toarray()[0]))
+    dense = model.weights.dot(row.toarray()[0]) + model.intercepts
+    assert np.allclose(decision_scores(model, row), 1.0 / (1.0 + np.exp(-dense)))
+    with pytest.raises(ValueError):
+        decision_scores(model, row.toarray()[0])  # dense vectors are not accepted
     empty = to_csr([[]], 7)
     assert decision_scores(model, empty).tobytes() == learners._sigmoid(model.intercepts).tobytes()
     with pytest.raises(ValueError):

@@ -158,14 +158,13 @@ def test_compose_representation_joins_segment_lines():
     assert all(v == 0.5 for v in rep.vector.data)
 
 
-def test_compose_representation_weighting_flag():
+def test_compose_representation_takes_weights_from_the_selection():
     report = Report(id="r", cancer="colon", lines=("alpha beta", "gamma"))
     vocab = build_vocabulary([tokenize(l) for l in report.lines] * 2, max_n=1)
-    sel = SelectedLines((Segment(0, 0, 0.25), Segment(1, 1, 0.75)), k=2)
-    weighted = compose_representation(sel, report, vocab, weighting=True)
-    flat = compose_representation(sel, report, vocab, weighting=False)
-    assert set(weighted.vector.data) == {0.25, 0.75}
-    assert set(flat.vector.data) == {1.0}
+    scored = SelectedLines((Segment(0, 0, 0.25), Segment(1, 1, 0.75)), k=2)
+    flat = SelectedLines((Segment(0, 0, 1.0), Segment(1, 1, 1.0)), k=2)
+    assert set(compose_representation(scored, report, vocab).vector.data) == {0.25, 0.75}
+    assert set(compose_representation(flat, report, vocab).vector.data) == {1.0}
 
 
 def test_overlapping_segment_sum_accumulates():

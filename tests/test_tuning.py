@@ -1,9 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from sla.corpus import CorpusError, load_schemas
+from sla.learners import GbtParams, LinParams
+from sla.pipeline import SlaHyperParams
 from sla.tuning import (
     METHODS,
+    FittedVariant,
     SearchSpace,
     assign_folds,
     cross_validate,
@@ -160,3 +165,43 @@ def test_oracle_fitted_variant_requires_annotation_at_predict():
     stripped = type(docs[0])(report=docs[0].report, annotations={})
     with pytest.raises(CorpusError, match="gold lines"):
         fitted.predict_label(stripped)
+
+
+def test_fit_variant_rejects_unknown_config_keys():
+    docs = tiny_corpus(n=16, seed=39)
+    with pytest.raises(ValueError, match="unknown sla config keys: max_dpth"):
+        fit_variant("sla", docs, "grade", {"max_dpth": 3})
+    with pytest.raises(ValueError, match="ngram_n"):
+        fit_variant("rules", docs, "grade", {"ngram_n": 2})
+    with pytest.raises(ValueError, match="final_ngram_n, k"):
+        fit_variant("doc-logreg", docs, "grade", {"k": 2, "final_ngram_n": 1, "C": 1.0})
+
+
+def test_fit_variant_leaves_absent_keys_to_the_parameter_defaults():
+    docs = tiny_corpus(n=16, seed=39)
+    # k is accepted by every pipeline variant, the unscored ones included
+    oracle = fit_variant("oracle", docs, "grade", {"k": 1, "C": 2.0}, seed=5)
+    assert oracle.sla_model.hyper == SlaHyperParams(
+        k=1, gbt=GbtParams(seed=5), lin=LinParams(l1_strength=2.0)
+    )
+    base = fit_variant("doc-boost", docs, "grade", {"num_rounds": 3}, seed=5)
+    assert base.baseline.vocab.max_n == 1
+    assert all(m.params == GbtParams(num_rounds=3, seed=5) for m in base.baseline.boost_models)
+
+
+def test_fitted_variant_predicts_and_round_trips_its_bundle(tmp_path):
+    docs = tiny_corpus(n=16, seed=43)
+    for method in ("no_join", "oracle", "doc-boost"):
+        fitted = fit_variant(method, docs, "grade", {"num_rounds": 5}, schemas=load_schemas())
+        path = tmp_path / f"{method}.json"
+        path.write_text(json.dumps(fitted.to_dict()), encoding="utf-8")
+        loaded = FittedVariant.load(str(path))
+        assert (loaded.method, loaded.attribute) == (method, "grade")
+        preds = [fitted.predict(d) for d in docs]
+        assert [loaded.predict(d) for d in docs] == preds
+        assert [p.label for p in preds] == [fitted.predict_label(d) for d in docs]
+        assert all(bool(p.rationale.segments) == (method != "doc-boost") for p in preds[:3])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "doc-forest"}), encoding="utf-8")
+    with pytest.raises(CorpusError, match="unknown model bundle kind 'doc-forest'"):
+        FittedVariant.load(str(bad))
