@@ -21,6 +21,7 @@ from .pipeline import (
     SlaModel,
     load_model,
     predict_sla,
+    predict_sla_batch,
     save_model,
     train_sla,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "micro_f1",
     "parse_tnm",
     "predict_sla",
+    "predict_sla_batch",
     "random_search",
     "save_corpus",
     "save_model",

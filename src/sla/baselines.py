@@ -8,7 +8,6 @@ trees ("doc-boost").
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -140,14 +139,3 @@ def baseline_from_dict(payload: dict) -> DocBaselineModel:
         if payload.get("boost_models")
         else None,
     )
-
-
-def save_baseline(model: DocBaselineModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(baseline_to_dict(model), fh)
-        fh.write("\n")
-
-
-def load_baseline(path: str) -> DocBaselineModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return baseline_from_dict(json.load(fh))

@@ -225,8 +225,7 @@ def _cmd_predict(args, argv) -> int:
     docs = load_corpus(args.corpus)
     fitted = tuning.FittedVariant.load(args.model)
     records = []
-    for doc in docs:
-        pred = fitted.predict(doc)
+    for doc, pred in zip(docs, fitted.predict_many(docs)):
         rationale = [
             {
                 "start": seg.start,
@@ -260,8 +259,9 @@ def _cmd_predict(args, argv) -> int:
     return EXIT_OK
 
 
-def _load_predictions(path: str) -> dict[tuple[str, str], str]:
-    preds: dict[tuple[str, str], str] = {}
+def _load_labels(path: str) -> dict[tuple[str, str], str]:
+    """Labels by (id, attribute) from JSONL; a repeated key is a CorpusError."""
+    labels: dict[tuple[str, str], str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -272,10 +272,10 @@ def _load_predictions(path: str) -> dict[tuple[str, str], str]:
                 label = record["label"]
             except (json.JSONDecodeError, KeyError) as exc:
                 raise CorpusError(f"{path}: record {lineno}: {exc}") from exc
-            if key in preds:
-                raise CorpusError(f"{path}: record {lineno}: duplicate prediction {key}")
-            preds[key] = label
-    return preds
+            if key in labels:
+                raise CorpusError(f"{path}: record {lineno}: duplicate record {key}")
+            labels[key] = label
+    return labels
 
 
 def _cmd_evaluate(args, argv) -> int:
@@ -283,7 +283,7 @@ def _cmd_evaluate(args, argv) -> int:
     docs = load_corpus(args.corpus)
     by_id = {d.report.id: d for d in docs}
     schemas = load_schemas(args.schema)
-    preds = _load_predictions(args.preds)
+    preds = _load_labels(args.preds)
     grouped: dict[str, list[tuple[str, str]]] = {}
     for (doc_id, attribute), label in preds.items():
         doc = by_id.get(doc_id)
@@ -535,25 +535,10 @@ def _cmd_learning_curve(args, argv) -> int:
     return EXIT_OK
 
 
-def _load_label_file(path: str) -> dict[tuple[str, str], str]:
-    labels: dict[tuple[str, str], str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                key = (record["id"], record["attribute"])
-                labels[key] = record["label"]
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise CorpusError(f"{path}: record {lineno}: {exc}") from exc
-    return labels
-
-
 def _cmd_agreement(args, argv) -> int:
     started = time.time()
-    labels_a = _load_label_file(args.a)
-    labels_b = _load_label_file(args.b)
+    labels_a = _load_labels(args.a)
+    labels_b = _load_labels(args.b)
     if set(labels_a) != set(labels_b):
         only_a = len(set(labels_a) - set(labels_b))
         only_b = len(set(labels_b) - set(labels_a))

@@ -362,7 +362,8 @@ def run_curve_cell(
         schemas=schemas,
         keyword_rules=keyword_rules,
     )
-    outcomes = [(fitted.predict_label(d), gold_label(d, attribute, schemas)) for d in test]
+    preds = fitted.predict_many(test)
+    outcomes = [(p.label, gold_label(d, attribute, schemas)) for p, d in zip(preds, test)]
     return CurveCell(
         attribute=attribute,
         size=size,

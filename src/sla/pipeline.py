@@ -292,50 +292,41 @@ def compose_representation(
     return DocRepresentation(vector=vector, provenance=selection)
 
 
-def _select(
+def _represent(
     variant: str,
     k: int,
     keyword_rules: Sequence[str] | None,
-    report: Report,
-    gold_lines: Sequence[int] | None,
-    scores: np.ndarray | None,
-) -> SelectedLines:
-    """Selection for one report, given its lines' stage-1 scores if scored:
-    the row's selector picks the lines, which become joined or single-line
-    segments weighted by their scores or by 1."""
+    final_vocab: Vocabulary,
+    reports: Sequence[Report],
+    gold_lines: Sequence[Sequence[int] | None],
+    line_scores: np.ndarray | None,
+) -> list[DocRepresentation]:
+    """Selection and stage-2 representation of each report.  The row's
+    selector picks the lines, which become joined or single-line segments
+    weighted by their stage-1 scores or by 1.  ``line_scores`` holds the
+    scores of every line of every report in order (None unless scored)."""
     row = VARIANTS[variant]
-    if row.selector == "scored":
-        chosen = select_top_k(scores, k)
-    elif row.selector == "rules":
-        chosen = rule_select(report, keyword_rules)
-        k = len(chosen)
-    else:
-        if gold_lines is None:
+    offsets = np.cumsum([0] + [len(r.lines) for r in reports])
+    reps = []
+    for report, gold, start in zip(reports, gold_lines, offsets[:-1], strict=True):
+        if row.selector == "scored":
+            scores = line_scores[start : start + len(report.lines)]
+            chosen = select_top_k(scores, k)
+        elif row.selector == "rules":
+            chosen = rule_select(report, keyword_rules)
+        elif gold is None:
             raise ValueError("oracle variant needs the annotator's gold lines")
-        chosen = tuple(sorted(set(gold_lines)))
-        k = len(chosen)
-    weights = scores if row.weight else np.ones(len(report.lines))
-    if row.join:
-        return join_adjacent(chosen, weights, k=k)
-    return SelectedLines(tuple(Segment(i, i, float(weights[i])) for i in chosen), k=k)
-
-
-def select_segments(
-    model: "SlaModel", report: Report, gold_lines: Sequence[int] | None = None
-) -> SelectedLines:
-    """Run the variant's line-selection policy for one report."""
-    scores = None
-    if VARIANTS[model.variant].selector == "scored":
-        lines = vectorize(tokenize_lines(report), model.line_vocab)
-        scores = predict_gbt_batch(model.line_scorer, lines)
-    return _select(model.variant, model.k, model.keyword_rules, report, gold_lines, scores)
-
-
-def represent_document(
-    model: "SlaModel", report: Report, gold_lines: Sequence[int] | None = None
-) -> DocRepresentation:
-    selection = select_segments(model, report, gold_lines)
-    return compose_representation(selection, report, model.final_vocab)
+        else:
+            chosen = tuple(sorted(set(gold)))
+        doc_k = k if row.selector == "scored" else len(chosen)
+        weights = scores if row.weight else np.ones(len(report.lines))
+        if row.join:
+            selection = join_adjacent(chosen, weights, k=doc_k)
+        else:
+            segments = tuple(Segment(i, i, float(weights[i])) for i in chosen)
+            selection = SelectedLines(segments, k=doc_k)
+        reps.append(compose_representation(selection, report, final_vocab))
+    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +359,6 @@ def train_sla(
         )
 
     all_lines = [tl.tokens for d in docs for tl in tokenize_lines(d.report)]
-    offsets = np.cumsum([0] + [len(d.report.lines) for d in docs])
 
     line_vocab = line_scorer = line_scores = None
     rules = None
@@ -391,15 +381,13 @@ def train_sla(
 
     final_vocab = build_vocabulary(all_lines, hyper.final_ngram_n)
 
-    reps = []
-    for i, d in enumerate(docs):
-        scores = None if line_scores is None else line_scores[offsets[i] : offsets[i + 1]]
-        gold = d.annotations[attribute].line_indices
-        selection = _select(variant, hyper.k, rules, d.report, gold, scores)
-        reps.append(compose_representation(selection, d.report, final_vocab).vector)
+    reports = [d.report for d in docs]
+    gold = [d.annotations[attribute].line_indices for d in docs]
+    reps = _represent(variant, hyper.k, rules, final_vocab, reports, gold, line_scores)
     labels = [gold_label(d, attribute, schemas) for d in docs]
 
-    classifier = train_l1_logreg(sparse.vstack(reps, format="csr"), labels, hyper.lin)
+    X = sparse.vstack([rep.vector for rep in reps], format="csr")
+    classifier = train_l1_logreg(X, labels, hyper.lin)
     return SlaModel(
         attribute=attribute,
         variant=variant,
@@ -426,15 +414,42 @@ def oracle_gold_lines(model: SlaModel, doc: LabeledDocument) -> tuple[int, ...] 
     return ann.line_indices
 
 
+def predict_sla_batch(
+    model: SlaModel,
+    reports: Sequence[Report],
+    gold_lines: Sequence[Sequence[int] | None] | None = None,
+) -> list[Prediction]:
+    """Predict the attribute label of each report, scoring all their lines
+    with one stage-1 call; only an oracle reads ``gold_lines``.  Each
+    rationale is the exact selection used, so a prediction can be
+    recomputed from (rationale, report, model)."""
+    if gold_lines is None:
+        gold_lines = [None] * len(reports)
+    line_scores = None
+    if VARIANTS[model.variant].selector == "scored":
+        lines = vectorize([tl for r in reports for tl in tokenize_lines(r)], model.line_vocab)
+        line_scores = predict_gbt_batch(model.line_scorer, lines)
+    reps = _represent(
+        model.variant,
+        model.k,
+        model.keyword_rules,
+        model.final_vocab,
+        reports,
+        gold_lines,
+        line_scores,
+    )
+    outputs = [predict_logreg(model.final_classifier, rep.vector) for rep in reps]
+    return [
+        Prediction(str(label), scores, rep.provenance)
+        for (label, scores), rep in zip(outputs, reps)
+    ]
+
+
 def predict_sla(
     model: SlaModel, report: Report, gold_lines: Sequence[int] | None = None
 ) -> Prediction:
-    """Predict the attribute label for one report.  The rationale is the
-    exact selection used to build the representation, so the prediction
-    can be recomputed from (rationale, report, model)."""
-    rep = represent_document(model, report, gold_lines=gold_lines)
-    label, scores = predict_logreg(model.final_classifier, rep.vector)
-    return Prediction(label=str(label), scores=scores, rationale=rep.provenance)
+    """Predict the attribute label for one report: a batch of one."""
+    return predict_sla_batch(model, [report], [gold_lines])[0]
 
 
 # ---------------------------------------------------------------------------

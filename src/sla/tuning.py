@@ -39,7 +39,7 @@ from .pipeline import (
     model_from_dict,
     model_to_dict,
     oracle_gold_lines,
-    predict_sla,
+    predict_sla_batch,
     train_sla,
 )
 
@@ -143,14 +143,20 @@ class FittedVariant:
     def attribute(self) -> str:
         return (self.sla_model or self.baseline).attribute
 
-    def predict(self, doc: LabeledDocument) -> Prediction:
+    def predict_many(self, docs: Sequence[LabeledDocument]) -> list[Prediction]:
         """Label, per-class scores and line rationale (empty for a
-        baseline).  An oracle reads its lines from ``doc``'s annotation."""
+        baseline) of each document.  An oracle reads its lines from each
+        document's annotation."""
         if self.sla_model is not None:
-            gold = oracle_gold_lines(self.sla_model, doc)
-            return predict_sla(self.sla_model, doc.report, gold_lines=gold)
-        label, scores = predict_doc_baseline(self.baseline, doc.report)
-        return Prediction(label=label, scores=scores, rationale=_NO_RATIONALE)
+            gold = [oracle_gold_lines(self.sla_model, d) for d in docs]
+            return predict_sla_batch(self.sla_model, [d.report for d in docs], gold)
+        return [
+            Prediction(*predict_doc_baseline(self.baseline, d.report), rationale=_NO_RATIONALE)
+            for d in docs
+        ]
+
+    def predict(self, doc: LabeledDocument) -> Prediction:
+        return self.predict_many([doc])[0]
 
     def predict_label(self, doc: LabeledDocument) -> str:
         return self.predict(doc).label
@@ -178,6 +184,14 @@ class FittedVariant:
 
 _GBT_KEYS = tuple(f.name for f in fields(GbtParams) if f.name != "seed")
 _SLA_KEYS = ("line_ngram_n", "final_ngram_n", "k")
+# the config keys of each method ("C" is the L1 strength): a pipeline
+# variant stores the whole SlaHyperParams in its bundle, so each takes the
+# keys of both stages; a baseline takes only its own learner's keys
+_METHOD_KEYS = {
+    **{variant: _SLA_KEYS + _GBT_KEYS + ("C",) for variant in VARIANTS},
+    "doc-logreg": ("ngram_n", "C"),
+    "doc-boost": ("ngram_n",) + _GBT_KEYS,
+}
 
 
 def _present(cfg: Mapping, keys: Sequence[str]) -> dict:
@@ -193,26 +207,19 @@ def fit_variant(
     schemas=None,
     keyword_rules=None,
 ) -> FittedVariant:
-    """Train one pipeline variant or baseline from a flat config dict.
-
-    The keys are the boosted-tree parameters, ``C`` (the L1 strength), and
-    ``line_ngram_n``, ``final_ngram_n`` and ``k`` for a pipeline variant or
-    ``ngram_n`` for a baseline.  A key that is absent takes the default of
-    the parameter it sets; any other key is a ValueError."""
-    if method in VARIANTS:
-        own_keys = _SLA_KEYS
-    elif method in BASELINE_KINDS:
-        own_keys = ("ngram_n",)
-    else:
+    """Train one pipeline variant or baseline from a flat config dict of
+    the method's ``_METHOD_KEYS``.  A key that is absent takes the default
+    of the parameter it sets; any other key is a ValueError."""
+    if method not in _METHOD_KEYS:
         raise ValueError(f"unknown method {method!r}")
     cfg = dict(config or {})
-    unknown = sorted(set(cfg) - set(own_keys) - set(_GBT_KEYS) - {"C"})
+    unknown = sorted(set(cfg) - set(_METHOD_KEYS[method]))
     if unknown:
         raise ValueError(f"unknown {method} config keys: {', '.join(unknown)}")
     gbt = GbtParams(seed=seed, **_present(cfg, _GBT_KEYS))
     lin = LinParams(**({"l1_strength": cfg["C"]} if "C" in cfg else {}))
     if method in VARIANTS:
-        hyper = SlaHyperParams(gbt=gbt, lin=lin, **_present(cfg, own_keys))
+        hyper = SlaHyperParams(gbt=gbt, lin=lin, **_present(cfg, _SLA_KEYS))
         model = train_sla(
             train_docs,
             attribute,
@@ -229,7 +236,7 @@ def fit_variant(
         lin=lin,
         gbt=gbt,
         schemas=schemas,
-        **_present(cfg, own_keys),
+        **_present(cfg, ("ngram_n",)),
     )
     return FittedVariant(method=method, baseline=model)
 
@@ -309,7 +316,7 @@ def cross_validate(
             schemas=schemas,
             keyword_rules=keyword_rules,
         )
-        preds = [fitted.predict_label(d) for d in held]
+        preds = [p.label for p in fitted.predict_many(held)]
         golds = [lab for lab, f in zip(labels, fold_of) if f == fold]
         scores.append(micro_f1(preds, golds))
     return TrialResult(

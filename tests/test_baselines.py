@@ -1,17 +1,18 @@
+import json
+
 import pytest
 
 from sla.baselines import (
     baseline_from_dict,
     baseline_to_dict,
     featurize_document,
-    load_baseline,
     predict_doc_baseline,
-    save_baseline,
     train_doc_baseline,
 )
 from sla.corpus import Report, load_schemas, select_documents, split_corpus
 from sla.learners import GbtParams
 from sla.textproc import build_vocabulary, tokenize
+from sla.tuning import FittedVariant
 
 from test_pipeline import tiny_corpus
 
@@ -76,8 +77,8 @@ def test_bundle_roundtrip(tmp_path, kind):
     model = train_doc_baseline(docs, "grade", kind=kind, gbt=GbtParams(num_rounds=10, seed=1))
     again = baseline_from_dict(baseline_to_dict(model))
     path = tmp_path / "m.json"
-    save_baseline(model, str(path))
-    loaded = load_baseline(str(path))
+    path.write_text(json.dumps(FittedVariant(method=kind, baseline=model).to_dict()))
+    loaded = FittedVariant.load(str(path)).baseline
     for d in docs[:8]:
         expect = predict_doc_baseline(model, d.report)
         assert predict_doc_baseline(again, d.report) == expect

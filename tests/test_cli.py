@@ -9,7 +9,8 @@ import pytest
 
 from sla import cli
 from sla.corpus import gold_label, load_corpus
-from sla.pipeline import VARIANTS
+from sla import pipeline
+from sla.pipeline import SCORED_VARIANTS, VARIANTS
 from sla.tuning import METHODS
 
 
@@ -203,7 +204,9 @@ def test_oracle_predict_needs_the_attribute_annotated(workdir, capsys, tmp_path)
 def test_every_method_trains_predicts_and_evaluates(workdir, capsys, tmp_path, method):
     corpus = workdir / "corpus.jsonl"
     params = tmp_path / "params.json"
-    params.write_text(json.dumps({"num_rounds": 20}), encoding="utf-8")
+    # only the scored variants and doc-boost grow trees
+    grows_trees = method == "doc-boost" or method in SCORED_VARIANTS
+    params.write_text(json.dumps({"num_rounds": 20} if grows_trees else {}), encoding="utf-8")
     model, preds, report = (tmp_path / n for n in ("model.json", "preds.jsonl", "eval.json"))
     code, _, err = run(capsys, "train", "--corpus", str(corpus), "--attribute", "grade",
                        "--variant", method, "--params", str(params), "--out", str(model))
@@ -231,6 +234,26 @@ def test_every_method_trains_predicts_and_evaluates(workdir, capsys, tmp_path, m
                        "--bootstrap-iterations", "50", "--out", str(report))
     assert code == 0, err
     assert json.loads(report.read_text())["attributes"]["grade"]["n_docs"] == 30
+
+
+def test_predict_scores_every_line_with_one_stage1_call(workdir, capsys, tmp_path, monkeypatch):
+    corpus = workdir / "corpus.jsonl"
+    model, preds = tmp_path / "model.json", tmp_path / "preds.jsonl"
+    code, _, err = run(capsys, "train", "--corpus", str(corpus), "--attribute", "grade",
+                       "--out", str(model))
+    assert code == 0, err
+    rows = []
+    real = pipeline.predict_gbt_batch
+
+    def counting(model, X):
+        rows.append(X.shape[0])
+        return real(model, X)
+
+    monkeypatch.setattr(pipeline, "predict_gbt_batch", counting)
+    code, _, err = run(capsys, "predict", "--model", str(model),
+                       "--corpus", str(corpus), "--out", str(preds))
+    assert code == 0, err
+    assert rows == [sum(len(d.report.lines) for d in load_corpus(str(corpus)))]
 
 
 def test_train_rejects_unknown_params_keys(workdir, capsys, tmp_path):
@@ -336,6 +359,20 @@ def test_agreement_command(workdir, capsys, tmp_path):
                        "--out", str(out))
     assert code == 2
     assert "different items" in err
+
+
+def test_agreement_rejects_a_repeated_record(capsys, tmp_path):
+    """A second label for the same (id, attribute) is a data error, not a
+    silent overwrite of the first."""
+    a, b, out = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "agreement.json"
+    records = [{"id": i, "attribute": "grade", "label": "x"} for i in ("d1", "d2")]
+    b.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    records.append({"id": "d1", "attribute": "grade", "label": "y"})
+    a.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    code, _, err = run(capsys, "agreement", "--a", str(a), "--b", str(b), "--out", str(out))
+    assert code == 2
+    assert "record 3: duplicate record ('d1', 'grade')" in err
+    assert not out.exists()
 
 
 def test_stage_command(workdir, capsys, tmp_path):

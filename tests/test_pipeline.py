@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from sla.corpus import (
 )
 from sla.pipeline import (
     SCORED_VARIANTS,
+    VARIANTS,
     Segment,
     SelectedLines,
     SlaHyperParams,
@@ -28,9 +31,9 @@ from sla.pipeline import (
     model_from_dict,
     model_to_dict,
     predict_sla,
+    predict_sla_batch,
     rule_select,
     save_model,
-    select_segments,
     select_top_k,
     train_sla,
 )
@@ -225,7 +228,7 @@ def test_sla_selects_planted_line_top1_on_held_out_docs():
         if not planted:
             continue
         total += 1
-        sel = select_segments(model, d.report)
+        sel = predict_sla(model, d.report).rationale
         if planted & set(sel.line_indices()):
             hits += 1
     assert total > 0
@@ -283,16 +286,16 @@ def test_no_weight_and_no_join_selection_shapes():
     report = docs[0].report
 
     nw = fit(docs, "no_weight", k=3)
-    sel = select_segments(nw, report)
+    sel = predict_sla(nw, report).rationale
     assert all(s.weight == 1.0 for s in sel.segments)
 
     nj = fit(docs, "no_join", k=3)
-    sel = select_segments(nj, report)
+    sel = predict_sla(nj, report).rationale
     assert all(s.start == s.end for s in sel.segments)
     assert len(sel.segments) == 3
 
     nwj = fit(docs, "no_weight_no_join", k=3)
-    sel = select_segments(nwj, report)
+    sel = predict_sla(nwj, report).rationale
     assert all(s.start == s.end and s.weight == 1.0 for s in sel.segments)
 
 
@@ -301,22 +304,23 @@ def test_scored_variants_share_selection_until_weighting():
     sla = fit(docs, "sla", k=3)
     nw = fit(docs, "no_weight", k=3)
     report = docs[3].report
-    assert select_segments(sla, report).line_indices() == select_segments(
-        nw, report
-    ).line_indices()
+    assert (
+        predict_sla(sla, report).rationale.line_indices()
+        == predict_sla(nw, report).rationale.line_indices()
+    )
 
 
 @pytest.mark.parametrize("variant", SCORED_VARIANTS)
 def test_train_sla_scores_training_lines_as_select_segments_does(variant):
     """train_sla scores every training line in one call; rebuilding the
-    stage-2 matrix document by document through the public per-report path
-    and refitting it must give the same classifier, bit for bit."""
+    stage-2 matrix document by document from the rationale predict_sla
+    reports and refitting it must give the same classifier, bit for bit."""
     schemas = load_schemas()
     docs = tiny_corpus(n=30, seed=17)
     model = fit(docs, variant, k=3)
     rows, labels = [], []
     for d in docs:
-        selection = select_segments(model, d.report)
+        selection = predict_sla(model, d.report).rationale
         rows.append(compose_representation(selection, d.report, model.final_vocab).vector)
         ann = d.annotations["grade"]
         labels.append(compose_label(ann.values, schema_value_order(schemas, "colon", "grade")))
@@ -324,6 +328,35 @@ def test_train_sla_scores_training_lines_as_select_segments_does(variant):
     assert refit.classes == model.final_classifier.classes
     assert refit.weights.tobytes() == model.final_classifier.weights.tobytes()
     assert refit.intercepts.tobytes() == model.final_classifier.intercepts.tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_models():
+    """Held-out documents of 10 to 24 lines and one fitted model per variant."""
+    docs = tiny_corpus(n=36, seed=19, lines_per_doc=(10, 24))
+    return docs[24:], {variant: fit(docs[:24], variant, k=2) for variant in VARIANTS}
+
+
+def _bits(pred):
+    return (
+        pred.label,
+        [(c, s.hex()) for c, s in pred.scores.items()],
+        [(seg.start, seg.end, seg.weight.hex()) for seg in pred.rationale.segments],
+        pred.rationale.k,
+    )
+
+
+@given(st.sampled_from(sorted(VARIANTS)), st.lists(st.integers(0, 11), min_size=1, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_predict_sla_batch_equals_one_report_at_a_time(variant, picks):
+    held, models = _batch_models()
+    model = models[variant]
+    docs = [held[i] for i in picks]
+    gold = [d.annotations["grade"].line_indices for d in docs] if variant == "oracle" else None
+    batch = predict_sla_batch(model, [d.report for d in docs], gold)
+    single = [predict_sla(model, d.report, g) for d, g in zip(docs, gold or [None] * len(docs))]
+    assert [_bits(p) for p in batch] == [_bits(p) for p in single]
+    assert predict_sla_batch(model, []) == []
 
 
 def test_train_sla_needs_two_annotated_docs():

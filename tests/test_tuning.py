@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from sla import pipeline
 from sla.corpus import CorpusError, load_schemas
-from sla.learners import GbtParams, LinParams
+from sla.learners import GbtParams, LinParams, predict_gbt_batch
 from sla.pipeline import SlaHyperParams
 from sla.tuning import (
     METHODS,
@@ -97,6 +98,21 @@ def test_cross_validate_is_deterministic_and_scores_sane():
     assert c.fold_scores != a.fold_scores  # folds reshuffle with the seed
 
 
+def test_cross_validate_scores_lines_once_per_fit_and_per_held_out_fold(monkeypatch):
+    rows = []
+
+    def counting(model, X):
+        rows.append(X.shape[0])
+        return predict_gbt_batch(model, X)
+
+    monkeypatch.setattr(pipeline, "predict_gbt_batch", counting)
+    docs = tiny_corpus(n=24, seed=31)
+    cross_validate(docs, "grade", {"k": 2, "num_rounds": 10}, folds=4, variant="sla")
+    # each fold: one call over its training lines, one over its held-out lines
+    assert len(rows) == 8
+    assert sum(rows) == 4 * sum(len(d.report.lines) for d in docs)
+
+
 def test_cross_validate_needs_enough_docs():
     docs = tiny_corpus(n=3, seed=33)
     with pytest.raises(ValueError, match="at least 4"):
@@ -175,6 +191,17 @@ def test_fit_variant_rejects_unknown_config_keys():
         fit_variant("rules", docs, "grade", {"ngram_n": 2})
     with pytest.raises(ValueError, match="final_ngram_n, k"):
         fit_variant("doc-logreg", docs, "grade", {"k": 2, "final_ngram_n": 1, "C": 1.0})
+
+
+@pytest.mark.parametrize(
+    "method, foreign",
+    [("doc-logreg", {"max_depth": 2, "num_rounds": 1}), ("doc-boost", {"C": 1e-6})],
+)
+def test_baselines_refuse_the_other_learners_keys(method, foreign):
+    docs = tiny_corpus(n=16, seed=39)
+    message = f"unknown {method} config keys: {', '.join(sorted(foreign))}"
+    with pytest.raises(ValueError, match=message):
+        fit_variant(method, docs, "grade", {"ngram_n": 1, **foreign})
 
 
 def test_fit_variant_leaves_absent_keys_to_the_parameter_defaults():
