@@ -86,17 +86,26 @@ def train_doc_baseline(
     return model
 
 
-def predict_doc_baseline(model: DocBaselineModel, report: Report) -> tuple[str, dict]:
-    x = featurize_document(report, model.vocab)
+def predict_doc_baseline(
+    model: DocBaselineModel, reports: Sequence[Report]
+) -> list[tuple[str, dict]]:
+    """Label and per-class scores of each report.  ``doc-boost`` scores the
+    whole batch with one call per class model."""
+    if not reports:
+        return []
+    rows = [featurize_document(r, model.vocab) for r in reports]
     if model.kind == "doc-logreg":
-        label, scores = predict_logreg(model.linear, x)
-        return str(label), scores
+        outputs = [predict_logreg(model.linear, x) for x in rows]
+        return [(str(label), scores) for label, scores in outputs]
     classes = model.boost_classes
     if model.boost_models is None:
-        return str(classes[0]), {str(classes[0]): 1.0}
-    probs = np.array([predict_gbt_batch(m, x)[0] for m in model.boost_models])
-    best = int(np.argmax(probs))
-    return str(classes[best]), {str(c): float(p) for c, p in zip(classes, probs)}
+        return [(str(classes[0]), {str(classes[0]): 1.0}) for _ in rows]
+    X = sparse.vstack(rows, format="csr")
+    probs = np.column_stack([predict_gbt_batch(m, X) for m in model.boost_models])
+    return [
+        (str(classes[int(np.argmax(p))]), {str(c): float(q) for c, q in zip(classes, p)})
+        for p in probs
+    ]
 
 
 # ---------------------------------------------------------------------------

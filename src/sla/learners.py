@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -133,6 +134,12 @@ class GbtModel:
     trees: list[TreeNode]
     num_features: int
 
+    @cached_property
+    def _forest(self) -> "_Forest":
+        """The trees compiled for scoring, on first use; the trees must not
+        change after it."""
+        return _compile_forest(self)
+
     def to_dict(self) -> dict:
         return {
             "params": {
@@ -159,6 +166,60 @@ class GbtModel:
         )
 
 
+@dataclass(frozen=True)
+class _Forest:
+    """A forest as flat arrays over padded (trees x width) node slots: node
+    i of tree t sits at t * width + i, breadth first from the root.  A leaf
+    is its own left and right child, so a walk that reaches it stays."""
+
+    used: np.ndarray  # the features some tree splits on, ascending
+    column: np.ndarray  # model feature -> its index in ``used``, or -1
+    feature: np.ndarray  # slot -> index in ``used`` of its split (0 at a leaf)
+    left: np.ndarray  # slot -> slot of the absent child
+    right: np.ndarray  # slot -> slot of the present child
+    step: np.ndarray  # slot -> learning_rate * leaf value (0 off the leaves)
+    roots: np.ndarray  # tree -> slot of its root
+    depth: int  # levels of the deepest tree
+
+
+def _compile_forest(model: GbtModel) -> _Forest:
+    tables = []  # per tree, (feature or -1, left, right, value) per node
+    depth = 0
+    for root in model.trees:
+        order, table = [(root, 0)], []
+        for node, level in order:  # grows as it is read: breadth first
+            depth = max(depth, level)
+            if node.is_leaf:
+                table.append((-1, len(table), len(table), node.value))
+            else:
+                table.append((node.feature, len(order), len(order) + 1, 0.0))
+                order += [(node.left, level + 1), (node.right, level + 1)]
+        tables.append(table)
+    width = max(map(len, tables), default=1)
+    slots = np.arange(len(tables) * width).reshape(len(tables), width)
+    split, left, right = np.full(slots.shape, -1), slots.copy(), slots.copy()
+    value = np.zeros(slots.shape)
+    for t, table in enumerate(tables):
+        f, lo, hi, v = (np.array(c) for c in zip(*table))
+        split[t, : len(table)] = f
+        left[t, : len(table)] = slots[t, lo]
+        right[t, : len(table)] = slots[t, hi]
+        value[t, : len(table)] = v
+    used = np.unique(split[split >= 0])
+    column = np.full(model.num_features, -1)
+    column[used] = np.arange(len(used))
+    return _Forest(
+        used=used,
+        column=column,
+        feature=np.searchsorted(used, split).ravel(),
+        left=left.ravel(),
+        right=right.ravel(),
+        step=model.params.learning_rate * value.ravel(),
+        roots=slots[:, 0],
+        depth=depth,
+    )
+
+
 _MIN_GAIN = 1e-12
 _PRIOR_EPS = 1e-6
 
@@ -176,6 +237,7 @@ def _grow_tree(
     grad: np.ndarray,
     hess: np.ndarray,
     params: GbtParams,
+    out_of_bag: np.ndarray,
 ) -> tuple[TreeNode, list[tuple[float, np.ndarray]]]:
     """Grow one tree level by level on the given row subset.
 
@@ -183,8 +245,11 @@ def _grow_tree(
     sparse-dense product per level: M holds each frontier node's gradients,
     hessians and ones on its rows, and X.T @ M sums them per feature.  X is
     binary and the product adds each cell in ascending row order, so every
-    sum has the bits of a per-node sparse product.  Returns the tree and
-    its leaf partition of ``rows`` as (leaf value, rows at that leaf).
+    sum has the bits of a per-node sparse product.  The ``out_of_bag``
+    rows take no part in the statistics but follow every split: a node
+    holds its rows with the first ``m`` of them in the bag, and a split
+    keeps that order.  The returned leaf partition, as (leaf value, rows at
+    that leaf), covers both ``rows`` and ``out_of_bag``.
     """
     n_total = X_csc.shape[0]
     XT = X_csc.T  # CSR over features, each row's sample indices ascending
@@ -192,7 +257,9 @@ def _grow_tree(
     gamma = params.min_split_loss
     nodes: list[dict] = [{}]
     leaves: list[tuple[float, np.ndarray]] = []
-    frontier: list[tuple[int, np.ndarray]] = [(0, rows)]
+    frontier: list[tuple[int, np.ndarray, int]] = [
+        (0, np.concatenate((rows, out_of_bag)), len(rows))
+    ]
     col_mark = np.zeros(n_total, dtype=bool)
     indptr, col_indices = X_csc.indptr, X_csc.indices
 
@@ -200,15 +267,15 @@ def _grow_tree(
         if not frontier:
             break
         if depth == params.max_depth:
-            for nid, nrows in frontier:
-                g, h = grad[nrows].sum(), hess[nrows].sum()
+            for nid, nrows, m in frontier:
+                g, h = grad[nrows[:m]].sum(), hess[nrows[:m]].sum()
                 nodes[nid] = {"value": float(_leaf_value(g, h, lam))}
                 leaves.append((nodes[nid]["value"], nrows))
             break
 
         F = len(frontier)
-        sizes = np.array([len(nrows) for _, nrows in frontier])
-        all_rows = np.concatenate([nrows for _, nrows in frontier])
+        sizes = np.array([m for _, _, m in frontier])
+        all_rows = np.concatenate([nrows[:m] for _, nrows, m in frontier])
         owner = np.repeat(np.arange(F), sizes)
         M = np.zeros((n_total, 3 * F))
         M[all_rows, owner] = grad[all_rows]
@@ -217,8 +284,8 @@ def _grow_tree(
         S = (XT @ M).T
         del M  # freed before the gain's (F x features) temporaries
         G1, H1, C1 = S[:F], S[F : 2 * F], S[2 * F :]
-        Gt = np.array([grad[nrows].sum() for _, nrows in frontier])
-        Ht = np.array([hess[nrows].sum() for _, nrows in frontier])
+        Gt = np.array([grad[nrows[:m]].sum() for _, nrows, m in frontier])
+        Ht = np.array([hess[nrows[:m]].sum() for _, nrows, m in frontier])
 
         G0 = Gt[:, None] - G1
         H0 = Ht[:, None] - H1
@@ -233,24 +300,24 @@ def _grow_tree(
         best_j = np.argmax(gain, axis=1)
         best_gain = gain[np.arange(F), best_j]
 
-        next_frontier: list[tuple[int, np.ndarray]] = []
-        for i, (nid, nrows) in enumerate(frontier):
-            if len(nrows) < 2 or not best_gain[i] > _MIN_GAIN:
+        next_frontier: list[tuple[int, np.ndarray, int]] = []
+        for i, (nid, nrows, m) in enumerate(frontier):
+            if m < 2 or not best_gain[i] > _MIN_GAIN:
                 nodes[nid] = {"value": float(_leaf_value(Gt[i], Ht[i], lam))}
                 leaves.append((nodes[nid]["value"], nrows))
                 continue
             j = int(best_j[i])
             col_rows = col_indices[indptr[j] : indptr[j + 1]]
             col_mark[col_rows] = True
-            present = nrows[col_mark[nrows]]
-            absent = nrows[~col_mark[nrows]]
+            right = col_mark[nrows]
             col_mark[col_rows] = False
+            m_right = int(np.count_nonzero(right[:m]))
             lid, rid = len(nodes), len(nodes) + 1
             nodes.append({})
             nodes.append({})
             nodes[nid] = {"feature": j, "left": lid, "right": rid}
-            next_frontier.append((lid, absent))
-            next_frontier.append((rid, present))
+            next_frontier.append((lid, nrows[~right], m - m_right))
+            next_frontier.append((rid, nrows[right], m_right))
         frontier = next_frontier
 
     def assemble(nid: int) -> TreeNode:
@@ -264,29 +331,17 @@ def _grow_tree(
     return assemble(0), leaves
 
 
-def _tree_outputs(root: TreeNode, X_csc: sparse.csc_matrix, rows: np.ndarray) -> np.ndarray:
-    """Leaf value for each of ``rows`` of X for one tree, computed by row
-    partitioning; the other entries of the result are 0."""
-    out = np.zeros(X_csc.shape[0], dtype=np.float64)
-    mark = np.zeros(X_csc.shape[0], dtype=bool)
-    indptr, col_indices = X_csc.indptr, X_csc.indices
-    stack = [(root, rows)]
-    while stack:
-        node, rows = stack.pop()
-        if len(rows) == 0:
-            continue
-        if node.is_leaf:
-            out[rows] = node.value
-            continue
-        j = node.feature
-        col_rows = col_indices[indptr[j] : indptr[j + 1]]
-        mark[col_rows] = True
-        present = rows[mark[rows]]
-        absent = rows[~mark[rows]]
-        mark[col_rows] = False
-        stack.append((node.left, absent))
-        stack.append((node.right, present))
-    return out
+def _binary_csr(X) -> sparse.csr_matrix:
+    """X as CSR with every cell stored once, refusing any stored value other
+    than 1.0: a cell stored twice holds the sum of its entries, and a
+    stored 0.0 would count as a present feature."""
+    X_csr = _as_csr(X)
+    if not X_csr.has_canonical_format:
+        X_csr = X_csr.copy()
+        X_csr.sum_duplicates()
+    if not np.all(X_csr.data == 1.0):
+        raise ValueError("X must be binary: every stored value must be 1.0")
+    return X_csr
 
 
 def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
@@ -298,10 +353,7 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
         raise ValueError("X and y must have matching first dimension")
     if not set(np.unique(y_arr)) <= {0.0, 1.0}:
         raise ValueError("labels must be binary 0/1")
-    X_csc = X_csr.tocsc()
-    X_csc.sum_duplicates()  # a cell stored twice holds the sum of its entries
-    if not np.all(X_csc.data == 1.0):
-        raise ValueError("X must be binary: every stored value must be 1.0")
+    X_csc = _binary_csr(X_csr).tocsc()
     n = X_csr.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -315,21 +367,18 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
 
     trees: list[TreeNode] = []
     for _ in range(params.num_rounds):
+        rows = all_rows
         if params.subsample < 1.0:
             rows = np.sort(rng.choice(n, size=subsample_size, replace=False))
-        else:
-            rows = all_rows
+        bagged = np.zeros(n, dtype=bool)
+        bagged[rows] = True
+        out_of_bag = np.flatnonzero(~bagged)
         p = _sigmoid(margins)
         grad = p - y_arr
         hess = p * (1.0 - p)
-        tree, leaves = _grow_tree(X_csc, rows, grad, hess, params)
+        tree, leaves = _grow_tree(X_csc, rows, grad, hess, params, out_of_bag)
         for value, leaf_rows in leaves:
             margins[leaf_rows] += params.learning_rate * value
-        if params.subsample < 1.0:  # rows left out of the sample walk the new tree
-            out_of_bag = np.ones(n, dtype=bool)
-            out_of_bag[rows] = False
-            oob = np.flatnonzero(out_of_bag)
-            margins[oob] += params.learning_rate * _tree_outputs(tree, X_csc, oob)[oob]
         trees.append(tree)
 
     return GbtModel(params=params, base_score=base, trees=trees, num_features=X_csr.shape[1])
@@ -337,16 +386,36 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
 
 def predict_gbt_margin(model: GbtModel, X, num_trees: int | None = None) -> np.ndarray:
     """Raw margins (pre-sigmoid) for a batch, optionally truncated to a
-    prefix of the tree sequence; useful for inspecting the boosting path."""
-    X_csc = _as_csr(X).tocsc()
+    prefix of the tree sequence; useful for inspecting the boosting path.
+
+    X must be binary with the model's feature count.  Rows that hold the
+    same pattern of the features the forest splits on share one margin, so
+    each distinct pattern walks every tree at once, a level at a time, and
+    its leaf steps are summed in tree order."""
     k = len(model.trees) if num_trees is None else num_trees
     if not 0 <= k <= len(model.trees):
         raise ValueError(f"num_trees must be in [0, {len(model.trees)}], got {k}")
-    margins = np.full(X_csc.shape[0], model.base_score, dtype=np.float64)
-    rows = np.arange(X_csc.shape[0])
-    for tree in model.trees[:k]:
-        margins += model.params.learning_rate * _tree_outputs(tree, X_csc, rows)
-    return margins
+    X_csr = _binary_csr(X)
+    n, width = X_csr.shape
+    if width != model.num_features:
+        raise ValueError(f"X has {width} features, the model {model.num_features}")
+    forest = model._forest
+    present = np.zeros((n, len(forest.used)), dtype=bool)
+    column = forest.column[X_csr.indices]
+    row = np.repeat(np.arange(n), np.diff(X_csr.indptr))
+    kept = column >= 0
+    present[row[kept], column[kept]] = True
+    _, first, inverse = np.unique(
+        np.packbits(present, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    patterns = present[first]
+
+    node = np.tile(forest.roots, (len(first), 1))
+    for _ in range(forest.depth):
+        go_right = np.take_along_axis(patterns, forest.feature[node], axis=1)
+        node = np.where(go_right, forest.right[node], forest.left[node])
+    terms = np.column_stack((np.full(len(first), model.base_score), forest.step[node]))
+    return np.cumsum(terms, axis=1)[inverse.ravel(), k]
 
 
 def predict_gbt_batch(model: GbtModel, X) -> np.ndarray:

@@ -151,8 +151,8 @@ class FittedVariant:
             gold = [oracle_gold_lines(self.sla_model, d) for d in docs]
             return predict_sla_batch(self.sla_model, [d.report for d in docs], gold)
         return [
-            Prediction(*predict_doc_baseline(self.baseline, d.report), rationale=_NO_RATIONALE)
-            for d in docs
+            Prediction(label, scores, rationale=_NO_RATIONALE)
+            for label, scores in predict_doc_baseline(self.baseline, [d.report for d in docs])
         ]
 
     def predict(self, doc: LabeledDocument) -> Prediction:

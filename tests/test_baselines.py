@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sla import baselines
 from sla.baselines import (
     baseline_from_dict,
     baseline_to_dict,
@@ -12,7 +13,7 @@ from sla.baselines import (
 from sla.corpus import Report, load_schemas, select_documents, split_corpus
 from sla.learners import GbtParams
 from sla.textproc import build_vocabulary, tokenize
-from sla.tuning import FittedVariant
+from sla.tuning import FittedVariant, cross_validate
 
 from test_pipeline import tiny_corpus
 
@@ -40,8 +41,7 @@ def test_baselines_learn_planted_corpus(kind):
         gbt=GbtParams(num_rounds=40, seed=0), schemas=load_schemas(),
     )
     correct = 0
-    for d in test:
-        label, scores = predict_doc_baseline(model, d.report)
+    for d, (label, scores) in zip(test, predict_doc_baseline(model, [d.report for d in test])):
         assert label in scores
         if label == " and ".join(d.annotations["grade"].values):
             correct += 1
@@ -56,7 +56,9 @@ def test_single_class_training_set_predicts_constant():
     assert len(docs) >= 2
     for kind in ("doc-logreg", "doc-boost"):
         model = train_doc_baseline(docs, "grade", kind=kind)
-        label, scores = predict_doc_baseline(model, Report(id="x", cancer="colon", lines=("nothing",)))
+        [(label, scores)] = predict_doc_baseline(
+            model, [Report(id="x", cancer="colon", lines=("nothing",))]
+        )
         assert label == "grade 1"
         assert scores["grade 1"] == max(scores.values())
 
@@ -79,10 +81,11 @@ def test_bundle_roundtrip(tmp_path, kind):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(FittedVariant(method=kind, baseline=model).to_dict()))
     loaded = FittedVariant.load(str(path)).baseline
-    for d in docs[:8]:
-        expect = predict_doc_baseline(model, d.report)
-        assert predict_doc_baseline(again, d.report) == expect
-        assert predict_doc_baseline(loaded, d.report) == expect
+    reports = [d.report for d in docs[:8]]
+    expect = predict_doc_baseline(model, reports)
+    assert len(expect) == 8
+    assert predict_doc_baseline(again, reports) == expect
+    assert predict_doc_baseline(loaded, reports) == expect
 
 
 def test_bundle_rejects_unknown_version():
@@ -92,3 +95,41 @@ def test_bundle_rejects_unknown_version():
         payload["version"] = version
         with pytest.raises(ValueError, match="version"):
             baseline_from_dict(payload)
+
+
+@pytest.mark.parametrize("kind", ["doc-logreg", "doc-boost"])
+def test_batch_equals_one_report_at_a_time(kind):
+    docs = tiny_corpus(n=24, seed=31)
+    model = train_doc_baseline(docs, "grade", kind=kind, gbt=GbtParams(num_rounds=10, seed=1))
+    reports = [d.report for d in docs]
+    batch = predict_doc_baseline(model, reports)
+    assert batch == [predict_doc_baseline(model, [r])[0] for r in reports]
+    assert predict_doc_baseline(model, []) == []
+
+
+def test_doc_boost_scores_each_class_model_once_per_fold(monkeypatch):
+    docs = tiny_corpus(n=24, seed=33)
+    real = baselines.predict_gbt_batch
+    calls = []
+
+    def counting(model, X):
+        calls.append(X.shape[0])
+        return real(model, X)
+
+    monkeypatch.setattr(baselines, "predict_gbt_batch", counting)
+    fitted = []
+    real_fit = baselines.train_doc_baseline
+
+    def recording(*args, **kwargs):
+        fitted.append(real_fit(*args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr("sla.tuning.train_doc_baseline", recording)
+    cross_validate(docs, "grade", {"num_rounds": 5}, folds=4, variant="doc-boost")
+    assert len(fitted) == 4
+    assert len(calls) == sum(len(m.boost_models) for m in fitted)
+    # each fold's class models all score that fold's held-out documents
+    rows = iter(calls)
+    per_fold = [{next(rows) for _ in m.boost_models} for m in fitted]
+    assert all(len(sizes) == 1 for sizes in per_fold)
+    assert sum(sizes.pop() for sizes in per_fold) == len(docs)

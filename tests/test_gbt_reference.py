@@ -5,13 +5,17 @@ the reference: each level builds three sparse (node x row) matrices of
 gradients, hessians and ones and multiplies each by X, and the margins are
 updated by walking every row through the new tree.  ``sla.learners`` must
 grow the same trees (compared through ``to_dict()``) and give the same
-margins (compared with ``tobytes()``).
+margins (compared with ``tobytes()``), and its compiled scorer must give
+the margins of the reference walk on any forest.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from sla import synth
@@ -285,3 +289,62 @@ def test_random_small_problems_match_reference():
             seed=int(rng.integers(0, 9)),
         )
         assert_matches_reference(X, y, params)
+
+
+def _ref_margins(model, X_csr, num_trees):
+    """The margins of the first ``num_trees`` trees, one tree at a time."""
+    X_csc = X_csr.tocsc()
+    margins = np.full(X_csr.shape[0], model.base_score, dtype=np.float64)
+    for tree in model.trees[:num_trees]:
+        margins += model.params.learning_rate * _ref_tree_outputs(tree, X_csc)
+    return margins
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(1, 7),
+    num_trees=st.integers(0, 8),
+    num_rows=st.sampled_from((0, 1, 2, 60)),
+    num_features=st.integers(1, 12),
+    learning_rate=st.sampled_from((0.1, 0.3, 1.0)),
+)
+def test_compiled_margins_equal_the_reference_walk(
+    seed, depth, num_trees, num_rows, num_features, learning_rate
+):
+    rng = np.random.default_rng(seed)
+
+    def grow(level):
+        if level == depth or (level > 0 and rng.random() < 0.3):
+            return TreeNode(value=float(rng.normal()))
+        feature = int(rng.integers(num_features))
+        return TreeNode(feature=feature, left=grow(level + 1), right=grow(level + 1))
+
+    trees = [
+        grow(0) if rng.random() < 0.8 else TreeNode(value=float(rng.normal()))
+        for _ in range(num_trees)
+    ]
+    model = GbtModel(
+        params=GbtParams(learning_rate=learning_rate),
+        base_score=float(rng.normal()),
+        trees=trees,
+        num_features=num_features,
+    )
+    dense = rng.random((num_rows, num_features)) < rng.uniform(0.0, 0.6)
+    if num_rows:
+        dense[rng.random(num_rows) < 0.4] = dense[0]  # rows that repeat a pattern
+    dense[rng.random(num_rows) < 0.2] = False  # rows with no features
+    X = sparse.csr_matrix(dense.astype(np.float64))
+    for t in range(num_trees + 1):
+        got = predict_gbt_margin(model, X, num_trees=t)
+        assert got.tobytes() == _ref_margins(model, X, t).tobytes()
+
+
+def test_round_tripped_model_scores_the_same_bits():
+    X, y = stage1_problem(seed=6, flip=0.2)
+    model = train_gbt(X, y, GbtParams(max_depth=6, subsample=0.75, num_rounds=20, seed=5))
+    margins = predict_gbt_margin(model, X)
+    again = GbtModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    assert again.to_dict() == model.to_dict()
+    assert predict_gbt_margin(again, X).tobytes() == margins.tobytes()
+    assert margins.tobytes() == _ref_margins(model, X, len(model.trees)).tobytes()

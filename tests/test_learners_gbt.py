@@ -241,3 +241,19 @@ def test_predict_margin_checks_the_tree_count():
     for bad in (-1, 4, 99):
         with pytest.raises(ValueError, match="num_trees"):
             predict_gbt_margin(model, X, num_trees=bad)
+
+
+def test_predict_margin_refuses_what_it_cannot_score():
+    model = train_gbt(dense_to_csr(STUMP_X), STUMP_Y, GbtParams(max_depth=1, num_rounds=1))
+    assert model.trees[0].feature == 0
+    for width in (1, 4):  # too narrow, too wide
+        with pytest.raises(ValueError, match="features"):
+            predict_gbt_margin(model, sparse.csr_matrix((1, width)))
+    # an explicitly stored 0.0 at the split feature would count as present
+    stored_zero = sparse.csr_matrix(
+        (np.array([0.0]), np.array([0]), np.array([0, 1])), shape=(1, 3)
+    )
+    with pytest.raises(ValueError, match="binary"):
+        predict_gbt_margin(model, stored_zero)
+    with pytest.raises(ValueError, match="binary"):
+        predict_gbt_batch(model, dense_to_csr([(2.0, 0, 0)]))
