@@ -22,6 +22,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import evaluation, pipeline, stage, synth, tuning
@@ -88,29 +89,36 @@ def _manifest_path(out: str) -> str:
     return out + ".manifest.json"
 
 
-def _write_manifest(
-    command: str,
-    argv: list[str],
-    resolved: dict,
-    inputs: list[str],
-    outputs: list[str],
-    out_target: str,
-    started: float,
-) -> str:
+@dataclass(frozen=True)
+class _Run:
+    """What a command read (an option that was not given reads None and is
+    skipped) and wrote, its exit code, and the values it records that the
+    parsed namespace does not hold as they are.  ``main`` writes the
+    manifest from it; a run that wrote nothing has none."""
+
+    inputs: tuple
+    outputs: tuple
+    code: int = EXIT_OK
+    recorded: dict = field(default_factory=dict)
+
+
+def _write_manifest(args, argv: list[str], run: _Run, started: float) -> None:
+    resolved = {
+        key: run.recorded[key] if key in run.recorded else getattr(args, key, None)
+        for key in args.manifest_keys
+    }
     manifest = {
         "version": _MANIFEST_VERSION,
-        "command": command,
+        "command": args.command,
         "argv": list(argv),
         "resolved": resolved,
         "seed": resolved.get("seed"),
-        "inputs": {p: _sha256(p) for p in inputs},
-        "outputs": {p: _sha256(p) for p in outputs},
+        "inputs": {p: _sha256(p) for p in run.inputs if p},
+        "outputs": {p: _sha256(p) for p in run.outputs},
         "wall_clock_seconds": round(time.time() - started, 3),
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    path = _manifest_path(out_target)
-    _atomic_write(path, _json_text(manifest))
-    return path
+    _atomic_write(_manifest_path(args.out), _json_text(manifest))
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -128,27 +136,20 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(args, argv) -> int:
-    started = time.time()
+def _cmd_synth(args) -> _Run:
     config = synth.load_gen_config(args.config)
     payload = synth.config_to_dict(config)
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.num_docs is not None:
-        payload["num_docs"] = args.num_docs
-    if args.scheme is not None:
-        payload["scheme"] = args.scheme
+    for key in ("seed", "num_docs", "scheme"):
+        if getattr(args, key) is not None:
+            payload[key] = getattr(args, key)
     config = synth.config_from_dict(payload)
     docs = synth.generate_corpus(config)
     _atomic_write(args.out, corpus_to_jsonl(docs))
-    resolved = {"config": payload, "out": args.out, "seed": payload["seed"]}
-    _write_manifest("synth", argv, resolved, [args.config], [args.out], args.out, started)
     print(f"wrote {len(docs)} documents to {args.out}")
-    return EXIT_OK
+    return _Run((args.config,), (args.out,), recorded={"config": payload, "seed": payload["seed"]})
 
 
-def _cmd_validate(args, argv) -> int:
-    started = time.time()
+def _cmd_validate(args) -> _Run:
     docs = load_corpus(args.corpus)
     schemas = load_schemas(args.schema)
     report = validate_against_schema(docs, schemas)
@@ -165,15 +166,8 @@ def _cmd_validate(args, argv) -> int:
             ],
         }
         _atomic_write(args.out, _json_text(payload))
-        resolved = {
-            "corpus": args.corpus,
-            "schema": args.schema,
-            "out": args.out,
-            "seed": None,
-        }
-        inputs = [args.corpus] + ([args.schema] if args.schema else [])
-        _write_manifest("validate", argv, resolved, inputs, [args.out], args.out, started)
-    return EXIT_OK if report.ok() else EXIT_DATA
+    code = EXIT_OK if report.ok() else EXIT_DATA
+    return _Run((args.corpus, args.schema), (args.out,) if args.out else (), code)
 
 
 def _load_params(path: str | None) -> dict:
@@ -186,8 +180,9 @@ def _load_params(path: str | None) -> dict:
     return payload
 
 
-def _cmd_train(args, argv) -> int:
-    started = time.time()
+def _cmd_train(args) -> _Run:
+    if args.rules and args.variant != "rules":
+        raise _UsageError(f"--rules applies only to --variant rules, not {args.variant!r}")
     docs = load_corpus(args.corpus)
     schemas = load_schemas(args.schema)
     config = _load_params(args.params)
@@ -206,57 +201,31 @@ def _cmd_train(args, argv) -> int:
         keyword_rules=rules,
     )
     _atomic_write(args.out, json.dumps(fitted.to_dict()) + "\n")
-    resolved = {
-        "corpus": args.corpus,
-        "attribute": args.attribute,
-        "variant": args.variant,
-        "params": config,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    inputs = [args.corpus] + ([args.params] if args.params else [])
-    _write_manifest("train", argv, resolved, inputs, [args.out], args.out, started)
     print(f"trained {args.variant} model for {args.attribute!r} -> {args.out}")
-    return EXIT_OK
+    inputs = (args.corpus, args.params, args.schema, args.rules)
+    return _Run(inputs, (args.out,), recorded={"params": config})
 
 
-def _cmd_predict(args, argv) -> int:
-    started = time.time()
+def _cmd_predict(args) -> _Run:
     docs = load_corpus(args.corpus)
     fitted = tuning.FittedVariant.load(args.model)
-    records = []
-    for doc, pred in zip(docs, fitted.predict_many(docs)):
-        rationale = [
-            {
-                "start": seg.start,
-                "end": seg.end,
-                "weight": seg.weight,
-                "text": " ".join(doc.report.lines[seg.start : seg.end + 1]),
-            }
-            for seg in pred.rationale.segments
-        ]
-        records.append(
-            {
-                "id": doc.report.id,
-                "attribute": fitted.attribute,
-                "label": pred.label,
-                "scores": pred.scores,
-                "rationale": rationale,
-            }
-        )
+    records = [
+        {
+            "id": doc.report.id,
+            "attribute": fitted.attribute,
+            "label": pred.label,
+            "scores": pred.scores,
+            "rationale": [
+                {**asdict(seg), "text": " ".join(doc.report.lines[seg.start : seg.end + 1])}
+                for seg in pred.rationale.segments
+            ],
+        }
+        for doc, pred in zip(docs, fitted.predict_many(docs))
+    ]
     text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
     _atomic_write(args.out, text)
-    resolved = {
-        "corpus": args.corpus,
-        "model": args.model,
-        "out": args.out,
-        "seed": None,
-    }
-    _write_manifest(
-        "predict", argv, resolved, [args.corpus, args.model], [args.out], args.out, started
-    )
     print(f"wrote {len(records)} predictions to {args.out}")
-    return EXIT_OK
+    return _Run((args.corpus, args.model), (args.out,))
 
 
 def _load_labels(path: str) -> dict[tuple[str, str], str]:
@@ -278,8 +247,7 @@ def _load_labels(path: str) -> dict[tuple[str, str], str]:
     return labels
 
 
-def _cmd_evaluate(args, argv) -> int:
-    started = time.time()
+def _cmd_evaluate(args) -> _Run:
     docs = load_corpus(args.corpus)
     by_id = {d.report.id: d for d in docs}
     schemas = load_schemas(args.schema)
@@ -296,59 +264,29 @@ def _cmd_evaluate(args, argv) -> int:
         )
     if not grouped:
         raise CorpusError(f"{args.preds}: no predictions to evaluate")
-    attr_reports = {}
-    payload_attrs = {}
-    for attribute in sorted(grouped):
-        report = evaluation.score_outcomes(
+    attr_reports = {
+        attribute: evaluation.score_outcomes(
             grouped[attribute], args.bootstrap_iterations, args.ci_level, args.seed
         )
-        attr_reports[attribute] = report
-        payload_attrs[attribute] = {
-            "micro_f1": report.micro_f1,
-            "macro_f1": report.macro_f1,
-            "micro_ci": list(report.micro_ci),
-            "macro_ci": list(report.macro_ci),
-            "n_docs": report.n_docs,
-            "per_class": {
-                c: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                }
-                for c, m in report.per_class.items()
-            },
-            "confusion": report.confusion,
-        }
+        for attribute in sorted(grouped)
+    }
     summary = evaluation.evaluate_attributes(attr_reports)
     payload = {
-        "attributes": payload_attrs,
+        "attributes": {a: report.to_dict() for a, report in attr_reports.items()},
         "avg_micro_f1": summary.avg_micro_f1,
         "avg_macro_f1": summary.avg_macro_f1,
         "ci_level": args.ci_level,
         "bootstrap_iterations": args.bootstrap_iterations,
     }
     _atomic_write(args.out, _json_text(payload))
-    resolved = {
-        "corpus": args.corpus,
-        "preds": args.preds,
-        "bootstrap_iterations": args.bootstrap_iterations,
-        "ci_level": args.ci_level,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    _write_manifest(
-        "evaluate", argv, resolved, [args.corpus, args.preds], [args.out], args.out, started
-    )
     print(
         f"avg micro-F1 {summary.avg_micro_f1:.4f}, avg macro-F1 {summary.avg_macro_f1:.4f} "
         f"over {len(attr_reports)} attribute(s)"
     )
-    return EXIT_OK
+    return _Run((args.corpus, args.preds, args.schema), (args.out,))
 
 
-def _cmd_tune(args, argv) -> int:
-    started = time.time()
+def _cmd_tune(args) -> _Run:
     docs = load_corpus(args.corpus)
     schemas = load_schemas(args.schema)
     best, results = tuning.random_search(
@@ -365,87 +303,57 @@ def _cmd_tune(args, argv) -> int:
     best_path = os.path.join(args.out, "best.json")
     trials_path = os.path.join(args.out, "trials.jsonl")
     _atomic_write(best_path, _json_text(best))
-    trial_lines = io.StringIO()
-    for i, result in enumerate(results):
-        trial_lines.write(
-            json.dumps(
-                {
-                    "trial": i,
-                    "config": result.config,
-                    "fold_scores": list(result.fold_scores),
-                    "mean_score": result.mean_score,
-                },
-                ensure_ascii=False,
-            )
-            + "\n"
-        )
-    _atomic_write(trials_path, trial_lines.getvalue())
-    resolved = {
-        "corpus": args.corpus,
-        "attribute": args.attribute,
-        "variant": args.variant,
-        "trials": args.trials,
-        "folds": args.folds,
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "out": args.out,
-    }
-    _write_manifest(
-        "tune", argv, resolved, [args.corpus], [best_path, trials_path], args.out, started
+    _atomic_write(
+        trials_path,
+        "".join(
+            json.dumps({"trial": i, **asdict(result)}, ensure_ascii=False) + "\n"
+            for i, result in enumerate(results)
+        ),
     )
     best_score = max(r.mean_score for r in results)
     print(f"best mean micro-F1 {best_score:.4f} over {len(results)} trials -> {best_path}")
-    return EXIT_OK
+    return _Run((args.corpus, args.schema), (best_path, trials_path))
 
 
-def _cmd_learning_curve(args, argv) -> int:
-    started = time.time()
+# the columns of curve.csv, read from each cell's record with its two
+# intervals split into low and high ends
+_CURVE_COLUMNS = (
+    "attribute", "size", "run", "split_seed", "search_seed", "micro_f1", "macro_f1",
+    "micro_ci_lo", "micro_ci_hi", "macro_ci_lo", "macro_ci_hi", "n_test_docs",
+)
+
+
+def _cmd_learning_curve(args) -> _Run:
     docs = load_corpus(args.corpus)
     schemas = load_schemas(args.schema)
     sizes = _parse_sizes(args.sizes)
     attributes = [a.strip() for a in args.attribute.split(",") if a.strip()]
     if not attributes:
         raise _UsageError("--attribute must name at least one attribute")
-    curves = []
-    for attribute in attributes:
-        curves.append(
-            evaluation.learning_curve(
-                docs,
-                attribute,
-                variant=args.variant,
-                sizes=sizes,
-                runs=args.runs,
-                base_seed=args.seed,
-                trials=args.trials,
-                folds=args.folds,
-                ci_iterations=args.ci_iterations,
-                ci_level=args.ci_level,
-                schemas=schemas,
-                jobs=args.jobs,
-            )
+    if len(set(attributes)) != len(attributes):
+        raise _UsageError(f"--attribute names an attribute twice: {args.attribute!r}")
+    curves = [
+        evaluation.learning_curve(
+            docs,
+            attribute,
+            variant=args.variant,
+            sizes=sizes,
+            runs=args.runs,
+            base_seed=args.seed,
+            trials=args.trials,
+            folds=args.folds,
+            ci_iterations=args.ci_iterations,
+            ci_level=args.ci_level,
+            schemas=schemas,
+            jobs=args.jobs,
         )
+        for attribute in attributes
+    ]
     os.makedirs(args.out, exist_ok=True)
     curve_path = os.path.join(args.out, "curve.json")
     table_path = os.path.join(args.out, "curve.csv")
 
-    cells_payload = []
-    for curve in curves:
-        for cell in curve.cells:
-            cells_payload.append(
-                {
-                    "attribute": cell.attribute,
-                    "size": cell.size,
-                    "run": cell.run,
-                    "split_seed": cell.split_seed,
-                    "search_seed": cell.search_seed,
-                    "best_config": cell.best_config,
-                    "micro_f1": cell.report.micro_f1,
-                    "macro_f1": cell.report.macro_f1,
-                    "micro_ci": list(cell.report.micro_ci),
-                    "macro_ci": list(cell.report.macro_ci),
-                    "n_test_docs": cell.report.n_docs,
-                }
-            )
+    cells = [cell.to_dict() for curve in curves for cell in curve.cells]
     summary = [
         {
             "attribute": curve.attribute,
@@ -466,77 +374,27 @@ def _cmd_learning_curve(args, argv) -> int:
         "ci_level": args.ci_level,
         "ci_iterations": args.ci_iterations,
         "seed": args.seed,
-        "cells": cells_payload,
+        "cells": cells,
         "summary": summary,
     }
     _atomic_write(curve_path, _json_text(payload))
 
     table = io.StringIO()
-    writer = csv.writer(table)
-    writer.writerow(
-        [
-            "attribute",
-            "size",
-            "run",
-            "split_seed",
-            "search_seed",
-            "micro_f1",
-            "macro_f1",
-            "micro_ci_lo",
-            "micro_ci_hi",
-            "macro_ci_lo",
-            "macro_ci_hi",
-            "n_test_docs",
-        ]
-    )
-    for cell in cells_payload:
+    writer = csv.DictWriter(table, _CURVE_COLUMNS, extrasaction="ignore")
+    writer.writeheader()
+    for cell in cells:
+        (micro_lo, micro_hi), (macro_lo, macro_hi) = cell["micro_ci"], cell["macro_ci"]
         writer.writerow(
-            [
-                cell["attribute"],
-                cell["size"],
-                cell["run"],
-                cell["split_seed"],
-                cell["search_seed"],
-                repr(cell["micro_f1"]),
-                repr(cell["macro_f1"]),
-                repr(cell["micro_ci"][0]),
-                repr(cell["micro_ci"][1]),
-                repr(cell["macro_ci"][0]),
-                repr(cell["macro_ci"][1]),
-                cell["n_test_docs"],
-            ]
+            {**cell, "micro_ci_lo": micro_lo, "micro_ci_hi": micro_hi,
+             "macro_ci_lo": macro_lo, "macro_ci_hi": macro_hi}
         )
     _atomic_write(table_path, table.getvalue())
-
-    resolved = {
-        "corpus": args.corpus,
-        "attribute": args.attribute,
-        "variant": args.variant,
-        "sizes": list(sizes),
-        "runs": args.runs,
-        "trials": args.trials,
-        "folds": args.folds,
-        "ci_iterations": args.ci_iterations,
-        "ci_level": args.ci_level,
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "out": args.out,
-    }
-    _write_manifest(
-        "learning-curve",
-        argv,
-        resolved,
-        [args.corpus],
-        [curve_path, table_path],
-        args.out,
-        started,
-    )
-    print(f"wrote {len(cells_payload)} curve cells to {curve_path}")
-    return EXIT_OK
+    print(f"wrote {len(cells)} curve cells to {curve_path}")
+    return _Run((args.corpus, args.schema), (curve_path, table_path),
+                recorded={"sizes": list(sizes)})
 
 
-def _cmd_agreement(args, argv) -> int:
-    started = time.time()
+def _cmd_agreement(args) -> _Run:
     labels_a = _load_labels(args.a)
     labels_b = _load_labels(args.b)
     if set(labels_a) != set(labels_b):
@@ -548,30 +406,21 @@ def _cmd_agreement(args, argv) -> int:
     by_attr: dict[str, list[tuple[str, str]]] = {}
     for key in sorted(labels_a):
         by_attr.setdefault(key[1], []).append((labels_a[key], labels_b[key]))
-    payload_attrs = {}
-    for attribute, pairs in sorted(by_attr.items()):
-        fraction, kappa = evaluation.agreement(
-            [x for x, _ in pairs], [y for _, y in pairs]
-        )
-        payload_attrs[attribute] = {"fraction": fraction, "kappa": kappa, "n": len(pairs)}
+
+    def entry(pairs):
+        fraction, kappa = evaluation.agreement([x for x, _ in pairs], [y for _, y in pairs])
+        return {"fraction": fraction, "kappa": kappa, "n": len(pairs)}
+
+    payload_attrs = {attribute: entry(pairs) for attribute, pairs in sorted(by_attr.items())}
     all_pairs = [p for pairs in by_attr.values() for p in pairs]
-    fraction, kappa = evaluation.agreement(
-        [x for x, _ in all_pairs], [y for _, y in all_pairs]
-    )
-    payload = {
-        "attributes": payload_attrs,
-        "overall": {"fraction": fraction, "kappa": kappa, "n": len(all_pairs)},
-    }
+    payload = {"attributes": payload_attrs, "overall": entry(all_pairs)}
     _atomic_write(args.out, _json_text(payload))
-    resolved = {"a": args.a, "b": args.b, "out": args.out, "seed": None}
-    _write_manifest("agreement", argv, resolved, [args.a, args.b], [args.out], args.out, started)
     for attribute, entry in payload_attrs.items():
         print(f"{attribute}: fraction {entry['fraction']:.4f}, kappa {entry['kappa']:.4f}")
-    return EXIT_OK
+    return _Run((args.a, args.b), (args.out,))
 
 
-def _cmd_stage(args, argv) -> int:
-    started = time.time()
+def _cmd_stage(args) -> _Run:
     docs = load_corpus(args.corpus)
     lines = io.StringIO()
     n_found = 0
@@ -591,10 +440,8 @@ def _cmd_stage(args, argv) -> int:
             }
         lines.write(json.dumps(record, ensure_ascii=False) + "\n")
     _atomic_write(args.out, lines.getvalue())
-    resolved = {"corpus": args.corpus, "out": args.out, "seed": None}
-    _write_manifest("stage", argv, resolved, [args.corpus], [args.out], args.out, started)
     print(f"found stage tokens in {n_found}/{len(docs)} documents")
-    return EXIT_OK
+    return _Run((args.corpus,), (args.out,))
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +459,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--num-docs", type=int, default=None, dest="num_docs")
     p.add_argument("--scheme", choices=("minimal", "full"), default=None)
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, manifest_keys=("config", "out", "seed"))
 
     p = sub.add_parser("validate", help="check a corpus against a schema")
     p.add_argument("--corpus", required=True)
     p.add_argument("--schema", default=None, help="schema JSON (default: packaged)")
     p.add_argument("--out", default=None, help="optional violations report JSON")
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_validate, manifest_keys=("corpus", "schema", "out", "seed"))
 
     p = sub.add_parser("train", help="train one variant for one attribute")
     p.add_argument("--corpus", required=True)
@@ -629,13 +476,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--rules", default=None, help="keyword rules JSON for the rules variant")
     p.add_argument("--schema", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(
+        func=_cmd_train,
+        manifest_keys=("corpus", "attribute", "variant", "params", "seed", "out"),
+    )
 
     p = sub.add_parser("predict", help="predict labels with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_predict)
+    p.set_defaults(func=_cmd_predict, manifest_keys=("corpus", "model", "out", "seed"))
 
     p = sub.add_parser("evaluate", help="score predictions against gold labels")
     p.add_argument("--corpus", required=True)
@@ -645,7 +495,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--ci-level", type=float, default=0.95, dest="ci_level")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(
+        func=_cmd_evaluate,
+        manifest_keys=("corpus", "preds", "bootstrap_iterations", "ci_level", "seed", "out"),
+    )
 
     p = sub.add_parser("tune", help="random-search hyperparameters")
     p.add_argument("--corpus", required=True)
@@ -657,7 +510,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--schema", default=None)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_tune)
+    p.set_defaults(
+        func=_cmd_tune,
+        manifest_keys=("corpus", "attribute", "variant", "trials", "folds", "seed", "jobs", "out"),
+    )
 
     p = sub.add_parser("learning-curve", help="accuracy vs training-set size")
     p.add_argument("--corpus", required=True)
@@ -673,18 +529,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--schema", default=None)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_learning_curve)
+    p.set_defaults(
+        func=_cmd_learning_curve,
+        manifest_keys=(
+            "corpus", "attribute", "variant", "sizes", "runs", "trials", "folds",
+            "ci_iterations", "ci_level", "seed", "jobs", "out",
+        ),
+    )
 
     p = sub.add_parser("agreement", help="inter-annotator agreement per attribute")
     p.add_argument("--a", required=True, help="JSONL of {id, attribute, label}")
     p.add_argument("--b", required=True, help="JSONL of {id, attribute, label}")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_agreement)
+    p.set_defaults(func=_cmd_agreement, manifest_keys=("a", "b", "out", "seed"))
 
     p = sub.add_parser("stage", help="extract TNM stage tokens from reports")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_stage)
+    p.set_defaults(func=_cmd_stage, manifest_keys=("corpus", "out", "seed"))
 
     return parser
 
@@ -699,8 +561,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    started = time.time()
     try:
-        return args.func(args, argv)
+        run = args.func(args)
+        if run.outputs:
+            _write_manifest(args, argv, run, started)
+        return run.code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable, Hashable, Mapping, Sequence
 
@@ -111,6 +111,18 @@ class AttributeReport:
     micro_ci: tuple[float, float] | None = None
     macro_ci: tuple[float, float] | None = None
 
+    def to_dict(self) -> dict:
+        """The JSON record of ``evaluate``'s report, one per attribute."""
+        return {
+            "micro_f1": self.micro_f1,
+            "macro_f1": self.macro_f1,
+            "micro_ci": self.micro_ci,
+            "macro_ci": self.macro_ci,
+            "n_docs": self.n_docs,
+            "per_class": {c: asdict(m) for c, m in self.per_class.items()},
+            "confusion": self.confusion,
+        }
+
 
 def evaluate_attribute(
     preds: Sequence[str],
@@ -175,6 +187,8 @@ def bootstrap_ci(
         raise ValueError("cannot bootstrap zero outcomes")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
+    if iterations < 1:
+        raise ValueError(f"bootstrap iterations must be >= 1, got {iterations}")
     preds = np.array([p for p, _ in outcomes], dtype=object)
     golds = np.array([g for _, g in outcomes], dtype=object)
     n = len(outcomes)
@@ -270,6 +284,18 @@ def tally_error_annotations(path: str) -> dict[str, int]:
 # learning curves
 # ---------------------------------------------------------------------------
 
+
+def parallel_map(fn: Callable, *iterables, jobs: int = 1) -> list:
+    """``list(map(fn, *iterables))``, in ``jobs`` worker processes when
+    ``jobs`` > 1.  Results keep task order, so ``jobs`` cannot change them."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
+        return list(map(fn, *iterables))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *iterables))
+
+
 DEFAULT_SIZES = (32, 64, 128, 186)
 DEFAULT_RUNS = 10
 DEFAULT_CI_ITERATIONS = 1000
@@ -285,6 +311,23 @@ class CurveCell:
     search_seed: int
     best_config: dict
     report: AttributeReport
+
+    def to_dict(self) -> dict:
+        """The JSON record of one ``learning-curve`` cell."""
+        report = self.report
+        return {
+            "attribute": self.attribute,
+            "size": self.size,
+            "run": self.run,
+            "split_seed": self.split_seed,
+            "search_seed": self.search_seed,
+            "best_config": self.best_config,
+            "micro_f1": report.micro_f1,
+            "macro_f1": report.macro_f1,
+            "micro_ci": report.micro_ci,
+            "macro_ci": report.macro_ci,
+            "n_test_docs": report.n_docs,
+        }
 
 
 @dataclass(frozen=True)
@@ -401,6 +444,8 @@ def learning_curve(
         raise ValueError(
             f"largest size {max(sizes)} needs at most {len(docs) - 1} (corpus has {len(docs)} docs)"
         )
+    if ci_iterations < 1:  # refused before any cell is fitted, not after
+        raise ValueError(f"bootstrap iterations must be >= 1, got {ci_iterations}")
     run_cell = partial(
         run_curve_cell,
         docs,
@@ -417,11 +462,7 @@ def learning_curve(
     )
     task_sizes = [size for size in sizes for _ in range(runs)]
     task_runs = [run for _ in sizes for run in range(runs)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(run_cell, task_sizes, task_runs))
-    else:
-        cells = list(map(run_cell, task_sizes, task_runs))
+    cells = parallel_map(run_cell, task_sizes, task_runs, jobs=jobs)
     return LearningCurve(
         attribute=attribute,
         variant=variant,

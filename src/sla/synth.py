@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -363,32 +363,29 @@ def config_to_dict(config: GenConfig) -> dict:
     }
 
 
+def _fields_of(cls, payload: dict, what: str) -> dict:
+    """``payload`` as keyword arguments of the dataclass ``cls``: a key that
+    is not one of its fields, or a missing field without a default, is a
+    ValueError naming it."""
+    names = {f.name for f in fields(cls)}
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    unknown = sorted(set(payload) - names)
+    if unknown:
+        raise ValueError(f"{what}: unknown keys: {', '.join(unknown)}")
+    missing = sorted(required - set(payload))
+    if missing:
+        raise ValueError(f"{what}: missing keys: {', '.join(missing)}")
+    return dict(payload)
+
+
 def config_from_dict(payload: dict) -> GenConfig:
-    attributes = tuple(
-        SynthAttribute(
-            attribute=a["attribute"],
-            values=tuple(a["values"]),
-            weights=tuple(a["weights"]) if a.get("weights") else None,
-            cue=a.get("cue"),
-        )
-        for a in payload.get("attributes", ())
+    """A ``GenConfig`` from the keys that are present; an absent key takes
+    its field's default."""
+    kwargs = _fields_of(GenConfig, payload, "generator config")
+    kwargs["attributes"] = tuple(
+        SynthAttribute(**_fields_of(SynthAttribute, a, f"generator attribute {i}"))
+        for i, a in enumerate(payload.get("attributes", ()))
     )
-    kwargs = {
-        "cancer": payload.get("cancer", "colon"),
-        "num_docs": payload.get("num_docs", 100),
-        "attributes": attributes,
-        "synoptic_probability": payload.get("synoptic_probability", 1.0),
-        "rare_phrasing_rate": payload.get("rare_phrasing_rate", 0.0),
-        "multi_label_rate": payload.get("multi_label_rate", 0.0),
-        "scheme": payload.get("scheme", "minimal"),
-        "seed": payload.get("seed", 0),
-    }
-    if "lines_per_doc" in payload:
-        kwargs["lines_per_doc"] = tuple(payload["lines_per_doc"])
-    if "echo_lines" in payload:
-        kwargs["echo_lines"] = tuple(payload["echo_lines"])
-    if "distractor_lexicon" in payload:
-        kwargs["distractor_lexicon"] = tuple(payload["distractor_lexicon"])
     return GenConfig(**kwargs)
 
 

@@ -11,7 +11,6 @@ changing the result.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Hashable, Mapping, Sequence
@@ -27,7 +26,7 @@ from .baselines import (
     train_doc_baseline,
 )
 from .corpus import CorpusError, LabeledDocument, gold_label
-from .evaluation import micro_f1
+from .evaluation import micro_f1, parallel_map
 from .learners import GbtParams, LinParams
 from .pipeline import (
     BUNDLE_KIND,
@@ -364,11 +363,7 @@ def random_search(
         schemas=schemas,
         keyword_rules=keyword_rules,
     )
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(evaluate, configs))
-    else:
-        results = list(map(evaluate, configs))
+    results = parallel_map(evaluate, configs, jobs=jobs)
 
     best = results[0]
     for result in results[1:]:

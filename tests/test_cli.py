@@ -9,7 +9,7 @@ import pytest
 
 from sla import cli
 from sla.corpus import gold_label, load_corpus
-from sla import pipeline
+from sla import pipeline, synth
 from sla.pipeline import SCORED_VARIANTS, VARIANTS
 from sla.tuning import METHODS
 
@@ -417,6 +417,188 @@ def test_exit_codes(workdir, capsys, tmp_path):
     )
     assert code == 1
     assert "--sizes" in err
+
+
+def test_refuses_input_it_would_ignore_or_repeat(workdir, capsys, tmp_path):
+    """--rules with a variant that selects no keyword lines, and an
+    attribute named twice in a learning curve, are usage errors; a
+    generator config with a typo, a bootstrap of zero iterations and zero
+    workers are data errors.  None of
+    them writes an output."""
+    corpus = str(workdir / "corpus.jsonl")
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": {"grade": ["histologic grade"]}}), encoding="utf-8")
+    model = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", "--corpus", corpus, "--attribute", "grade",
+                       "--variant", "doc-logreg", "--rules", str(rules), "--out", str(model))
+    assert code == 1
+    assert "--rules applies only to --variant rules, not 'doc-logreg'" in err
+    assert not model.exists()
+
+    curve = tmp_path / "curve"
+    code, _, err = run(capsys, "learning-curve", "--corpus", corpus,
+                       "--attribute", "grade, grade", "--variant", "oracle", "--sizes", "8",
+                       "--runs", "1", "--trials", "1", "--folds", "2", "--out", str(curve))
+    assert code == 1
+    assert "--attribute names an attribute twice" in err
+    assert not curve.exists()
+
+    code, _, err = run(capsys, "learning-curve", "--corpus", corpus, "--attribute", "grade",
+                       "--variant", "oracle", "--sizes", "8", "--runs", "1", "--trials", "1",
+                       "--folds", "2", "--ci-iterations", "0", "--out", str(curve))
+    assert code == 2
+    assert "bootstrap iterations must be >= 1, got 0" in err
+    assert not curve.exists()
+
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(
+        json.dumps({"id": d.report.id, "attribute": "grade", "label": "grade 1"}) + "\n"
+        for d in load_corpus(corpus)), encoding="utf-8")
+    report = tmp_path / "eval.json"
+    code, _, err = run(capsys, "evaluate", "--corpus", corpus, "--preds", str(preds),
+                       "--bootstrap-iterations", "0", "--out", str(report))
+    assert code == 2
+    assert "bootstrap iterations must be >= 1, got 0" in err
+    assert not report.exists()
+
+    gen, typo = tmp_path / "gen.json", tmp_path / "typo.jsonl"
+    gen.write_text(json.dumps({**GEN_CONFIG, "num_doc": 5}), encoding="utf-8")
+    code, _, err = run(capsys, "synth", "--config", str(gen), "--out", str(typo))
+    assert code == 2
+    assert "unknown keys: num_doc" in err
+    assert not typo.exists()
+
+    tune = tmp_path / "tune"
+    code, _, err = run(capsys, "tune", "--corpus", corpus, "--attribute", "grade",
+                       "--variant", "oracle", "--trials", "1", "--folds", "2", "--jobs", "0",
+                       "--out", str(tune))
+    assert code == 2
+    assert "jobs must be >= 1, got 0" in err
+    assert not tune.exists()
+
+
+@pytest.fixture(scope="module")
+def manifest_chain(workdir, tmp_path_factory):
+    """Runs each of the 9 commands once, with every option it records, and
+    gives for each its argv, its manifest and its expected record: the
+    ``resolved`` items in order, the seed, and the input and output paths
+    in order."""
+    root = tmp_path_factory.mktemp("manifests")
+    corpus = str(workdir / "corpus.jsonl")
+    gen, schema, rules, params = (str(root / n) for n in
+                                  ("gen.json", "schema.json", "rules.json", "params.json"))
+    Path(gen).write_text(json.dumps(GEN_CONFIG), encoding="utf-8")
+    Path(schema).write_text(
+        (REPO / "src/sla/data/schema.json").read_text(encoding="utf-8"), encoding="utf-8")
+    Path(rules).write_text(json.dumps({"rules": {"grade": ["histologic grade"]}}),
+                           encoding="utf-8")
+    Path(params).write_text("{}", encoding="utf-8")
+    a, b = str(root / "a.jsonl"), str(root / "b.jsonl")
+    for path in (a, b):
+        Path(path).write_text(json.dumps({"id": "d1", "attribute": "grade", "label": "x"})
+                              + "\n", encoding="utf-8")
+    out = {name: str(root / name) for name in (
+        "s.jsonl", "v.json", "m.json", "p.jsonl", "e.json", "tune", "curve", "g.json",
+        "t.jsonl")}
+    synth_config = synth.config_to_dict(
+        synth.config_from_dict({**GEN_CONFIG, "seed": 4, "num_docs": 6, "scheme": "full"}))
+    tune_dir, curve_dir = out["tune"], out["curve"]
+    chain = {
+        "synth": (
+            ["--config", gen, "--out", out["s.jsonl"], "--seed", "4", "--num-docs", "6",
+             "--scheme", "full"],
+            [("config", synth_config), ("out", out["s.jsonl"]), ("seed", 4)],
+            4, [gen], [out["s.jsonl"]], out["s.jsonl"],
+        ),
+        "validate": (
+            ["--corpus", corpus, "--schema", schema, "--out", out["v.json"]],
+            [("corpus", corpus), ("schema", schema), ("out", out["v.json"]), ("seed", None)],
+            None, [corpus, schema], [out["v.json"]], out["v.json"],
+        ),
+        "train": (
+            ["--corpus", corpus, "--attribute", "grade", "--variant", "rules", "--seed", "2",
+             "--params", params, "--rules", rules, "--schema", schema, "--out", out["m.json"]],
+            [("corpus", corpus), ("attribute", "grade"), ("variant", "rules"), ("params", {}),
+             ("seed", 2), ("out", out["m.json"])],
+            2, [corpus, params, schema, rules], [out["m.json"]], out["m.json"],
+        ),
+        "predict": (
+            ["--model", out["m.json"], "--corpus", corpus, "--out", out["p.jsonl"]],
+            [("corpus", corpus), ("model", out["m.json"]), ("out", out["p.jsonl"]),
+             ("seed", None)],
+            None, [corpus, out["m.json"]], [out["p.jsonl"]], out["p.jsonl"],
+        ),
+        "evaluate": (
+            ["--corpus", corpus, "--preds", out["p.jsonl"], "--schema", schema,
+             "--bootstrap-iterations", "20", "--ci-level", "0.9", "--seed", "1",
+             "--out", out["e.json"]],
+            [("corpus", corpus), ("preds", out["p.jsonl"]), ("bootstrap_iterations", 20),
+             ("ci_level", 0.9), ("seed", 1), ("out", out["e.json"])],
+            1, [corpus, out["p.jsonl"], schema], [out["e.json"]], out["e.json"],
+        ),
+        "tune": (
+            ["--corpus", corpus, "--attribute", "grade", "--variant", "oracle",
+             "--trials", "2", "--folds", "2", "--seed", "5", "--schema", schema,
+             "--out", tune_dir],
+            [("corpus", corpus), ("attribute", "grade"), ("variant", "oracle"),
+             ("trials", 2), ("folds", 2), ("seed", 5), ("jobs", 1), ("out", tune_dir)],
+            5, [corpus, schema],
+            [os.path.join(tune_dir, "best.json"), os.path.join(tune_dir, "trials.jsonl")],
+            tune_dir,
+        ),
+        "learning-curve": (
+            ["--corpus", corpus, "--attribute", "grade", "--variant", "oracle",
+             "--sizes", "8,16", "--runs", "1", "--trials", "1", "--folds", "2",
+             "--ci-iterations", "10", "--ci-level", "0.9", "--seed", "3",
+             "--schema", schema, "--out", curve_dir],
+            [("corpus", corpus), ("attribute", "grade"), ("variant", "oracle"),
+             ("sizes", [8, 16]), ("runs", 1), ("trials", 1), ("folds", 2),
+             ("ci_iterations", 10), ("ci_level", 0.9), ("seed", 3), ("jobs", 1),
+             ("out", curve_dir)],
+            3, [corpus, schema],
+            [os.path.join(curve_dir, "curve.json"), os.path.join(curve_dir, "curve.csv")],
+            curve_dir,
+        ),
+        "agreement": (
+            ["--a", a, "--b", b, "--out", out["g.json"]],
+            [("a", a), ("b", b), ("out", out["g.json"]), ("seed", None)],
+            None, [a, b], [out["g.json"]], out["g.json"],
+        ),
+        "stage": (
+            ["--corpus", corpus, "--out", out["t.jsonl"]],
+            [("corpus", corpus), ("out", out["t.jsonl"]), ("seed", None)],
+            None, [corpus], [out["t.jsonl"]], out["t.jsonl"],
+        ),
+    }
+    runs = {}
+    for command, (args, resolved, seed, inputs, outputs, target) in chain.items():
+        argv = [command, *args]
+        assert cli.main(argv) in (0, 2), command  # validate exits 2 on violations
+        manifest = json.loads(Path(cli._manifest_path(target)).read_text(encoding="utf-8"))
+        runs[command] = (argv, manifest, resolved, seed, inputs, outputs)
+    return runs
+
+
+@pytest.mark.parametrize("command", [
+    "synth", "validate", "train", "predict", "evaluate", "tune", "learning-curve",
+    "agreement", "stage",
+])
+def test_manifest_records_each_command(manifest_chain, command):
+    """The frozen manifest of each command: what it resolved, in order, and
+    the hash of every file that it read (the schema and rules files too)
+    and wrote."""
+    argv, manifest, resolved, seed, inputs, outputs = manifest_chain[command]
+    assert manifest["version"] == 1
+    assert manifest["command"] == command
+    assert manifest["argv"] == argv
+    assert list(manifest["resolved"].items()) == resolved
+    assert manifest["seed"] == seed
+    assert list(manifest["inputs"]) == inputs
+    assert list(manifest["outputs"]) == outputs
+    for path, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
+        assert digest == sha256(Path(path))
+    assert set(manifest) == {"version", "command", "argv", "resolved", "seed", "inputs",
+                             "outputs", "wall_clock_seconds", "created_utc"}
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sla import evaluation
 from sla.corpus import load_schemas
 from sla.evaluation import (
     DEFAULT_CI_ITERATIONS,
@@ -17,6 +18,7 @@ from sla.evaluation import (
     learning_curve,
     macro_f1,
     micro_f1,
+    parallel_map,
     tally_error_annotations,
 )
 
@@ -145,6 +147,9 @@ def test_bootstrap_ci_degenerate_and_seeded():
         bootstrap_ci([], micro_f1)
     with pytest.raises(ValueError):
         bootstrap_ci(mixed, micro_f1, level=1.0)
+    for iterations in (0, -5):
+        with pytest.raises(ValueError, match=f"iterations must be >= 1, got {iterations}"):
+            bootstrap_ci(mixed, micro_f1, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +256,48 @@ def test_learning_curve_rejects_oversized_request():
         learning_curve(docs, "grade", variant="oracle", sizes=(20,), runs=1)
     with pytest.raises(ValueError, match="positive"):
         learning_curve(docs, "grade", variant="oracle", sizes=(0,), runs=1)
+
+
+def test_learning_curve_refuses_bad_counts_before_fitting(monkeypatch):
+    docs = tiny_corpus(n=20, seed=47)
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell was fitted")
+
+    monkeypatch.setattr(evaluation, "run_curve_cell", no_cell)
+    with pytest.raises(ValueError, match="iterations must be >= 1, got 0"):
+        learning_curve(docs, "grade", variant="oracle", sizes=(8,), runs=1, ci_iterations=0)
+    with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+        learning_curve(docs, "grade", variant="oracle", sizes=(8,), runs=1, jobs=0)
+
+
+def test_parallel_map_keeps_task_order():
+    tasks, more = [5, 3, 8, 1], [2, 2, 3, 4]
+    assert parallel_map(pow, tasks, more, jobs=1) == [25, 9, 512, 1]
+    assert parallel_map(pow, tasks, more, jobs=2) == [25, 9, 512, 1]
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            parallel_map(pow, tasks, more, jobs=jobs)
+
+
+def test_reports_serialize_in_the_order_they_are_written():
+    report = evaluation.score_outcomes([("a", "a"), ("a", "b"), ("b", "b")], 20, 0.9, 1)
+    payload = report.to_dict()
+    assert list(payload) == [
+        "micro_f1", "macro_f1", "micro_ci", "macro_ci", "n_docs", "per_class", "confusion",
+    ]
+    assert payload["per_class"]["a"] == {"precision": 0.5, "recall": 1.0,
+                                         "f1": pytest.approx(2 / 3), "support": 1}
+    assert json.loads(json.dumps(payload))["micro_ci"] == list(report.micro_ci)
+    assert json.loads(json.dumps(evaluate_attribute(["a"], ["a"]).to_dict()))["micro_ci"] is None
+
+    cell = evaluation.CurveCell("grade", 8, 1, 11, 12, {"C": 1.0}, report)
+    assert cell.to_dict() == {
+        "attribute": "grade", "size": 8, "run": 1, "split_seed": 11, "search_seed": 12,
+        "best_config": {"C": 1.0}, "micro_f1": report.micro_f1,
+        "macro_f1": report.macro_f1, "micro_ci": report.micro_ci,
+        "macro_ci": report.macro_ci, "n_test_docs": 3,
+    }
 
 
 def test_protocol_defaults():

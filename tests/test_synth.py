@@ -187,6 +187,26 @@ def test_config_dict_roundtrip(tmp_path):
     assert cfg.attributes[0].weights is None
 
 
+def test_config_dict_refuses_unknown_and_missing_keys():
+    """A typo is an error naming the key, not a silently applied default."""
+    good = {
+        "num_docs": 3,
+        "lines_per_doc": [14, 20],
+        "attributes": [{"attribute": "grade", "values": ["grade 1", "grade 2"],
+                        "weights": None}],
+    }
+    assert synth.config_from_dict(good).attributes[0].weights is None
+    typo = {**good, "num_doc": 5}
+    with pytest.raises(ValueError, match="generator config: unknown keys: num_doc"):
+        synth.config_from_dict(typo)
+    typo = {**good, "attributes": [{**good["attributes"][0], "weight": [0.9, 0.1]}]}
+    with pytest.raises(ValueError, match="generator attribute 0: unknown keys: weight"):
+        synth.config_from_dict(typo)
+    missing = {**good, "attributes": [{"attribute": "grade"}]}
+    with pytest.raises(ValueError, match="generator attribute 0: missing keys: values"):
+        synth.config_from_dict(missing)
+
+
 def test_config_is_frozen():
     config = make()
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -146,6 +146,8 @@ def test_random_search_parallel_matches_serial():
     best2, res2 = random_search(docs, "grade", jobs=2, **kw)
     assert best1 == best2
     assert res1 == res2
+    with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+        random_search(docs, "grade", jobs=0, **kw)
 
 
 def test_fit_variant_maps_flat_config():
