@@ -324,14 +324,15 @@ _CURVE_COLUMNS = (
 
 
 def _cmd_learning_curve(args) -> _Run:
-    docs = load_corpus(args.corpus)
-    schemas = load_schemas(args.schema)
+    # usage errors first, before a possibly large corpus is read
     sizes = _parse_sizes(args.sizes)
     attributes = [a.strip() for a in args.attribute.split(",") if a.strip()]
     if not attributes:
         raise _UsageError("--attribute must name at least one attribute")
     if len(set(attributes)) != len(attributes):
         raise _UsageError(f"--attribute names an attribute twice: {args.attribute!r}")
+    docs = load_corpus(args.corpus)
+    schemas = load_schemas(args.schema)
     curves = [
         evaluation.learning_curve(
             docs,

@@ -18,10 +18,13 @@ L1-regularized logistic regression (one-vs-rest multiclass)
 
         (1/C) * ||w||_1  +  sum_i s_i * log(1 + exp(-y_i * (x_i.w + b)))
 
-    with unpenalized intercept b, solved by proximal gradient descent
-    (soft-thresholding) with backtracking line search until the objective
-    change drops below tol.  Sample weights s_i default to the balanced
-    scheme n / (n_classes * n_c).
+    with unpenalized intercept b, solved by accelerated proximal gradient
+    (soft-thresholding with FISTA momentum, Beck & Teboulle 2009) with a
+    backtracking line search.  Momentum restarts on O'Donoghue & Candes'
+    (2015) gradient test, a step that would raise the objective is retried
+    without momentum, and the solve stops once a plain proximal step
+    improves the objective by less than tol.  Sample weights s_i default to
+    the balanced scheme n / (n_classes * n_c).
 """
 
 from __future__ import annotations
@@ -524,37 +527,59 @@ def _fit_l1_binary(
     max_iter: int,
     tol: float,
 ) -> tuple[np.ndarray, float]:
-    """Proximal gradient with backtracking.  The intercept is unpenalized.
+    """Accelerated proximal gradient (FISTA) with backtracking.  The
+    intercept is unpenalized.
 
-    Each accepted step satisfies the standard quadratic upper bound on the
-    smooth part, which makes the full objective non-increasing.  Iteration
-    stops once the objective improves by less than tol.  Stopping at
-    ``max_iter`` or on a step-size underflow instead issues a RuntimeWarning
-    and returns the last accepted iterate.
+    Each step is taken from the extrapolated point y = x + beta * (x - x_prev),
+    with Beck & Teboulle's momentum t' = (1 + sqrt(1 + 4 t^2)) / 2 and
+    beta = (t - 1) / t'; the intercept and the margins z = X.w + b are
+    extrapolated along with w.  The backtracking test is the quadratic upper
+    bound on the smooth part at y, and the step grows 1.25x after each
+    accepted step.  Momentum resets (t = 1, so the next step is plain) on
+    O'Donoghue & Candes' gradient restart test (y - x_new).(x_new - x) > 0.
+
+    Monotone safeguard: a momentum step that raises the objective is
+    discarded and retried as a plain step from the current iterate, so the
+    objective never increases.  Iteration stops only when a plain step
+    improves the objective by less than tol (or fails to descend); a small
+    improvement after a momentum step forces a plain step instead.  Stopping
+    at ``max_iter`` or on a step-size underflow issues a RuntimeWarning and
+    returns the current iterate.
     """
     n, d = X.shape
     XT = X.T  # a CSC view sharing X's arrays; building one costs more than a matvec
     neg_y = -y_pm
     sw_neg_y = sample_weights * neg_y
-    w = np.zeros(d, dtype=np.float64)
-    b = 0.0
-    z = np.zeros(n, dtype=np.float64)
+    w = w_prev = np.zeros(d, dtype=np.float64)
+    b = b_prev = 0.0
+    z = z_prev = np.zeros(n, dtype=np.float64)
 
     f = _smooth_value(z, neg_y, sample_weights)
     obj = f  # ||w||_1 is zero at the start
     step = 1.0
+    t = 1.0
     for _ in range(max_iter):
-        grad_w, grad_b = _smooth_grad(XT, z, neg_y, sw_neg_y)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        plain = beta == 0.0
+        if plain:
+            w_y, b_y, z_y, f_y = w, b, z, f
+        else:
+            w_y = w + beta * (w - w_prev)
+            b_y = b + beta * (b - b_prev)
+            z_y = z + beta * (z - z_prev)
+            f_y = _smooth_value(z_y, neg_y, sample_weights)
+        grad_w, grad_b = _smooth_grad(XT, z_y, neg_y, sw_neg_y)
 
         while True:
-            w_new = _soft_threshold(w - step * grad_w, step * lam)
-            b_new = b - step * grad_b
-            dw = w_new - w
-            db = b_new - b
-            z_new = z + X @ dw + db
+            w_new = _soft_threshold(w_y - step * grad_w, step * lam)
+            b_new = b_y - step * grad_b
+            dw = w_new - w_y
+            db = b_new - b_y
+            z_new = z_y + X @ dw + db
             f_new = _smooth_value(z_new, neg_y, sample_weights)
             bound = (
-                f
+                f_y
                 + float(np.dot(grad_w, dw))
                 + grad_b * db
                 + (float(np.dot(dw, dw)) + db * db) / (2.0 * step)
@@ -569,10 +594,18 @@ def _fit_l1_binary(
 
         obj_new = f_new + lam * float(np.abs(w_new).sum())
         delta = obj - obj_new
+        if delta < 0.0:  # the monotone safeguard
+            if plain:
+                return w, b
+            t = 1.0
+            continue
+        restart = float(np.dot(dw, w_new - w)) + db * (b_new - b) < 0.0
+        w_prev, b_prev, z_prev = w, b, z
         w, b, z, f, obj = w_new, b_new, z_new, f_new, obj_new
         step *= 1.25
-        if delta < tol:
+        if delta < tol and plain:
             return w, b
+        t = 1.0 if restart or delta < tol else t_next
     warnings.warn(_NOT_CONVERGED, RuntimeWarning)
     return w, b
 

@@ -419,6 +419,21 @@ def test_exit_codes(workdir, capsys, tmp_path):
     assert "--sizes" in err
 
 
+def test_learning_curve_usage_errors_come_before_reading_the_corpus(capsys, tmp_path):
+    absent = str(tmp_path / "absent.jsonl")
+    out = str(tmp_path / "o")
+    for attribute, sizes, message in (
+        ("grade", "x", "bad --sizes value 'x'"),
+        ("grade,grade", "8", "--attribute names an attribute twice"),
+        (" , ", "8", "--attribute must name at least one attribute"),
+    ):
+        code, _, err = run(capsys, "learning-curve", "--corpus", absent,
+                           "--attribute", attribute, "--sizes", sizes, "--out", out)
+        assert code == 1
+        assert message in err
+    assert not os.path.exists(out)
+
+
 def test_refuses_input_it_would_ignore_or_repeat(workdir, capsys, tmp_path):
     """--rules with a variant that selects no keyword lines, and an
     attribute named twice in a learning curve, are usage errors; a
