@@ -25,15 +25,44 @@ from .learners import (
     train_gbt,
     train_l1_logreg,
 )
-from .textproc import Vocabulary, build_vocabulary, to_csr, tokenize_lines, vectorize
+from .textproc import (
+    Featurized,
+    TokenLine,
+    Vocabulary,
+    build_vocabulary,
+    to_csr,
+    tokenize_lines,
+    vectorize,
+)
 
 BASELINE_KINDS = ("doc-logreg", "doc-boost")
 
 
+def document_matrix(
+    doc_lines: Sequence[Sequence[TokenLine]], vocab: Vocabulary
+) -> sparse.csr_matrix:
+    """One binary row per document, given as its token lines: the union of
+    its lines' n-gram features."""
+    rows = []
+    for tls in doc_lines:
+        lines = vectorize(tls, vocab)
+        rows.append(np.flatnonzero(np.bincount(lines.indices)).tolist())
+    return to_csr(rows, vocab.dimension)
+
+
 def featurize_document(report: Report, vocab: Vocabulary) -> sparse.csr_matrix:
     """Union of the report's per-line n-gram features, as one binary CSR row."""
-    lines = vectorize(tokenize_lines(report), vocab)
-    return to_csr([np.flatnonzero(np.bincount(lines.indices)).tolist()], vocab.dimension)
+    return document_matrix([tokenize_lines(report)], vocab)
+
+
+def baseline_features(
+    max_n: int, train_lines: Sequence[Sequence[TokenLine]], *held_lines
+) -> Featurized:
+    """The vocabulary of the training documents' lines at order ``max_n``,
+    with the document matrix of the training documents and of each of
+    ``held_lines`` under it."""
+    vocab = build_vocabulary([tl for tls in train_lines for tl in tls], max_n)
+    return Featurized(vocab, *(document_matrix(d, vocab) for d in (train_lines, *held_lines)))
 
 
 @dataclass
@@ -66,10 +95,23 @@ def train_doc_baseline(
         raise ValueError(
             f"need at least 2 training documents annotated for {attribute!r}, got {len(docs)}"
         )
-    all_lines = [tl.tokens for d in docs for tl in tokenize_lines(d.report)]
-    vocab = build_vocabulary(all_lines, ngram_n)
-    X = sparse.vstack([featurize_document(d.report, vocab) for d in docs], format="csr")
+    features = baseline_features(ngram_n, [tokenize_lines(d.report) for d in docs])
     labels = [gold_label(d, attribute, schemas) for d in docs]
+    return fit_doc_baseline(features, labels, attribute, kind, ngram_n, lin, gbt)
+
+
+def fit_doc_baseline(
+    features: Featurized,
+    labels: Sequence[str],
+    attribute: str,
+    kind: str,
+    ngram_n: int = 1,
+    lin: LinParams | None = None,
+    gbt: GbtParams | None = None,
+) -> DocBaselineModel:
+    """Fit a baseline at order ``ngram_n`` on the first matrix of
+    ``features``, one row per training document."""
+    vocab, (X, *_) = features.at(ngram_n)
     model = DocBaselineModel(attribute=attribute, kind=kind, vocab=vocab)
     if kind == "doc-logreg":
         model.linear = train_l1_logreg(X, labels, lin or LinParams())
@@ -93,14 +135,21 @@ def predict_doc_baseline(
     whole batch with one call per class model."""
     if not reports:
         return []
-    rows = [featurize_document(r, model.vocab) for r in reports]
+    X = document_matrix([tokenize_lines(r) for r in reports], model.vocab)
+    return predict_doc_rows(model, X)
+
+
+def predict_doc_rows(model: DocBaselineModel, X: sparse.csr_matrix) -> list[tuple[str, dict]]:
+    """Label and per-class scores of each row of ``X``, a document matrix
+    under ``model.vocab``."""
     if model.kind == "doc-logreg":
+        # a one-row matrix is its own row, and slicing costs a twentieth of a prediction
+        rows = [X] if X.shape[0] == 1 else [X[i] for i in range(X.shape[0])]
         outputs = [predict_logreg(model.linear, x) for x in rows]
         return [(str(label), scores) for label, scores in outputs]
     classes = model.boost_classes
     if model.boost_models is None:
-        return [(str(classes[0]), {str(classes[0]): 1.0}) for _ in rows]
-    X = sparse.vstack(rows, format="csr")
+        return [(str(classes[0]), {str(classes[0]): 1.0}) for _ in range(X.shape[0])]
     probs = np.column_stack([predict_gbt_batch(m, X) for m in model.boost_models])
     return [
         (str(classes[int(np.argmax(p))]), {str(c): float(q) for c, q in zip(classes, p)})

@@ -56,6 +56,8 @@ from .learners import (
     train_l1_logreg,
 )
 from .textproc import (
+    Featurized,
+    TokenLine,
     Vocabulary,
     build_vocabulary,
     to_csr,
@@ -216,12 +218,15 @@ def _contains_subsequence(tokens: Sequence[str], phrase: Sequence[str]) -> bool:
 def rule_select(report: Report, keyword_rules: Iterable[str]) -> tuple[int, ...]:
     """Indices of lines whose normalized tokens contain any rule phrase as
     a contiguous subsequence."""
-    phrases = [tokenize(rule) for rule in keyword_rules]
-    hits = []
-    for tl in tokenize_lines(report):
-        if any(_contains_subsequence(tl.tokens, p) for p in phrases):
-            hits.append(tl.source_line_index)
-    return tuple(hits)
+    return _rule_hits(tokenize_lines(report), [tokenize(rule) for rule in keyword_rules])
+
+
+def _rule_hits(token_lines: Sequence[TokenLine], phrases) -> tuple[int, ...]:
+    return tuple(
+        tl.source_line_index
+        for tl in token_lines
+        if any(_contains_subsequence(tl.tokens, p) for p in phrases)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,22 +303,25 @@ def _represent(
     keyword_rules: Sequence[str] | None,
     final_vocab: Vocabulary,
     reports: Sequence[Report],
+    doc_lines: Sequence[Sequence[TokenLine]] | None,
     gold_lines: Sequence[Sequence[int] | None],
     line_scores: np.ndarray | None,
 ) -> list[DocRepresentation]:
     """Selection and stage-2 representation of each report.  The row's
     selector picks the lines, which become joined or single-line segments
-    weighted by their stage-1 scores or by 1.  ``line_scores`` holds the
-    scores of every line of every report in order (None unless scored)."""
+    weighted by their stage-1 scores or by 1.  ``doc_lines`` holds each
+    report's token lines (None unless rules), ``line_scores`` the scores of
+    every line of every report in order (None unless scored)."""
     row = VARIANTS[variant]
     offsets = np.cumsum([0] + [len(r.lines) for r in reports])
+    phrases = [tokenize(rule) for rule in keyword_rules or ()]
     reps = []
-    for report, gold, start in zip(reports, gold_lines, offsets[:-1], strict=True):
+    for i, (report, gold, start) in enumerate(zip(reports, gold_lines, offsets[:-1], strict=True)):
         if row.selector == "scored":
             scores = line_scores[start : start + len(report.lines)]
             chosen = select_top_k(scores, k)
         elif row.selector == "rules":
-            chosen = rule_select(report, keyword_rules)
+            chosen = _rule_hits(doc_lines[i], phrases)
         elif gold is None:
             raise ValueError("oracle variant needs the annotator's gold lines")
         else:
@@ -351,25 +359,60 @@ def train_sla(
     """
     if hyper is None:
         hyper = SlaHyperParams()
-    selector = variant_row(variant).selector
+    variant_row(variant)  # refuse an unknown variant before reading documents
     docs = [d for d in train_docs if attribute in d.annotations]
     if len(docs) < 2:
         raise ValueError(
             f"need at least 2 training documents annotated for {attribute!r}, got {len(docs)}"
         )
+    doc_lines = [tokenize_lines(d.report) for d in docs]
+    features = sla_features(variant, [hyper], doc_lines)
+    return fit_sla(features, docs, doc_lines, attribute, hyper, variant, keyword_rules, schemas)
 
-    all_lines = [tl.tokens for d in docs for tl in tokenize_lines(d.report)]
 
+def sla_features(
+    variant: str,
+    hypers: Sequence[SlaHyperParams],
+    train_lines: Sequence[Sequence[TokenLine]],
+    *held_lines,
+) -> Featurized:
+    """The vocabulary of the training documents' lines at the largest
+    n-gram order that a fit with any of ``hypers`` reads: the final order,
+    and the line order when stage 1 scores lines.  A scored variant also
+    gets the line matrix of the training documents and of each of
+    ``held_lines`` under it."""
+    scored = VARIANTS[variant].selector == "scored"
+    max_n = max(max(h.final_ngram_n, h.line_ngram_n if scored else 1) for h in hypers)
+    lines = [tl for tls in train_lines for tl in tls]
+    vocab = build_vocabulary(lines, max_n)
+    if not scored:
+        return Featurized(vocab)
+    held = ([tl for tls in docs for tl in tls] for docs in held_lines)
+    return Featurized(vocab, *(vectorize(m, vocab) for m in (lines, *held)))
+
+
+def fit_sla(
+    features: Featurized,
+    docs: Sequence[LabeledDocument],
+    doc_lines: Sequence[Sequence[TokenLine]],
+    attribute: str,
+    hyper: SlaHyperParams,
+    variant: str,
+    keyword_rules: Sequence[str] | None = None,
+    schemas: Mapping[tuple[str, str], AttributeSchema] | None = None,
+) -> SlaModel:
+    """Train a pipeline variant on annotated ``docs`` whose token lines and
+    ``sla_features`` are given; the first line matrix of ``features`` is
+    the training documents'."""
+    selector = VARIANTS[variant].selector
     line_vocab = line_scorer = line_scores = None
     rules = None
     if selector == "scored":
-        line_vocab = build_vocabulary(all_lines, hyper.line_ngram_n)
+        line_vocab, (X_lines, *_) = features.at(hyper.line_ngram_n)
         y_lines = np.concatenate([build_line_labels(d, attribute) for d in docs])
-        X_lines = vectorize(all_lines, line_vocab)
         line_scorer = train_gbt(X_lines, y_lines, hyper.gbt)
         # rows score independently, so one call gives each document's scores
         line_scores = predict_gbt_batch(line_scorer, X_lines)
-        del X_lines  # not held through the stage-2 fit
     elif selector == "rules":
         if keyword_rules is None:
             defaults = load_keyword_rules()
@@ -379,11 +422,11 @@ def train_sla(
         else:
             rules = tuple(keyword_rules)
 
-    final_vocab = build_vocabulary(all_lines, hyper.final_ngram_n)
+    final_vocab, _ = features.at(hyper.final_ngram_n)
 
     reports = [d.report for d in docs]
     gold = [d.annotations[attribute].line_indices for d in docs]
-    reps = _represent(variant, hyper.k, rules, final_vocab, reports, gold, line_scores)
+    reps = _represent(variant, hyper.k, rules, final_vocab, reports, doc_lines, gold, line_scores)
     labels = [gold_label(d, attribute, schemas) for d in docs]
 
     X = sparse.vstack([rep.vector for rep in reps], format="csr")
@@ -423,18 +466,37 @@ def predict_sla_batch(
     with one stage-1 call; only an oracle reads ``gold_lines``.  Each
     rationale is the exact selection used, so a prediction can be
     recomputed from (rationale, report, model)."""
+    selector = VARIANTS[model.variant].selector
+    doc_lines = X_lines = None
+    if selector != "oracle":
+        doc_lines = [tokenize_lines(r) for r in reports]
+    if selector == "scored":
+        X_lines = vectorize([tl for tls in doc_lines for tl in tls], model.line_vocab)
+    return predict_featurized(model, reports, doc_lines, X_lines, gold_lines)
+
+
+def predict_featurized(
+    model: SlaModel,
+    reports: Sequence[Report],
+    doc_lines: Sequence[Sequence[TokenLine]] | None,
+    X_lines: sparse.csr_matrix | None,
+    gold_lines: Sequence[Sequence[int] | None] | None = None,
+) -> list[Prediction]:
+    """``predict_sla_batch`` given the reports' token lines (needed by
+    rules) and their line matrix under ``model.line_vocab`` (needed when
+    scored)."""
     if gold_lines is None:
         gold_lines = [None] * len(reports)
     line_scores = None
-    if VARIANTS[model.variant].selector == "scored":
-        lines = vectorize([tl for r in reports for tl in tokenize_lines(r)], model.line_vocab)
-        line_scores = predict_gbt_batch(model.line_scorer, lines)
+    if X_lines is not None:
+        line_scores = predict_gbt_batch(model.line_scorer, X_lines)
     reps = _represent(
         model.variant,
         model.k,
         model.keyword_rules,
         model.final_vocab,
         reports,
+        doc_lines,
         gold_lines,
         line_scores,
     )

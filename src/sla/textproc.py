@@ -97,6 +97,29 @@ class Vocabulary:
     def map_token(self, token: str) -> str:
         return token if token in self.known_words else self.unk_token
 
+    def restrict(self, max_n: int) -> tuple["Vocabulary", np.ndarray]:
+        """The vocabulary of the grams of at most ``max_n`` tokens, and the
+        columns of this one that it keeps, in order.
+
+        For a vocabulary from ``build_vocabulary(lines, n)`` and ``max_n``
+        <= n, this is exactly ``build_vocabulary(lines, max_n)``: the known
+        unigrams are the same, and sorting keeps the relative order of the
+        shorter grams.  For any lines, ``vectorize(lines, restricted)`` is
+        ``vectorize(lines, self)[:, cols]``.
+        """
+        if not 1 <= max_n <= self.max_n:
+            raise ValueError(f"max_n must be in [1, {self.max_n}], got {max_n}")
+        kept = sorted(
+            (i, gram) for gram, i in self.ngram_to_index.items() if gram.count(" ") < max_n
+        )
+        vocab = Vocabulary(
+            ngram_to_index={gram: j for j, (_, gram) in enumerate(kept)},
+            max_n=max_n,
+            min_count=self.min_count,
+            unk_token=self.unk_token,
+        )
+        return vocab, np.array([i for i, _ in kept], dtype=np.int64)
+
     def to_dict(self) -> dict:
         items = sorted(self.ngram_to_index.items(), key=lambda kv: kv[1])
         return {
@@ -149,12 +172,33 @@ def vectorize(token_lines: Iterable, vocab: Vocabulary) -> sparse.csr_matrix:
     Unknown unigrams are first mapped to <UNK>; n-grams absent from the
     vocabulary are dropped.
     """
-    index = vocab.ngram_to_index
+    column = vocab.ngram_to_index.get
     rows = []
     for tokens in token_lines:
         mapped = tuple(vocab.map_token(t) for t in getattr(tokens, "tokens", tokens))
-        rows.append(sorted({index[g] for g in _ngrams(mapped, vocab.max_n) if g in index}))
+        cols = {column(g) for g in _ngrams(mapped, vocab.max_n)}
+        cols.discard(None)
+        rows.append(sorted(cols))
     return to_csr(rows, vocab.dimension)
+
+
+class Featurized:
+    """Matrices vectorized once under one vocabulary, built at the largest
+    n-gram order any fit asks of it.  ``at(n)`` is the order-n vocabulary
+    and the matching columns of each matrix (``Vocabulary.restrict``),
+    which equal building and vectorizing at order n afresh.  Each order is
+    restricted once."""
+
+    def __init__(self, vocab: Vocabulary, *matrices: sparse.csr_matrix) -> None:
+        self.max_n = vocab.max_n
+        self._orders = {vocab.max_n: (vocab, matrices)}
+
+    def at(self, max_n: int) -> tuple[Vocabulary, tuple[sparse.csr_matrix, ...]]:
+        if max_n not in self._orders:
+            vocab, matrices = self._orders[self.max_n]
+            restricted, cols = vocab.restrict(max_n)
+            self._orders[max_n] = (restricted, tuple(m[:, cols] for m in matrices))
+        return self._orders[max_n]
 
 
 def to_csr(

@@ -4,7 +4,14 @@ cross-validation, maximizing mean micro-F1.
 Defaults follow the evaluation protocol: 40 trials, 4 folds.  The whole
 search is reproducible bit-for-bit from (corpus, seed): fold assignment is
 fixed once per search, and each trial samples its configuration from an
-independently derived stream, so trials can run in parallel without
+independently derived stream.
+
+The search runs fold by fold.  Each annotated report is tokenized once per
+search.  Each fold builds one vocabulary from its training lines, at the
+largest n-gram order any trial asks, and featurizes its training and
+held-out documents once under it; every trial then reads its own order's
+columns of those matrices (``Vocabulary.restrict``), which equal building
+and vectorizing at that order afresh.  Folds can run in parallel without
 changing the result.
 """
 
@@ -20,9 +27,12 @@ import numpy as np
 from .baselines import (
     BASELINE_KINDS,
     DocBaselineModel,
+    baseline_features,
     baseline_from_dict,
     baseline_to_dict,
+    fit_doc_baseline,
     predict_doc_baseline,
+    predict_doc_rows,
     train_doc_baseline,
 )
 from .corpus import CorpusError, LabeledDocument, gold_label
@@ -35,12 +45,16 @@ from .pipeline import (
     SelectedLines,
     SlaHyperParams,
     SlaModel,
+    fit_sla,
     model_from_dict,
     model_to_dict,
     oracle_gold_lines,
+    predict_featurized,
     predict_sla_batch,
+    sla_features,
     train_sla,
 )
+from .textproc import tokenize_lines
 
 METHODS = tuple(VARIANTS) + BASELINE_KINDS
 
@@ -197,6 +211,25 @@ def _present(cfg: Mapping, keys: Sequence[str]) -> dict:
     return {key: cfg[key] for key in keys if key in cfg}
 
 
+def _learner_params(method: str, config: Mapping | None, seed: int) -> dict:
+    """The keyword arguments that train ``method`` from a flat config dict
+    of its ``_METHOD_KEYS``: ``hyper`` for a pipeline variant, ``lin``,
+    ``gbt`` and ``ngram_n`` (when given) for a baseline.  A key that is
+    absent takes the default of the parameter it sets; any other key is a
+    ValueError."""
+    if method not in _METHOD_KEYS:
+        raise ValueError(f"unknown method {method!r}")
+    cfg = dict(config or {})
+    unknown = sorted(set(cfg) - set(_METHOD_KEYS[method]))
+    if unknown:
+        raise ValueError(f"unknown {method} config keys: {', '.join(unknown)}")
+    gbt = GbtParams(seed=seed, **_present(cfg, _GBT_KEYS))
+    lin = LinParams(**({"l1_strength": cfg["C"]} if "C" in cfg else {}))
+    if method in VARIANTS:
+        return {"hyper": SlaHyperParams(gbt=gbt, lin=lin, **_present(cfg, _SLA_KEYS))}
+    return {"lin": lin, "gbt": gbt, **_present(cfg, ("ngram_n",))}
+
+
 def fit_variant(
     method: str,
     train_docs: Sequence[LabeledDocument],
@@ -209,34 +242,18 @@ def fit_variant(
     """Train one pipeline variant or baseline from a flat config dict of
     the method's ``_METHOD_KEYS``.  A key that is absent takes the default
     of the parameter it sets; any other key is a ValueError."""
-    if method not in _METHOD_KEYS:
-        raise ValueError(f"unknown method {method!r}")
-    cfg = dict(config or {})
-    unknown = sorted(set(cfg) - set(_METHOD_KEYS[method]))
-    if unknown:
-        raise ValueError(f"unknown {method} config keys: {', '.join(unknown)}")
-    gbt = GbtParams(seed=seed, **_present(cfg, _GBT_KEYS))
-    lin = LinParams(**({"l1_strength": cfg["C"]} if "C" in cfg else {}))
+    params = _learner_params(method, config, seed)
     if method in VARIANTS:
-        hyper = SlaHyperParams(gbt=gbt, lin=lin, **_present(cfg, _SLA_KEYS))
         model = train_sla(
             train_docs,
             attribute,
-            hyper=hyper,
             variant=method,
             keyword_rules=keyword_rules,
             schemas=schemas,
+            **params,
         )
         return FittedVariant(method=method, sla_model=model)
-    model = train_doc_baseline(
-        train_docs,
-        attribute,
-        kind=method,
-        lin=lin,
-        gbt=gbt,
-        schemas=schemas,
-        **_present(cfg, ("ngram_n",)),
-    )
+    model = train_doc_baseline(train_docs, attribute, kind=method, schemas=schemas, **params)
     return FittedVariant(method=method, baseline=model)
 
 
@@ -291,7 +308,27 @@ def cross_validate(
     schemas=None,
     keyword_rules=None,
 ) -> TrialResult:
-    """Mean held-out micro-F1 of one configuration across k folds."""
+    """Mean held-out micro-F1 of one configuration across k folds: a
+    search over that one configuration."""
+    return _search(
+        train_docs, attribute, [config], folds, variant, seed, schemas, keyword_rules, jobs=1
+    )[0]
+
+
+def _search(
+    train_docs: Sequence[LabeledDocument],
+    attribute: str,
+    configs: Sequence[Mapping],
+    folds: int,
+    method: str,
+    seed: int,
+    schemas,
+    keyword_rules,
+    jobs: int,
+) -> list[TrialResult]:
+    """Every configuration's ``TrialResult``, fold by fold.  Each annotated
+    report is tokenized once.  The ``jobs`` workers take whole folds,
+    fixed before any trial runs, so the job count cannot change a result."""
     docs = [d for d in train_docs if attribute in d.annotations]
     if len(docs) < folds:
         raise ValueError(
@@ -301,28 +338,69 @@ def cross_validate(
     labels = [gold_label(d, attribute, schemas) for d in docs]
     fold_rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     fold_of = assign_folds(labels, folds, fold_rng)
-    scores = []
-    for fold in range(folds):
-        train = [d for d, f in zip(docs, fold_of) if f != fold]
-        held = [d for d, f in zip(docs, fold_of) if f == fold]
-        fit_seed = int(np.random.SeedSequence((seed, 1 + fold)).generate_state(1)[0])
-        fitted = fit_variant(
-            variant,
-            train,
-            attribute,
-            config,
-            seed=fit_seed,
-            schemas=schemas,
-            keyword_rules=keyword_rules,
-        )
-        preds = [p.label for p in fitted.predict_many(held)]
-        golds = [lab for lab, f in zip(labels, fold_of) if f == fold]
-        scores.append(micro_f1(preds, golds))
-    return TrialResult(
-        config=dict(config),
-        fold_scores=tuple(scores),
-        mean_score=sum(scores) / len(scores),
+    doc_lines = [tokenize_lines(d.report) for d in docs]
+    score = partial(
+        _score_fold, method, attribute, docs, doc_lines, labels, configs, schemas, keyword_rules
     )
+    held_out = [(fold_of == fold).tolist() for fold in range(folds)]
+    fit_seeds = [
+        int(np.random.SeedSequence((seed, 1 + fold)).generate_state(1)[0])
+        for fold in range(folds)
+    ]
+    per_fold = parallel_map(score, held_out, fit_seeds, jobs=jobs)
+    return [
+        TrialResult(config=dict(config), fold_scores=scores, mean_score=sum(scores) / len(scores))
+        for config, scores in zip(configs, zip(*per_fold))
+    ]
+
+
+def _score_fold(
+    method, attribute, docs, doc_lines, labels, configs, schemas, keyword_rules, held, fit_seed
+) -> list[float]:
+    """Held-out micro-F1 of every configuration on the fold whose documents
+    ``held`` marks.  The fold's lines (or documents) are featurized once,
+    under one vocabulary of its training lines at the largest n-gram order
+    any configuration asks; each trial reads its own order's columns."""
+
+    def split(items):
+        return [x for x, h in zip(items, held) if not h], [x for x, h in zip(items, held) if h]
+
+    train_docs, held_docs = split(docs)
+    train_lines, held_lines = split(doc_lines)
+    train_labels, golds = split(labels)
+    params = [_learner_params(method, config, fit_seed) for config in configs]
+    if method in VARIANTS:
+        features = sla_features(method, [p["hyper"] for p in params], train_lines, held_lines)
+        reports = [d.report for d in held_docs]
+
+        def predict(p):
+            model = fit_sla(
+                features,
+                train_docs,
+                train_lines,
+                attribute,
+                variant=method,
+                keyword_rules=keyword_rules,
+                schemas=schemas,
+                **p,
+            )
+            X_held = None
+            if model.line_scorer is not None:
+                _, (_, X_held) = features.at(model.hyper.line_ngram_n)
+            gold = [oracle_gold_lines(model, d) for d in held_docs]
+            return [x.label for x in predict_featurized(model, reports, held_lines, X_held, gold)]
+
+    else:
+        # a baseline's n-gram order defaults to train_doc_baseline's 1
+        max_n = max(p.get("ngram_n", 1) for p in params)
+        features = baseline_features(max_n, train_lines, held_lines)
+
+        def predict(p):
+            model = fit_doc_baseline(features, train_labels, attribute, method, **p)
+            _, (_, X_held) = features.at(model.vocab.max_n)
+            return [label for label, _ in predict_doc_rows(model, X_held)]
+
+    return [micro_f1(predict(p), golds) for p in params]
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +430,9 @@ def random_search(
     configs = [
         sample_config(space, np.random.default_rng(ss)) for ss in trial_seeds
     ]
-
-    evaluate = partial(
-        cross_validate,
-        train_docs,
-        attribute,
-        folds=folds,
-        variant=variant,
-        seed=seed,
-        schemas=schemas,
-        keyword_rules=keyword_rules,
+    results = _search(
+        train_docs, attribute, configs, folds, variant, seed, schemas, keyword_rules, jobs
     )
-    results = parallel_map(evaluate, configs, jobs=jobs)
 
     best = results[0]
     for result in results[1:]:

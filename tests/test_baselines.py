@@ -118,13 +118,13 @@ def test_doc_boost_scores_each_class_model_once_per_fold(monkeypatch):
 
     monkeypatch.setattr(baselines, "predict_gbt_batch", counting)
     fitted = []
-    real_fit = baselines.train_doc_baseline
+    real_fit = baselines.fit_doc_baseline
 
     def recording(*args, **kwargs):
         fitted.append(real_fit(*args, **kwargs))
         return fitted[-1]
 
-    monkeypatch.setattr("sla.tuning.train_doc_baseline", recording)
+    monkeypatch.setattr("sla.tuning.fit_doc_baseline", recording)
     cross_validate(docs, "grade", {"num_rounds": 5}, folds=4, variant="doc-boost")
     assert len(fitted) == 4
     assert len(calls) == sum(len(m.boost_models) for m in fitted)

@@ -110,11 +110,17 @@ def test_objective_never_increases_along_iterates():
         val, _, _ = logloss_value_grad(w, b, X, y_pm, np.ones(X.shape[0]))
         return val + lam * np.abs(w).sum()
 
+    def solve(iters):
+        params = LinParams(l1_strength=1 / lam, balanced=False, max_iter=iters, tol=0.0)
+        return train_l1_logreg(X, y, params)
+
     prev = None
     for iters in (1, 3, 10, 50, 300):
-        model = train_l1_logreg(
-            X, y, LinParams(l1_strength=1 / lam, balanced=False, max_iter=iters, tol=0.0)
-        )
+        if iters < 50:  # these solves stop at max_iter, and say so
+            with pytest.warns(RuntimeWarning, match="stopped before converging"):
+                model = solve(iters)
+        else:
+            model = solve(iters)
         obj = objective(model)
         if prev is not None:
             assert obj <= prev + 1e-9

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sla.corpus import Report
 from sla.textproc import (
     UNK,
+    Featurized,
     Vocabulary,
     build_vocabulary,
     normalize,
@@ -187,6 +188,49 @@ def test_vectorize_matches_manual_ngram_membership(token_lines):
                     expect.add(gram)
         row = rows.indices[rows.indptr[r] : rows.indptr[r + 1]]
         assert {inv[i] for i in row} == expect
+
+
+_LINES = st.lists(
+    st.lists(st.sampled_from(["grade", ":", "2", "3", "cecum", "mass", "of"]), max_size=8),
+    min_size=1,
+    max_size=10,
+)
+
+
+@given(
+    train=_LINES,
+    other=_LINES,
+    n=st.integers(1, 4),
+    m=st.integers(1, 4),
+    min_count=st.integers(1, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_restricting_a_vocabulary_equals_building_at_the_lower_order(
+    train, other, n, m, min_count
+):
+    m = min(m, n)
+    full = build_vocabulary(train, max_n=n, min_count=min_count)
+    fresh = build_vocabulary(train, max_n=m, min_count=min_count)
+    restricted, cols = full.restrict(m)
+    assert restricted.ngram_to_index == fresh.ngram_to_index
+    assert (restricted.max_n, restricted.min_count) == (fresh.max_n, fresh.min_count)
+    assert restricted.known_words == fresh.known_words
+    # the training lines, and lines with n-grams the vocabulary never saw
+    for lines in (train, other):
+        vocab, (sliced,) = Featurized(full, vectorize(lines, full)).at(m)
+        assert vocab.ngram_to_index == fresh.ngram_to_index
+        expect = vectorize(lines, fresh)
+        assert sliced.shape == expect.shape
+        assert sliced.indptr.tolist() == expect.indptr.tolist()
+        assert sliced.indices.tolist() == expect.indices.tolist()
+        assert sliced.data.tolist() == expect.data.tolist()
+
+
+def test_restrict_rejects_orders_above_its_own():
+    vocab = build_vocabulary([("a", "b"), ("a", "b")], max_n=2)
+    assert vocab.restrict(2)[0].ngram_to_index == vocab.ngram_to_index
+    with pytest.raises(ValueError, match=r"max_n must be in \[1, 2\], got 3"):
+        vocab.restrict(3)
 
 
 def test_to_csr_matches_dense_layout():

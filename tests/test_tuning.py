@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from sla import pipeline
-from sla.corpus import CorpusError, load_schemas
+from sla.corpus import CorpusError, gold_label, load_schemas
+from sla.evaluation import micro_f1
 from sla.learners import GbtParams, LinParams, predict_gbt_batch
 from sla.pipeline import SlaHyperParams
+from sla.textproc import build_vocabulary, tokenize_lines
 from sla.tuning import (
     METHODS,
     FittedVariant,
@@ -17,6 +19,7 @@ from sla.tuning import (
     fit_variant,
     log_grid,
     random_search,
+    TrialResult,
     sample_config,
 )
 
@@ -111,6 +114,73 @@ def test_cross_validate_scores_lines_once_per_fit_and_per_held_out_fold(monkeypa
     # each fold: one call over its training lines, one over its held-out lines
     assert len(rows) == 8
     assert sum(rows) == 4 * sum(len(d.report.lines) for d in docs)
+
+
+def _ref_cross_validate(train_docs, attribute, config, folds, variant, seed, schemas=None):
+    """The trial-major cross-validation that the fold-major search replaced,
+    kept as a reference: each (trial, fold) fit tokenizes its documents and
+    builds its vocabularies afresh, at its own n-gram orders."""
+    docs = [d for d in train_docs if attribute in d.annotations]
+    labels = [gold_label(d, attribute, schemas) for d in docs]
+    fold_rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    fold_of = assign_folds(labels, folds, fold_rng)
+    scores = []
+    for fold in range(folds):
+        train = [d for d, f in zip(docs, fold_of) if f != fold]
+        held = [d for d, f in zip(docs, fold_of) if f == fold]
+        fit_seed = int(np.random.SeedSequence((seed, 1 + fold)).generate_state(1)[0])
+        fitted = fit_variant(variant, train, attribute, config, seed=fit_seed, schemas=schemas)
+        _assert_fresh_vocabularies(fitted, train)
+        preds = [p.label for p in fitted.predict_many(held)]
+        golds = [lab for lab, f in zip(labels, fold_of) if f == fold]
+        scores.append(micro_f1(preds, golds))
+    return TrialResult(
+        config=dict(config),
+        fold_scores=tuple(scores),
+        mean_score=sum(scores) / len(scores),
+    )
+
+
+def _assert_fresh_vocabularies(fitted, train):
+    """A pipeline model's vocabularies are restrictions of one built at the
+    larger order; check each equals a fresh build at its own order."""
+    model = fitted.sla_model
+    if model is None:
+        return
+    lines = [tl for d in train for tl in tokenize_lines(d.report)]
+    hyper = model.hyper
+    orders = ((model.line_vocab, hyper.line_ngram_n), (model.final_vocab, hyper.final_ngram_n))
+    for vocab, n in orders:
+        if vocab is not None:
+            assert vocab.ngram_to_index == build_vocabulary(lines, n).ngram_to_index
+
+
+_ORDER_KEYS = ("ngram_n", "line_ngram_n", "final_ngram_n")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "method", ["sla", "rules", "oracle", "no_join", "doc-logreg", "doc-boost"]
+)
+def test_search_matches_the_trial_major_reference(method, jobs):
+    docs = tiny_corpus(n=32, seed=45)
+    dims = dict(default_space(method).dimensions)
+    # C and forest sizes where the models are not constant predictors, so a
+    # wrong feature column shows in the fold scores
+    if "C" in dims:
+        dims["C"] = (0.3, 1.0, 10.0)
+    if method not in ("rules", "oracle", "doc-logreg"):
+        dims["num_rounds"] = (20, 40)
+    kw = dict(trials=5, folds=3, seed=6, variant=method, schemas=load_schemas())
+    _, results = random_search(docs, "grade", space=SearchSpace(dims), jobs=jobs, **kw)
+    # the trials ask for several n-gram orders, so most read a restriction
+    orders = {max(r.config[k] for k in _ORDER_KEYS if k in r.config) for r in results}
+    assert len(orders) > 1
+    for result in results:
+        reference = _ref_cross_validate(
+            docs, "grade", result.config, 3, method, 6, schemas=load_schemas()
+        )
+        assert result == reference
 
 
 def test_cross_validate_needs_enough_docs():
