@@ -27,7 +27,6 @@ from .learners import (
 )
 from .textproc import (
     Featurized,
-    TokenLine,
     Vocabulary,
     build_vocabulary,
     to_csr,
@@ -39,7 +38,7 @@ BASELINE_KINDS = ("doc-logreg", "doc-boost")
 
 
 def document_matrix(
-    doc_lines: Sequence[Sequence[TokenLine]], vocab: Vocabulary
+    doc_lines: Sequence[Sequence[Sequence[str]]], vocab: Vocabulary
 ) -> sparse.csr_matrix:
     """One binary row per document, given as its token lines: the union of
     its lines' n-gram features."""
@@ -56,7 +55,7 @@ def featurize_document(report: Report, vocab: Vocabulary) -> sparse.csr_matrix:
 
 
 def baseline_features(
-    max_n: int, train_lines: Sequence[Sequence[TokenLine]], *held_lines
+    max_n: int, train_lines: Sequence[Sequence[Sequence[str]]], *held_lines
 ) -> Featurized:
     """The vocabulary of the training documents' lines at order ``max_n``,
     with the document matrix of the training documents and of each of

@@ -365,11 +365,9 @@ def run_curve_cell(
     base_seed: int,
     trials: int,
     folds: int,
-    space=None,
     ci_iterations: int = DEFAULT_CI_ITERATIONS,
     ci_level: float = DEFAULT_CI_LEVEL,
     schemas=None,
-    keyword_rules=None,
 ) -> CurveCell:
     """One (size, run) point: fresh split, full hyperparameter search on the
     train side, refit, and a bootstrap-scored evaluation on the test side."""
@@ -388,22 +386,14 @@ def run_curve_cell(
     best_config, _ = tuning.random_search(
         train,
         attribute,
-        space=space,
         trials=trials,
         folds=folds,
         seed=search_seed,
         variant=variant,
         schemas=schemas,
-        keyword_rules=keyword_rules,
     )
     fitted = tuning.fit_variant(
-        variant,
-        train,
-        attribute,
-        best_config,
-        seed=search_seed,
-        schemas=schemas,
-        keyword_rules=keyword_rules,
+        variant, train, attribute, best_config, seed=search_seed, schemas=schemas
     )
     preds = fitted.predict_many(test)
     outcomes = [(p.label, gold_label(d, attribute, schemas)) for p, d in zip(preds, test)]
@@ -427,11 +417,9 @@ def learning_curve(
     base_seed: int = 0,
     trials: int = 40,
     folds: int = 4,
-    space=None,
     ci_iterations: int = DEFAULT_CI_ITERATIONS,
     ci_level: float = DEFAULT_CI_LEVEL,
     schemas=None,
-    keyword_rules=None,
     jobs: int = 1,
 ) -> LearningCurve:
     """Accuracy as a function of training-set size: for each size, ``runs``
@@ -454,11 +442,9 @@ def learning_curve(
         base_seed=base_seed,
         trials=trials,
         folds=folds,
-        space=space,
         ci_iterations=ci_iterations,
         ci_level=ci_level,
         schemas=schemas,
-        keyword_rules=keyword_rules,
     )
     task_sizes = [size for size in sizes for _ in range(runs)]
     task_runs = [run for _ in sizes for run in range(runs)]

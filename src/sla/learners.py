@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
@@ -145,15 +145,7 @@ class GbtModel:
 
     def to_dict(self) -> dict:
         return {
-            "params": {
-                "learning_rate": self.params.learning_rate,
-                "max_depth": self.params.max_depth,
-                "min_split_loss": self.params.min_split_loss,
-                "subsample": self.params.subsample,
-                "l2_lambda": self.params.l2_lambda,
-                "num_rounds": self.params.num_rounds,
-                "seed": self.params.seed,
-            },
+            "params": asdict(self.params),
             "base_score": self.base_score,
             "num_features": self.num_features,
             "trees": [t.to_dict() for t in self.trees],
@@ -258,10 +250,11 @@ def _grow_tree(
     XT = X_csc.T  # CSR over features, each row's sample indices ascending
     lam = params.l2_lambda
     gamma = params.min_split_loss
-    nodes: list[dict] = [{}]
+    root = TreeNode()
     leaves: list[tuple[float, np.ndarray]] = []
-    frontier: list[tuple[int, np.ndarray, int]] = [
-        (0, np.concatenate((rows, out_of_bag)), len(rows))
+    # each open node is filled in place: a leaf value or a split
+    frontier: list[tuple[TreeNode, np.ndarray, int]] = [
+        (root, np.concatenate((rows, out_of_bag)), len(rows))
     ]
     col_mark = np.zeros(n_total, dtype=bool)
     indptr, col_indices = X_csc.indptr, X_csc.indices
@@ -270,10 +263,10 @@ def _grow_tree(
         if not frontier:
             break
         if depth == params.max_depth:
-            for nid, nrows, m in frontier:
+            for node, nrows, m in frontier:
                 g, h = grad[nrows[:m]].sum(), hess[nrows[:m]].sum()
-                nodes[nid] = {"value": float(_leaf_value(g, h, lam))}
-                leaves.append((nodes[nid]["value"], nrows))
+                node.value = float(_leaf_value(g, h, lam))
+                leaves.append((node.value, nrows))
             break
 
         F = len(frontier)
@@ -303,11 +296,11 @@ def _grow_tree(
         best_j = np.argmax(gain, axis=1)
         best_gain = gain[np.arange(F), best_j]
 
-        next_frontier: list[tuple[int, np.ndarray, int]] = []
-        for i, (nid, nrows, m) in enumerate(frontier):
+        next_frontier: list[tuple[TreeNode, np.ndarray, int]] = []
+        for i, (node, nrows, m) in enumerate(frontier):
             if m < 2 or not best_gain[i] > _MIN_GAIN:
-                nodes[nid] = {"value": float(_leaf_value(Gt[i], Ht[i], lam))}
-                leaves.append((nodes[nid]["value"], nrows))
+                node.value = float(_leaf_value(Gt[i], Ht[i], lam))
+                leaves.append((node.value, nrows))
                 continue
             j = int(best_j[i])
             col_rows = col_indices[indptr[j] : indptr[j + 1]]
@@ -315,23 +308,12 @@ def _grow_tree(
             right = col_mark[nrows]
             col_mark[col_rows] = False
             m_right = int(np.count_nonzero(right[:m]))
-            lid, rid = len(nodes), len(nodes) + 1
-            nodes.append({})
-            nodes.append({})
-            nodes[nid] = {"feature": j, "left": lid, "right": rid}
-            next_frontier.append((lid, nrows[~right], m - m_right))
-            next_frontier.append((rid, nrows[right], m_right))
+            node.feature, node.left, node.right = j, TreeNode(), TreeNode()
+            next_frontier.append((node.left, nrows[~right], m - m_right))
+            next_frontier.append((node.right, nrows[right], m_right))
         frontier = next_frontier
 
-    def assemble(nid: int) -> TreeNode:
-        nd = nodes[nid]
-        if "value" in nd:
-            return TreeNode(value=nd["value"])
-        return TreeNode(
-            feature=nd["feature"], left=assemble(nd["left"]), right=assemble(nd["right"])
-        )
-
-    return assemble(0), leaves
+    return root, leaves
 
 
 def _binary_csr(X) -> sparse.csr_matrix:

@@ -8,8 +8,9 @@ members' scores), and the document representation is
 
     d_r = sum over segments of  m(segment) * v(segment tokens)
 
-where v is the binary bag-of-n-grams of the segment re-tokenized as one
-line and m is the segment weight.  Stage 2 classifies d_r with
+where v is the binary bag-of-n-grams of the segment's tokens (its member
+lines' tokens in order, so n-grams may cross line boundaries inside a
+segment) and m is the segment weight.  Stage 2 classifies d_r with
 L1-regularized logistic regression.
 
 The variants are the rows of ``VARIANTS``: a line selector, whether
@@ -31,7 +32,7 @@ keyword-matched line (no cap), "oracle" the annotator's gold lines.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -57,7 +58,6 @@ from .learners import (
 )
 from .textproc import (
     Featurized,
-    TokenLine,
     Vocabulary,
     build_vocabulary,
     to_csr,
@@ -134,12 +134,6 @@ class SelectedLines:
         return tuple(
             i for seg in self.segments for i in range(seg.start, seg.end + 1)
         )
-
-
-@dataclass(frozen=True)
-class DocRepresentation:
-    vector: sparse.csr_matrix  # one row
-    provenance: SelectedLines
 
 
 @dataclass(frozen=True)
@@ -221,11 +215,11 @@ def rule_select(report: Report, keyword_rules: Iterable[str]) -> tuple[int, ...]
     return _rule_hits(tokenize_lines(report), [tokenize(rule) for rule in keyword_rules])
 
 
-def _rule_hits(token_lines: Sequence[TokenLine], phrases) -> tuple[int, ...]:
+def _rule_hits(token_lines: Sequence[Sequence[str]], phrases) -> tuple[int, ...]:
     return tuple(
-        tl.source_line_index
-        for tl in token_lines
-        if any(_contains_subsequence(tl.tokens, p) for p in phrases)
+        i
+        for i, tokens in enumerate(token_lines)
+        if any(_contains_subsequence(tokens, p) for p in phrases)
     )
 
 
@@ -279,22 +273,22 @@ def join_adjacent(
 
 
 def compose_representation(
-    selection: SelectedLines, report: Report, final_vocab: Vocabulary
-) -> DocRepresentation:
-    """Weighted sum of segment vectors, as one CSR row.  Each segment's
-    member lines are joined with a space and re-tokenized as one line, so
-    n-grams may cross the original line boundaries inside a segment."""
+    selection: SelectedLines, token_lines: Sequence[Sequence[str]], final_vocab: Vocabulary
+) -> sparse.csr_matrix:
+    """Weighted sum of segment vectors, as one CSR row.  A segment's tokens
+    are its member lines' tokens in order, which is how the lines joined
+    with a space tokenize, so n-grams may cross the original line
+    boundaries inside a segment."""
     segments = selection.segments
     rows = vectorize(
-        [tokenize(" ".join(report.lines[s.start : s.end + 1])) for s in segments],
+        [[t for line in token_lines[s.start : s.end + 1] for t in line] for s in segments],
         final_vocab,
     )
     weights = [s.weight for s in segments]
     # bincount adds each feature's segment weights in segment order
     sums = np.bincount(rows.indices, np.repeat(weights, np.diff(rows.indptr)))
     present = np.flatnonzero(sums)
-    vector = to_csr([present.tolist()], final_vocab.dimension, sums[present])
-    return DocRepresentation(vector=vector, provenance=selection)
+    return to_csr([present.tolist()], final_vocab.dimension, sums[present])
 
 
 def _represent(
@@ -302,39 +296,39 @@ def _represent(
     k: int,
     keyword_rules: Sequence[str] | None,
     final_vocab: Vocabulary,
-    reports: Sequence[Report],
-    doc_lines: Sequence[Sequence[TokenLine]] | None,
+    doc_lines: Sequence[Sequence[Sequence[str]]],
     gold_lines: Sequence[Sequence[int] | None],
     line_scores: np.ndarray | None,
-) -> list[DocRepresentation]:
-    """Selection and stage-2 representation of each report.  The row's
-    selector picks the lines, which become joined or single-line segments
-    weighted by their stage-1 scores or by 1.  ``doc_lines`` holds each
-    report's token lines (None unless rules), ``line_scores`` the scores of
-    every line of every report in order (None unless scored)."""
+) -> tuple[list[SelectedLines], list[sparse.csr_matrix]]:
+    """Selection and stage-2 row of each document, given as its token
+    lines.  The row's selector picks the lines, which become joined or
+    single-line segments weighted by their stage-1 scores or by 1.
+    ``line_scores`` holds the scores of every line of every document in
+    order (None unless scored)."""
     row = VARIANTS[variant]
-    offsets = np.cumsum([0] + [len(r.lines) for r in reports])
+    offsets = np.cumsum([0] + [len(lines) for lines in doc_lines])
     phrases = [tokenize(rule) for rule in keyword_rules or ()]
-    reps = []
-    for i, (report, gold, start) in enumerate(zip(reports, gold_lines, offsets[:-1], strict=True)):
+    selections, rows = [], []
+    for lines, gold, start in zip(doc_lines, gold_lines, offsets[:-1], strict=True):
         if row.selector == "scored":
-            scores = line_scores[start : start + len(report.lines)]
+            scores = line_scores[start : start + len(lines)]
             chosen = select_top_k(scores, k)
         elif row.selector == "rules":
-            chosen = _rule_hits(doc_lines[i], phrases)
+            chosen = _rule_hits(lines, phrases)
         elif gold is None:
             raise ValueError("oracle variant needs the annotator's gold lines")
         else:
             chosen = tuple(sorted(set(gold)))
         doc_k = k if row.selector == "scored" else len(chosen)
-        weights = scores if row.weight else np.ones(len(report.lines))
+        weights = scores if row.weight else np.ones(len(lines))
         if row.join:
             selection = join_adjacent(chosen, weights, k=doc_k)
         else:
             segments = tuple(Segment(i, i, float(weights[i])) for i in chosen)
             selection = SelectedLines(segments, k=doc_k)
-        reps.append(compose_representation(selection, report, final_vocab))
-    return reps
+        selections.append(selection)
+        rows.append(compose_representation(selection, lines, final_vocab))
+    return selections, rows
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +367,7 @@ def train_sla(
 def sla_features(
     variant: str,
     hypers: Sequence[SlaHyperParams],
-    train_lines: Sequence[Sequence[TokenLine]],
+    train_lines: Sequence[Sequence[Sequence[str]]],
     *held_lines,
 ) -> Featurized:
     """The vocabulary of the training documents' lines at the largest
@@ -394,7 +388,7 @@ def sla_features(
 def fit_sla(
     features: Featurized,
     docs: Sequence[LabeledDocument],
-    doc_lines: Sequence[Sequence[TokenLine]],
+    doc_lines: Sequence[Sequence[Sequence[str]]],
     attribute: str,
     hyper: SlaHyperParams,
     variant: str,
@@ -424,12 +418,11 @@ def fit_sla(
 
     final_vocab, _ = features.at(hyper.final_ngram_n)
 
-    reports = [d.report for d in docs]
     gold = [d.annotations[attribute].line_indices for d in docs]
-    reps = _represent(variant, hyper.k, rules, final_vocab, reports, doc_lines, gold, line_scores)
+    _, rows = _represent(variant, hyper.k, rules, final_vocab, doc_lines, gold, line_scores)
     labels = [gold_label(d, attribute, schemas) for d in docs]
 
-    X = sparse.vstack([rep.vector for rep in reps], format="csr")
+    X = sparse.vstack(rows, format="csr")
     classifier = train_l1_logreg(X, labels, hyper.lin)
     return SlaModel(
         attribute=attribute,
@@ -466,44 +459,39 @@ def predict_sla_batch(
     with one stage-1 call; only an oracle reads ``gold_lines``.  Each
     rationale is the exact selection used, so a prediction can be
     recomputed from (rationale, report, model)."""
-    selector = VARIANTS[model.variant].selector
-    doc_lines = X_lines = None
-    if selector != "oracle":
-        doc_lines = [tokenize_lines(r) for r in reports]
-    if selector == "scored":
+    doc_lines = [tokenize_lines(r) for r in reports]
+    X_lines = None
+    if VARIANTS[model.variant].selector == "scored":
         X_lines = vectorize([tl for tls in doc_lines for tl in tls], model.line_vocab)
-    return predict_featurized(model, reports, doc_lines, X_lines, gold_lines)
+    return predict_featurized(model, doc_lines, X_lines, gold_lines)
 
 
 def predict_featurized(
     model: SlaModel,
-    reports: Sequence[Report],
-    doc_lines: Sequence[Sequence[TokenLine]] | None,
+    doc_lines: Sequence[Sequence[Sequence[str]]],
     X_lines: sparse.csr_matrix | None,
     gold_lines: Sequence[Sequence[int] | None] | None = None,
 ) -> list[Prediction]:
-    """``predict_sla_batch`` given the reports' token lines (needed by
-    rules) and their line matrix under ``model.line_vocab`` (needed when
-    scored)."""
+    """``predict_sla_batch`` given the reports' token lines and, when
+    scored, their line matrix under ``model.line_vocab``."""
     if gold_lines is None:
-        gold_lines = [None] * len(reports)
+        gold_lines = [None] * len(doc_lines)
     line_scores = None
     if X_lines is not None:
         line_scores = predict_gbt_batch(model.line_scorer, X_lines)
-    reps = _represent(
+    selections, rows = _represent(
         model.variant,
         model.k,
         model.keyword_rules,
         model.final_vocab,
-        reports,
         doc_lines,
         gold_lines,
         line_scores,
     )
-    outputs = [predict_logreg(model.final_classifier, rep.vector) for rep in reps]
+    outputs = [predict_logreg(model.final_classifier, x) for x in rows]
     return [
-        Prediction(str(label), scores, rep.provenance)
-        for (label, scores), rep in zip(outputs, reps)
+        Prediction(str(label), scores, selection)
+        for (label, scores), selection in zip(outputs, selections)
     ]
 
 
@@ -523,7 +511,6 @@ BUNDLE_KIND = "sla"  # a baseline bundle's kind is its baseline kind
 
 
 def model_to_dict(model: SlaModel) -> dict:
-    hyper = model.hyper
     return {
         "version": _BUNDLE_VERSION,
         "kind": BUNDLE_KIND,
@@ -535,15 +522,7 @@ def model_to_dict(model: SlaModel) -> dict:
         "line_vocab": model.line_vocab.to_dict() if model.line_vocab else None,
         "line_scorer": model.line_scorer.to_dict() if model.line_scorer else None,
         "keyword_rules": list(model.keyword_rules) if model.keyword_rules else None,
-        "hyper": None
-        if hyper is None
-        else {
-            "line_ngram_n": hyper.line_ngram_n,
-            "final_ngram_n": hyper.final_ngram_n,
-            "k": hyper.k,
-            "gbt": asdict(hyper.gbt),
-            "lin": asdict(hyper.lin),
-        },
+        "hyper": None if model.hyper is None else asdict(model.hyper),
     }
 
 
@@ -558,13 +537,12 @@ def model_from_dict(payload: dict) -> SlaModel:
     hyper = None
     if payload.get("hyper"):
         h = payload["hyper"]
+        names = {f.name for f in fields(SlaHyperParams)}
+        # bundles written before gbt and lin were serialized get the defaults
+        if not names - {"gbt", "lin"} <= set(h) <= names:
+            raise ValueError(f"sla bundle hyper keys {sorted(h)} are not those of SlaHyperParams")
         hyper = SlaHyperParams(
-            line_ngram_n=h["line_ngram_n"],
-            final_ngram_n=h["final_ngram_n"],
-            k=h["k"],
-            # bundles written before gbt and lin were serialized get the defaults
-            gbt=GbtParams(**h.get("gbt", {})),
-            lin=LinParams(**h.get("lin", {})),
+            **{**h, "gbt": GbtParams(**h.get("gbt", {})), "lin": LinParams(**h.get("lin", {}))}
         )
     return SlaModel(
         attribute=payload["attribute"],

@@ -7,11 +7,16 @@ Normalization (applied identically at train and test time):
   * delete the whole word "null"
   * surround each of  : / ( ) + =  with single spaces
 
-Tokens are whitespace-separated after normalization.  N-grams are
-enumerated inside a line only; they never span line boundaries.  Unigrams
-seen fewer than ``min_count`` times in the training data are replaced by
-``<UNK>`` before n-grams are enumerated, and out-of-vocabulary unigrams
-map through ``<UNK>`` at test time.  Features are binary presence.
+Tokens are whitespace-separated after normalization.  No rule reaches
+across a space (each acts on single characters, pads with spaces, or
+deletes a whole word, which a space ends), and a space is not cased, so
+lines joined with a space tokenize as the concatenation of their tokens.
+
+N-grams are enumerated inside a line only; they never span line
+boundaries.  Unigrams seen fewer than ``min_count`` times in the training
+data are replaced by ``<UNK>`` before n-grams are enumerated, and
+out-of-vocabulary unigrams map through ``<UNK>`` at test time.  Features
+are binary presence.
 """
 
 from __future__ import annotations
@@ -45,21 +50,9 @@ def tokenize(raw: str) -> tuple[str, ...]:
     return tuple(normalize(raw).split())
 
 
-@dataclass(frozen=True)
-class TokenLine:
-    """One report line as tokens, remembering where it came from."""
-
-    tokens: tuple[str, ...]
-    source_line_index: int
-
-    def __post_init__(self) -> None:
-        if self.source_line_index < 0:
-            raise ValueError("source_line_index must be >= 0")
-
-
-def tokenize_lines(report) -> list[TokenLine]:
-    """Tokenize each line of a report, preserving line identity."""
-    return [TokenLine(tokenize(line), i) for i, line in enumerate(report.lines)]
+def tokenize_lines(report) -> list[tuple[str, ...]]:
+    """The tokens of each line of a report, in line order."""
+    return [tokenize(line) for line in report.lines]
 
 
 def _ngrams(tokens: Sequence[str], max_n: int) -> Iterator[str]:
@@ -152,7 +145,7 @@ def build_vocabulary(
     """
     if not 1 <= max_n <= 4:
         raise ValueError(f"max_n must be in [1, 4], got {max_n}")
-    lines = [tuple(getattr(toks, "tokens", toks)) for toks in token_lines]
+    lines = list(token_lines)
     if not lines:
         raise ValueError("cannot build a vocabulary from an empty training set")
     counts: Counter[str] = Counter(tok for line in lines for tok in line)
@@ -165,9 +158,9 @@ def build_vocabulary(
     return Vocabulary(ngram_to_index=mapping, max_n=max_n, min_count=min_count)
 
 
-def vectorize(token_lines: Iterable, vocab: Vocabulary) -> sparse.csr_matrix:
+def vectorize(token_lines: Iterable[Sequence[str]], vocab: Vocabulary) -> sparse.csr_matrix:
     """Binary bag-of-n-grams under a fixed vocabulary: one CSR row per token
-    line (a ``TokenLine`` or a token sequence).
+    line.
 
     Unknown unigrams are first mapped to <UNK>; n-grams absent from the
     vocabulary are dropped.
@@ -175,7 +168,7 @@ def vectorize(token_lines: Iterable, vocab: Vocabulary) -> sparse.csr_matrix:
     column = vocab.ngram_to_index.get
     rows = []
     for tokens in token_lines:
-        mapped = tuple(vocab.map_token(t) for t in getattr(tokens, "tokens", tokens))
+        mapped = tuple(vocab.map_token(t) for t in tokens)
         cols = {column(g) for g in _ngrams(mapped, vocab.max_n)}
         cols.discard(None)
         rows.append(sorted(cols))

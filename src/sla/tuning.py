@@ -306,13 +306,10 @@ def cross_validate(
     variant: str = "sla",
     seed: int = 0,
     schemas=None,
-    keyword_rules=None,
 ) -> TrialResult:
     """Mean held-out micro-F1 of one configuration across k folds: a
     search over that one configuration."""
-    return _search(
-        train_docs, attribute, [config], folds, variant, seed, schemas, keyword_rules, jobs=1
-    )[0]
+    return _search(train_docs, attribute, [config], folds, variant, seed, schemas, jobs=1)[0]
 
 
 def _search(
@@ -323,7 +320,6 @@ def _search(
     method: str,
     seed: int,
     schemas,
-    keyword_rules,
     jobs: int,
 ) -> list[TrialResult]:
     """Every configuration's ``TrialResult``, fold by fold.  Each annotated
@@ -339,9 +335,7 @@ def _search(
     fold_rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     fold_of = assign_folds(labels, folds, fold_rng)
     doc_lines = [tokenize_lines(d.report) for d in docs]
-    score = partial(
-        _score_fold, method, attribute, docs, doc_lines, labels, configs, schemas, keyword_rules
-    )
+    score = partial(_score_fold, method, attribute, docs, doc_lines, labels, configs, schemas)
     held_out = [(fold_of == fold).tolist() for fold in range(folds)]
     fit_seeds = [
         int(np.random.SeedSequence((seed, 1 + fold)).generate_state(1)[0])
@@ -355,7 +349,7 @@ def _search(
 
 
 def _score_fold(
-    method, attribute, docs, doc_lines, labels, configs, schemas, keyword_rules, held, fit_seed
+    method, attribute, docs, doc_lines, labels, configs, schemas, held, fit_seed
 ) -> list[float]:
     """Held-out micro-F1 of every configuration on the fold whose documents
     ``held`` marks.  The fold's lines (or documents) are featurized once,
@@ -371,24 +365,16 @@ def _score_fold(
     params = [_learner_params(method, config, fit_seed) for config in configs]
     if method in VARIANTS:
         features = sla_features(method, [p["hyper"] for p in params], train_lines, held_lines)
-        reports = [d.report for d in held_docs]
 
         def predict(p):
             model = fit_sla(
-                features,
-                train_docs,
-                train_lines,
-                attribute,
-                variant=method,
-                keyword_rules=keyword_rules,
-                schemas=schemas,
-                **p,
+                features, train_docs, train_lines, attribute, variant=method, schemas=schemas, **p
             )
             X_held = None
             if model.line_scorer is not None:
                 _, (_, X_held) = features.at(model.hyper.line_ngram_n)
             gold = [oracle_gold_lines(model, d) for d in held_docs]
-            return [x.label for x in predict_featurized(model, reports, held_lines, X_held, gold)]
+            return [x.label for x in predict_featurized(model, held_lines, X_held, gold)]
 
     else:
         # a baseline's n-gram order defaults to train_doc_baseline's 1
@@ -417,7 +403,6 @@ def random_search(
     seed: int = 0,
     variant: str = "sla",
     schemas=None,
-    keyword_rules=None,
     jobs: int = 1,
 ) -> tuple[dict, list[TrialResult]]:
     """Best configuration (ties broken toward the earliest trial) plus the
@@ -430,9 +415,7 @@ def random_search(
     configs = [
         sample_config(space, np.random.default_rng(ss)) for ss in trial_seeds
     ]
-    results = _search(
-        train_docs, attribute, configs, folds, variant, seed, schemas, keyword_rules, jobs
-    )
+    results = _search(train_docs, attribute, configs, folds, variant, seed, schemas, jobs)
 
     best = results[0]
     for result in results[1:]:

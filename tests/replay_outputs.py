@@ -1,0 +1,86 @@
+"""Replay a fixed CLI chain and print a checksum of every output it writes.
+
+For one fixed synthetic corpus, runs ``tune`` (3 trials x 3 folds),
+``train`` from the tuned configuration and ``predict`` for every method
+through ``sla.cli.main``, then prints one ``sha256  path`` line per output
+file, with paths relative to the output directory.  Manifests are left out,
+since they record paths and timings.  Two checkouts whose listings are
+equal wrote the same bytes:
+
+    PYTHONPATH=src python tests/replay_outputs.py /tmp/new > new.txt
+    PYTHONPATH=../other/src python tests/replay_outputs.py /tmp/old > old.txt
+    diff old.txt new.txt
+
+The ``sla`` that runs is the one on ``PYTHONPATH``.  pytest does not
+collect this file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from sla import cli
+from sla.tuning import METHODS
+
+GEN_CONFIG = {
+    "cancer": "colon",
+    "num_docs": 36,
+    "lines_per_doc": [14, 18],
+    "attributes": [
+        {
+            "attribute": "grade",
+            "values": ["grade 1", "grade 2", "grade 3", "not reported"],
+            "weights": [0.4, 0.35, 0.15, 0.1],
+        }
+    ],
+    "synoptic_probability": 0.8,
+    "rare_phrasing_rate": 0.3,
+    "seed": 11,
+}
+
+
+def _run(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(list(argv))
+    if code != 0:
+        raise SystemExit(f"sla {' '.join(argv)} exited {code}")
+
+
+def replay(out: Path) -> None:
+    """Write the corpus and every method's tune, train and predict outputs
+    under ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+    config = out / "gen.json"
+    config.write_text(json.dumps(GEN_CONFIG), encoding="utf-8")
+    corpus = str(out / "corpus.jsonl")
+    _run("synth", "--config", str(config), "--out", corpus)
+    for method in METHODS:
+        tuned, model, preds = (str(out / method / n) for n in ("tune", "model.json", "preds.jsonl"))
+        _run("tune", "--corpus", corpus, "--attribute", "grade", "--variant", method,
+             "--trials", "3", "--folds", "3", "--seed", "0", "--out", tuned)
+        _run("train", "--corpus", corpus, "--attribute", "grade", "--variant", method,
+             "--params", str(Path(tuned) / "best.json"), "--out", model)
+        _run("predict", "--model", model, "--corpus", corpus, "--out", preds)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tests/replay_outputs.py <out-dir>", file=sys.stderr)
+        return 1
+    out = Path(argv[0])
+    replay(out)
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        if path.name == "manifest.json" or path.name.endswith(".manifest.json"):
+            continue
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -138,6 +138,13 @@ def test_train_predict_evaluate_chain(workdir, capsys, tmp_path):
                        "--corpus", str(corpus), "--out", str(tmp_path / "stale.jsonl"))
     assert code == 2
     assert "version 999" in err
+    unknown_key = json.loads(model.read_text())
+    unknown_key["hyper"]["beam_width"] = 3
+    stale.write_text(json.dumps(unknown_key), encoding="utf-8")
+    code, _, err = run(capsys, "predict", "--model", str(stale),
+                       "--corpus", str(corpus), "--out", str(tmp_path / "stale.jsonl"))
+    assert code == 2
+    assert "beam_width" in err
 
     report_path = workdir / "eval.json"
     code, out, _ = run(

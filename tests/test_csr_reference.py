@@ -161,9 +161,9 @@ def test_csr_featurizers_match_the_single_vector_reference(case):
         span = slice(rows.indptr[r], rows.indptr[r + 1])
         _assert_row_equal(_ref_vectorize(tl, vocab), rows.indices[span], rows.data[span])
 
-    rep = compose_representation(selection, report, vocab)
-    assert rep.vector.shape == (1, vocab.dimension)
-    _assert_row_equal(_ref_compose(selection, report, vocab), rep.vector.indices, rep.vector.data)
+    rep = compose_representation(selection, token_lines, vocab)
+    assert rep.shape == (1, vocab.dimension)
+    _assert_row_equal(_ref_compose(selection, report, vocab), rep.indices, rep.data)
 
     doc = featurize_document(report, vocab)
     assert doc.shape == (1, vocab.dimension)
@@ -173,6 +173,6 @@ def test_csr_featurizers_match_the_single_vector_reference(case):
 def test_overlapping_weights_add_in_segment_order():
     report, vocab, selection = _fixed_case(*_OVERLAP)
     column = vocab.ngram_to_index["grade"]
-    rep = compose_representation(selection, report, vocab)
-    got = rep.vector.data[list(rep.vector.indices).index(column)]
+    rep = compose_representation(selection, tokenize_lines(report), vocab)
+    got = rep.data[list(rep.indices).index(column)]
     assert got == (0.1 + 0.2) + 0.7 != 0.1 + (0.2 + 0.7)

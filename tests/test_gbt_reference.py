@@ -201,7 +201,7 @@ def stage1_problem(seed, ngram_n=2, flip=0.0):
     a share ``flip`` of the labels flipped.  The clean labels are separable
     by a tree of depth 1 or 2; flipped ones make trees grow to full depth."""
     docs = family_a_docs(seed)
-    lines = [tl.tokens for d in docs for tl in tokenize_lines(d.report)]
+    lines = [tl for d in docs for tl in tokenize_lines(d.report)]
     X = vectorize(lines, build_vocabulary(lines, ngram_n))
     y = np.concatenate([build_line_labels(d, "grade") for d in docs])
     flipped = np.random.default_rng(seed).random(len(y)) < flip
@@ -216,7 +216,7 @@ def doc_boost_problem(seed):
     """One document row per report and one class against the rest, as
     doc-boost trains."""
     docs = family_a_docs(seed, num_docs=40)
-    vocab = build_vocabulary([tl.tokens for d in docs for tl in tokenize_lines(d.report)], 1)
+    vocab = build_vocabulary([tl for d in docs for tl in tokenize_lines(d.report)], 1)
     X = sparse.vstack([featurize_document(d.report, vocab) for d in docs], format="csr")
     y = np.array([1.0 if d.annotations["grade"].values == ("grade 2",) else 0.0 for d in docs])
     return X, y

@@ -386,7 +386,7 @@ def _family_a_problem(ngram_n):
         synoptic_probability=0.8, rare_phrasing_rate=0.5, seed=2,
     ))
     vocab = build_vocabulary(
-        [tl.tokens for d in docs for tl in tokenize_lines(d.report)], ngram_n
+        [tl for d in docs for tl in tokenize_lines(d.report)], ngram_n
     )
     X = sparse.vstack([featurize_document(d.report, vocab) for d in docs], format="csr")
     labels = [gold_label(d, "grade") for d in docs]

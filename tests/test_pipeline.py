@@ -38,7 +38,7 @@ from sla.pipeline import (
     train_sla,
 )
 from sla.learners import GbtParams, LinParams, train_l1_logreg
-from sla.textproc import build_vocabulary, tokenize, vectorize
+from sla.textproc import build_vocabulary, tokenize, tokenize_lines, vectorize
 
 
 def tiny_corpus(n=24, seed=0, **overrides):
@@ -151,14 +151,14 @@ def test_compose_representation_joins_segment_lines():
     report = Report(id="r", cancer="colon", lines=("alpha beta", "beta gamma", "x"))
     vocab = build_vocabulary([tokenize(l) for l in report.lines] * 2, max_n=2)
     sel = SelectedLines((Segment(0, 1, 0.5),), k=2)
-    rep = compose_representation(sel, report, vocab)
+    rep = compose_representation(sel, tokenize_lines(report), vocab)
     inv = {i: g for g, i in vocab.ngram_to_index.items()}
-    grams = {inv[i] for i in rep.vector.indices}
+    grams = {inv[i] for i in rep.indices}
     # "beta beta" crosses the joined boundary; it is not in the vocabulary
     # (built per line), so the crossing n-gram is dropped, not invented
     assert "alpha beta" in grams
     assert "beta gamma" in grams
-    assert all(v == 0.5 for v in rep.vector.data)
+    assert all(v == 0.5 for v in rep.data)
 
 
 def test_compose_representation_takes_weights_from_the_selection():
@@ -166,16 +166,17 @@ def test_compose_representation_takes_weights_from_the_selection():
     vocab = build_vocabulary([tokenize(l) for l in report.lines] * 2, max_n=1)
     scored = SelectedLines((Segment(0, 0, 0.25), Segment(1, 1, 0.75)), k=2)
     flat = SelectedLines((Segment(0, 0, 1.0), Segment(1, 1, 1.0)), k=2)
-    assert set(compose_representation(scored, report, vocab).vector.data) == {0.25, 0.75}
-    assert set(compose_representation(flat, report, vocab).vector.data) == {1.0}
+    token_lines = tokenize_lines(report)
+    assert set(compose_representation(scored, token_lines, vocab).data) == {0.25, 0.75}
+    assert set(compose_representation(flat, token_lines, vocab).data) == {1.0}
 
 
 def test_overlapping_segment_sum_accumulates():
     report = Report(id="r", cancer="colon", lines=("alpha", "alpha"))
     vocab = build_vocabulary([tokenize(l) for l in report.lines], max_n=1)
     sel = SelectedLines((Segment(0, 0, 0.5), Segment(1, 1, 0.25)), k=2)
-    rep = compose_representation(sel, report, vocab)
-    assert rep.vector.data.tolist() == [0.75]
+    rep = compose_representation(sel, tokenize_lines(report), vocab)
+    assert rep.data.tolist() == [0.75]
 
 
 def test_compose_representation_merges_and_drops_zeros():
@@ -183,10 +184,10 @@ def test_compose_representation_merges_and_drops_zeros():
     report = Report(id="r", cancer="colon", lines=("a c", "c d", "d", "b"))
     vocab = build_vocabulary([tokenize(l) for l in report.lines] * 2, max_n=1)
     sel = SelectedLines((Segment(0, 0, 1.0), Segment(1, 1, 2.0), Segment(2, 2, -2.0)), k=3)
-    rep = compose_representation(sel, report, vocab)
-    assert rep.vector.shape == (1, 4)
-    assert rep.vector.indices.tolist() == [0, 2]
-    assert rep.vector.data.tolist() == [1.0, 3.0]
+    rep = compose_representation(sel, tokenize_lines(report), vocab)
+    assert rep.shape == (1, 4)
+    assert rep.indices.tolist() == [0, 2]
+    assert rep.data.tolist() == [1.0, 3.0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +322,7 @@ def test_train_sla_scores_training_lines_as_select_segments_does(variant):
     rows, labels = [], []
     for d in docs:
         selection = predict_sla(model, d.report).rationale
-        rows.append(compose_representation(selection, d.report, model.final_vocab).vector)
+        rows.append(compose_representation(selection, tokenize_lines(d.report), model.final_vocab))
         ann = d.annotations["grade"]
         labels.append(compose_label(ann.values, schema_value_order(schemas, "colon", "grade")))
     refit = train_l1_logreg(sparse.vstack(rows, format="csr"), labels, model.hyper.lin)
@@ -401,6 +402,17 @@ def test_model_bundle_keeps_learner_hyperparameters():
     del payload["hyper"]["gbt"], payload["hyper"]["lin"]
     old = model_from_dict(payload)
     assert old.hyper == SlaHyperParams(k=2)
+
+
+def test_model_bundle_rejects_hyper_keys_that_are_not_fields():
+    docs = tiny_corpus(n=30, seed=17)
+    payload = model_to_dict(fit(docs, "sla", k=2))
+    payload["hyper"]["beam_width"] = 3
+    with pytest.raises(ValueError, match="beam_width"):
+        model_from_dict(payload)
+    del payload["hyper"]["beam_width"], payload["hyper"]["k"]
+    with pytest.raises(ValueError, match="hyper keys"):
+        model_from_dict(payload)
 
 
 def test_model_bundle_rejects_unknown_version():

@@ -57,11 +57,37 @@ def test_tokenize_yields_no_whitespace_tokens(text):
         assert not any(ch.isspace() for ch in tok)
 
 
+# pieces that test every normalization rule at a line edge: deleted and
+# padded characters, "null" as a word and inside one, Greek capital sigma
+# (whose lowercase depends on the letters around it), combining marks, a
+# capital whose lowercase is two characters, and whitespace beyond ASCII
+_EDGE_PIECES = [
+    *",\\;~.", *":/()+=", "null", "xnull", "nullx", "NULL", "Null",
+    "\u03a3", "\u0391\u03a3", "\u03a3.", "'\u03a3", "\u03c3",  # sigma: alone, final, before "."
+    "\u0301", "a\u0301", "\u0345", "\u0130", "'", "_", "-",  # combining marks, dotted capital I
+    "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000", "\t", " ",
+    "a", "B", "1", "grade",
+]
+_EDGE_LINE = st.lists(
+    st.one_of(
+        st.sampled_from(_EDGE_PIECES),
+        st.characters(blacklist_characters="\n\r"),
+    ),
+    max_size=8,
+).map("".join)
+
+
+@given(st.lists(_EDGE_LINE, max_size=5))
+@settings(max_examples=1000, deadline=None)
+def test_joined_lines_tokenize_as_the_concatenation_of_their_tokens(lines):
+    # a stage-2 segment is its member lines' tokens in order, which is what
+    # tokenizing the lines joined with a space gives
+    assert tokenize(" ".join(lines)) == tuple(t for line in lines for t in tokenize(line))
+
+
 def test_tokenize_lines_keeps_source_indices():
     report = Report(id="r1", cancer="colon", lines=("First Line.", "grade:2"))
-    tls = tokenize_lines(report)
-    assert [tl.source_line_index for tl in tls] == [0, 1]
-    assert tls[1].tokens == ("grade", ":", "2")
+    assert tokenize_lines(report) == [("first", "line"), ("grade", ":", "2")]
 
 
 # ---------------------------------------------------------------------------
