@@ -21,7 +21,7 @@ from .learners import (
     LinearModel,
     LinParams,
     predict_gbt_batch,
-    predict_logreg,
+    predict_logreg_rows,
     train_gbt,
     train_l1_logreg,
 )
@@ -41,12 +41,12 @@ def document_matrix(
     doc_lines: Sequence[Sequence[Sequence[str]]], vocab: Vocabulary
 ) -> sparse.csr_matrix:
     """One binary row per document, given as its token lines: the union of
-    its lines' n-gram features."""
-    rows = []
-    for tls in doc_lines:
-        lines = vectorize(tls, vocab)
-        rows.append(np.flatnonzero(np.bincount(lines.indices)).tolist())
-    return to_csr(rows, vocab.dimension)
+    its lines' n-gram features, from one ``vectorize`` call over every
+    line."""
+    lines = vectorize([tl for tls in doc_lines for tl in tls], vocab)
+    docs = np.repeat(np.arange(len(doc_lines)), [len(tls) for tls in doc_lines])
+    docs = np.repeat(docs, np.diff(lines.indptr))
+    return to_csr(docs, lines.indices, (len(doc_lines), vocab.dimension))
 
 
 def featurize_document(report: Report, vocab: Vocabulary) -> sparse.csr_matrix:
@@ -142,10 +142,7 @@ def predict_doc_rows(model: DocBaselineModel, X: sparse.csr_matrix) -> list[tupl
     """Label and per-class scores of each row of ``X``, a document matrix
     under ``model.vocab``."""
     if model.kind == "doc-logreg":
-        # a one-row matrix is its own row, and slicing costs a twentieth of a prediction
-        rows = [X] if X.shape[0] == 1 else [X[i] for i in range(X.shape[0])]
-        outputs = [predict_logreg(model.linear, x) for x in rows]
-        return [(str(label), scores) for label, scores in outputs]
+        return [(str(label), scores) for label, scores in predict_logreg_rows(model.linear, X)]
     classes = model.boost_classes
     if model.boost_models is None:
         return [(str(classes[0]), {str(classes[0]): 1.0}) for _ in range(X.shape[0])]

@@ -14,8 +14,6 @@ document outcomes with replacement, recompute the metric, and take the
 
 from __future__ import annotations
 
-import enum
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -245,39 +243,6 @@ def agreement(a: Sequence[Hashable], b: Sequence[Hashable]) -> tuple[float, floa
         return p_o, 1.0
     kappa = (p_o - p_e) / (1.0 - p_e)
     return p_o, kappa
-
-
-# ---------------------------------------------------------------------------
-# error-reporting vocabulary
-# ---------------------------------------------------------------------------
-
-
-class ErrorCategory(enum.Enum):
-    """Manual labels for categorizing model errors during review."""
-
-    ATTRIBUTE_QUALIFICATION = "attribute_qualification"
-    RARE_PHRASING = "rare_phrasing"
-    IRRELEVANT_LINES = "irrelevant_lines"
-    MULTI_LABEL = "multi_label"
-    ANNOTATOR = "annotator"
-    UNKNOWN = "unknown"
-
-
-def tally_error_annotations(path: str) -> dict[str, int]:
-    """Count manually assigned error categories from a JSONL file of
-    {"id": ..., "attribute": ..., "category": ...} records."""
-    valid = {c.value for c in ErrorCategory}
-    counts: dict[str, int] = {c.value: 0 for c in ErrorCategory}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            category = record.get("category")
-            if category not in valid:
-                raise ValueError(f"{path}: record {lineno}: unknown category {category!r}")
-            counts[category] += 1
-    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
@@ -97,6 +97,20 @@ class GbtParams:
             raise ValueError("num_rounds must be >= 0")
 
 
+def params_from_dict(cls, payload: Mapping, what: str):
+    """``cls``, ``GbtParams`` or ``LinParams``, from a model bundle's dict
+    of it, which ``asdict`` wrote with every field: a key that is not a
+    field, or a field without its key, is a ValueError naming it."""
+    names = [f.name for f in fields(cls)]
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    unknown = sorted(set(payload) - set(names))
+    missing = [name for name in names if name not in payload]
+    if unknown or missing:
+        raise ValueError(f"{what}: unknown keys {unknown}, missing keys {missing}")
+    return cls(**payload)
+
+
 @dataclass
 class TreeNode:
     """Binary tree over presence features: left = absent, right = present."""
@@ -154,7 +168,7 @@ class GbtModel:
     @classmethod
     def from_dict(cls, payload: dict) -> "GbtModel":
         return cls(
-            params=GbtParams(**payload["params"]),
+            params=params_from_dict(GbtParams, payload["params"], "gbt model params"),
             base_score=float(payload["base_score"]),
             trees=[TreeNode.from_dict(t) for t in payload["trees"]],
             num_features=int(payload["num_features"]),
@@ -659,3 +673,10 @@ def predict_logreg(model: LinearModel, x) -> tuple[Hashable, dict]:
     scores = decision_scores(model, x)
     best = int(np.argmax(scores))
     return model.classes[best], {c: float(s) for c, s in zip(model.classes, scores)}
+
+
+def predict_logreg_rows(model: LinearModel, X: sparse.csr_matrix) -> list[tuple[Hashable, dict]]:
+    """``predict_logreg`` of each row of ``X``."""
+    # a one-row matrix is its own row, and slicing costs a twentieth of a prediction
+    rows = [X] if X.shape[0] == 1 else [X[i] for i in range(X.shape[0])]
+    return [predict_logreg(model, x) for x in rows]

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -51,8 +51,9 @@ from .learners import (
     GbtParams,
     LinearModel,
     LinParams,
+    params_from_dict,
     predict_gbt_batch,
-    predict_logreg,
+    predict_logreg_rows,
     train_gbt,
     train_l1_logreg,
 )
@@ -209,13 +210,9 @@ def _contains_subsequence(tokens: Sequence[str], phrase: Sequence[str]) -> bool:
     return False
 
 
-def rule_select(report: Report, keyword_rules: Iterable[str]) -> tuple[int, ...]:
-    """Indices of lines whose normalized tokens contain any rule phrase as
-    a contiguous subsequence."""
-    return _rule_hits(tokenize_lines(report), [tokenize(rule) for rule in keyword_rules])
-
-
 def _rule_hits(token_lines: Sequence[Sequence[str]], phrases) -> tuple[int, ...]:
+    """Indices of the token lines that contain any of the token ``phrases``
+    as a contiguous subsequence."""
     return tuple(
         i
         for i, tokens in enumerate(token_lines)
@@ -273,22 +270,26 @@ def join_adjacent(
 
 
 def compose_representation(
-    selection: SelectedLines, token_lines: Sequence[Sequence[str]], final_vocab: Vocabulary
+    selections: Sequence[SelectedLines],
+    doc_lines: Sequence[Sequence[Sequence[str]]],
+    final_vocab: Vocabulary,
 ) -> sparse.csr_matrix:
-    """Weighted sum of segment vectors, as one CSR row.  A segment's tokens
-    are its member lines' tokens in order, which is how the lines joined
-    with a space tokenize, so n-grams may cross the original line
-    boundaries inside a segment."""
-    segments = selection.segments
+    """Each document's weighted sum of segment vectors, one CSR row per
+    document, from one ``vectorize`` call over every segment of the batch.
+    A segment's tokens are its member lines' tokens in order, which is how
+    the lines joined with a space tokenize, so n-grams may cross the
+    original line boundaries inside a segment.  Each feature's segment
+    weights are added in segment order from 0.0, and a feature whose
+    weights sum to zero is not stored."""
+    segments = [(doc, seg) for doc, sel in enumerate(selections) for seg in sel.segments]
     rows = vectorize(
-        [[t for line in token_lines[s.start : s.end + 1] for t in line] for s in segments],
+        [[t for line in doc_lines[d][s.start : s.end + 1] for t in line] for d, s in segments],
         final_vocab,
     )
-    weights = [s.weight for s in segments]
-    # bincount adds each feature's segment weights in segment order
-    sums = np.bincount(rows.indices, np.repeat(weights, np.diff(rows.indptr)))
-    present = np.flatnonzero(sums)
-    return to_csr([present.tolist()], final_vocab.dimension, sums[present])
+    per_row = np.diff(rows.indptr)
+    docs = np.repeat(np.array([d for d, _ in segments], dtype=np.int64), per_row)
+    weights = np.repeat(np.array([s.weight for _, s in segments], dtype=np.float64), per_row)
+    return to_csr(docs, rows.indices, (len(selections), final_vocab.dimension), weights)
 
 
 def _represent(
@@ -299,7 +300,7 @@ def _represent(
     doc_lines: Sequence[Sequence[Sequence[str]]],
     gold_lines: Sequence[Sequence[int] | None],
     line_scores: np.ndarray | None,
-) -> tuple[list[SelectedLines], list[sparse.csr_matrix]]:
+) -> tuple[list[SelectedLines], sparse.csr_matrix]:
     """Selection and stage-2 row of each document, given as its token
     lines.  The row's selector picks the lines, which become joined or
     single-line segments weighted by their stage-1 scores or by 1.
@@ -308,7 +309,7 @@ def _represent(
     row = VARIANTS[variant]
     offsets = np.cumsum([0] + [len(lines) for lines in doc_lines])
     phrases = [tokenize(rule) for rule in keyword_rules or ()]
-    selections, rows = [], []
+    selections = []
     for lines, gold, start in zip(doc_lines, gold_lines, offsets[:-1], strict=True):
         if row.selector == "scored":
             scores = line_scores[start : start + len(lines)]
@@ -327,8 +328,7 @@ def _represent(
             segments = tuple(Segment(i, i, float(weights[i])) for i in chosen)
             selection = SelectedLines(segments, k=doc_k)
         selections.append(selection)
-        rows.append(compose_representation(selection, lines, final_vocab))
-    return selections, rows
+    return selections, compose_representation(selections, doc_lines, final_vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +419,8 @@ def fit_sla(
     final_vocab, _ = features.at(hyper.final_ngram_n)
 
     gold = [d.annotations[attribute].line_indices for d in docs]
-    _, rows = _represent(variant, hyper.k, rules, final_vocab, doc_lines, gold, line_scores)
+    _, X = _represent(variant, hyper.k, rules, final_vocab, doc_lines, gold, line_scores)
     labels = [gold_label(d, attribute, schemas) for d in docs]
-
-    X = sparse.vstack(rows, format="csr")
     classifier = train_l1_logreg(X, labels, hyper.lin)
     return SlaModel(
         attribute=attribute,
@@ -479,7 +477,7 @@ def predict_featurized(
     line_scores = None
     if X_lines is not None:
         line_scores = predict_gbt_batch(model.line_scorer, X_lines)
-    selections, rows = _represent(
+    selections, X = _represent(
         model.variant,
         model.k,
         model.keyword_rules,
@@ -488,7 +486,7 @@ def predict_featurized(
         gold_lines,
         line_scores,
     )
-    outputs = [predict_logreg(model.final_classifier, x) for x in rows]
+    outputs = predict_logreg_rows(model.final_classifier, X)
     return [
         Prediction(str(label), scores, selection)
         for (label, scores), selection in zip(outputs, selections)
@@ -541,9 +539,11 @@ def model_from_dict(payload: dict) -> SlaModel:
         # bundles written before gbt and lin were serialized get the defaults
         if not names - {"gbt", "lin"} <= set(h) <= names:
             raise ValueError(f"sla bundle hyper keys {sorted(h)} are not those of SlaHyperParams")
-        hyper = SlaHyperParams(
-            **{**h, "gbt": GbtParams(**h.get("gbt", {})), "lin": LinParams(**h.get("lin", {}))}
+        gbt, lin = (
+            params_from_dict(cls, h[key], f"sla bundle hyper.{key}") if key in h else cls()
+            for key, cls in (("gbt", GbtParams), ("lin", LinParams))
         )
+        hyper = SlaHyperParams(**{**h, "gbt": gbt, "lin": lin})
     return SlaModel(
         attribute=payload["attribute"],
         variant=payload["variant"],

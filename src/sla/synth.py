@@ -21,7 +21,6 @@ documents are generated in parallel.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
@@ -34,7 +33,6 @@ from .corpus import (
     EnrichedAnnotation,
     LabeledDocument,
     Report,
-    compose_label,
 )
 
 DEFAULT_CUES = {
@@ -134,14 +132,6 @@ class GenConfig:
                 f"lines_per_doc min {lo} too small for {a} attributes with up to "
                 f"{ehi} echoes each; need at least {worst}"
             )
-
-
-@dataclass(frozen=True)
-class GoldSummary:
-    n_docs: int
-    label_counts: dict[str, dict[str, int]]
-    planted_line_histogram: dict[int, int]
-    synoptic_docs: int
 
 
 # ---------------------------------------------------------------------------
@@ -312,26 +302,6 @@ def generate_corpus(config: GenConfig) -> list[LabeledDocument]:
         doc, _ = _generate_doc(i, config, np.random.default_rng(child))
         docs.append(doc)
     return docs
-
-
-def describe_gold(docs: Sequence[LabeledDocument]) -> GoldSummary:
-    """Exact label marginals and planted-line positions for a corpus."""
-    label_counts: dict[str, Counter] = {}
-    planted: Counter = Counter()
-    synoptic_docs = 0
-    for doc in docs:
-        if any("synoptic" in line for line in doc.report.lines):
-            synoptic_docs += 1
-        for attr, ann in doc.annotations.items():
-            label_counts.setdefault(attr, Counter())[compose_label(ann.values)] += 1
-            if ann.line_indices:
-                planted[ann.line_indices[0]] += 1
-    return GoldSummary(
-        n_docs=len(docs),
-        label_counts={a: dict(c) for a, c in sorted(label_counts.items())},
-        planted_line_histogram=dict(sorted(planted.items())),
-        synoptic_docs=synoptic_docs,
-    )
 
 
 # ---------------------------------------------------------------------------

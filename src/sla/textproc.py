@@ -8,24 +8,36 @@ Normalization (applied identically at train and test time):
   * surround each of  : / ( ) + =  with single spaces
 
 Tokens are whitespace-separated after normalization.  No rule reaches
-across a space (each acts on single characters, pads with spaces, or
-deletes a whole word, which a space ends), and a space is not cased, so
-lines joined with a space tokenize as the concatenation of their tokens.
+across a space or a newline (each acts on single characters, pads with
+spaces, or deletes a whole word, which either ends), and neither is
+cased, so lines joined with a space tokenize as the concatenation of
+their tokens.  ``tokenize_lines`` relies on the same property for "\\n":
+it joins a report's lines with newlines, normalizes the text in one pass,
+and splits it back into lines (a ``Report`` line holds no newline).
 
 N-grams are enumerated inside a line only; they never span line
 boundaries.  Unigrams seen fewer than ``min_count`` times in the training
 data are replaced by ``<UNK>`` before n-grams are enumerated, and
 out-of-vocabulary unigrams map through ``<UNK>`` at test time.  Features
 are binary presence.
+
+``vectorize`` works on integers.  Each word the vocabulary knows has an id,
+and ``<UNK>`` has its own, so there are B ids.  An n-gram's key packs the
+column of its (n-1)-gram prefix with the id of its last word:
+(prefix column + 1) * B + id, where a unigram's empty prefix has column
+-1.  A key is below (dimension + 1) * B, so it cannot overflow int64 for
+any vocabulary this program can hold in memory, and an n-gram is looked up
+only where its prefix was found.  Columns still come from the sort of the
+string n-grams, so vocabularies and their files do not depend on the keys.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
-from dataclasses import dataclass, field
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -33,32 +45,55 @@ from scipy import sparse
 UNK = "<UNK>"
 
 _REMOVE_CHARS = str.maketrans("", "", ",\\;~.")
-_PAD_RE = re.compile(r"\s*([:/()+=])\s*")
+# no \s around the symbol: the padding must not eat the "\n" between lines,
+# and the split into tokens drops the extra spaces anyway
+_PAD_RE = re.compile(r"([:/()+=])")
 _NULL_RE = re.compile(r"\bnull\b")
+_INT32_MAX = int(np.iinfo(np.int32).max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _clean(text: str) -> str:
+    """Every normalization rule but the split into tokens.  None reaches
+    across a "\\n", so ``text`` may hold several lines."""
+    text = _PAD_RE.sub(r" \1 ", text.lower().translate(_REMOVE_CHARS))
+    return _NULL_RE.sub(" ", text)
 
 
 def normalize(raw: str) -> str:
-    """Apply the character-level cleanup rules.  Idempotent."""
-    s = raw.lower().translate(_REMOVE_CHARS)
-    s = _PAD_RE.sub(r" \1 ", s)
-    s = _NULL_RE.sub(" ", s)
-    return s.strip()
+    """The normalized text: its tokens joined with single spaces.  Idempotent."""
+    return " ".join(_clean(raw).split())
 
 
 def tokenize(raw: str) -> tuple[str, ...]:
     """Normalize then split on whitespace."""
-    return tuple(normalize(raw).split())
+    return tuple(_clean(raw).split())
 
 
 def tokenize_lines(report) -> list[tuple[str, ...]]:
-    """The tokens of each line of a report, in line order."""
-    return [tokenize(line) for line in report.lines]
+    """The tokens of each line of a report, in line order, from one
+    normalization pass over the whole report."""
+    lines = _clean("\n".join(report.lines)).split("\n")
+    if len(lines) != len(report.lines):
+        raise ValueError(f"report {report.id}: a line holds a newline")
+    return [tuple(line.split()) for line in lines]
 
 
 def _ngrams(tokens: Sequence[str], max_n: int) -> Iterator[str]:
     for n in range(1, max_n + 1):
         for i in range(len(tokens) - n + 1):
             yield " ".join(tokens[i : i + n])
+
+
+class GramKeys(NamedTuple):
+    """A vocabulary's n-grams as packed integer keys (see the module
+    docstring)."""
+
+    word_id: dict[str, int]  # every unigram of the vocabulary, and <UNK>
+    unk_id: int
+    base: int  # B, the number of word ids
+    keys: np.ndarray  # the sorted keys, then one sentinel above them all
+    cols: np.ndarray  # the column of each key
 
 
 @dataclass
@@ -68,6 +103,8 @@ class Vocabulary:
     ``ngram_to_index`` maps space-joined n-grams to column indices assigned
     in lexicographic order.  ``known_words`` holds the unigrams that
     survived the frequency cutoff; all other unigrams map to ``<UNK>``.
+    Every n-gram's (n-1)-gram prefix and last word are in the index too,
+    as ``build_vocabulary`` makes them.
     """
 
     ngram_to_index: dict[str, int]
@@ -89,6 +126,32 @@ class Vocabulary:
 
     def map_token(self, token: str) -> str:
         return token if token in self.known_words else self.unk_token
+
+    @cached_property
+    def gram_keys(self) -> GramKeys:
+        """The integer keys of the n-grams, built on first use, so that
+        loading or saving a vocabulary does not pay for them; the index
+        must not change after it.  A ValueError if an n-gram's prefix or
+        last word is missing from the index."""
+        index = self.ngram_to_index
+        word_id = {gram: i for i, gram in enumerate(g for g in index if " " not in g)}
+        unk_id = word_id.setdefault(self.unk_token, len(word_id))
+        base = len(word_id)
+        if (len(index) + 1) * base > _INT64_MAX:
+            raise ValueError(f"{len(index)} n-grams over {base} words are too many for int64 keys")
+        try:
+            keys = [
+                (index[prefix] + 1) * base + word_id[last] if prefix else word_id[last]
+                for prefix, _, last in (gram.rpartition(" ") for gram in index)
+            ]
+        except KeyError as exc:
+            raise ValueError(
+                f"vocabulary n-gram part {exc} is not itself in the vocabulary"
+            ) from None
+        keys = np.array(keys, dtype=np.int64)
+        order = np.argsort(keys)
+        cols = np.fromiter(index.values(), np.int64, len(index))[order]
+        return GramKeys(word_id, unk_id, base, np.append(keys[order], _INT64_MAX), cols)
 
     def restrict(self, max_n: int) -> tuple["Vocabulary", np.ndarray]:
         """The vocabulary of the grams of at most ``max_n`` tokens, and the
@@ -163,16 +226,33 @@ def vectorize(token_lines: Iterable[Sequence[str]], vocab: Vocabulary) -> sparse
     line.
 
     Unknown unigrams are first mapped to <UNK>; n-grams absent from the
-    vocabulary are dropped.
+    vocabulary are dropped.  The whole batch is one array of word ids, and
+    each order's n-grams are found with one search of the packed keys.
     """
-    column = vocab.ngram_to_index.get
-    rows = []
-    for tokens in token_lines:
-        mapped = tuple(vocab.map_token(t) for t in tokens)
-        cols = {column(g) for g in _ngrams(mapped, vocab.max_n)}
-        cols.discard(None)
-        rows.append(sorted(cols))
-    return to_csr(rows, vocab.dimension)
+    lines = list(token_lines)
+    word_id, unk_id, base, keys, cols = vocab.gram_keys
+    get = word_id.get
+    ids = np.array([get(t, unk_id) for line in lines for t in line], dtype=np.int64)
+    lengths = np.fromiter(map(len, lines), np.int64, len(lines))
+    line_of = np.repeat(np.arange(len(lines)), lengths)
+    # tokens from each position to the end of its line, itself included
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
+    starts = np.arange(len(ids))
+    prefix = np.full(len(ids), -1)  # the column of each window's (n-1)-gram
+    found_rows, found_cols = [], []
+    for n in range(vocab.max_n):  # windows of n + 1 tokens
+        if n:
+            inside = room[starts] > n
+            starts, prefix = starts[inside], prefix[inside]
+        key = (prefix + 1) * base + ids[starts + n]
+        pos = np.searchsorted(keys, key)
+        hit = keys[pos] == key
+        starts, prefix = starts[hit], cols[pos[hit]]
+        found_rows.append(line_of[starts])
+        found_cols.append(prefix)
+    return to_csr(
+        np.concatenate(found_rows), np.concatenate(found_cols), (len(lines), vocab.dimension)
+    )
 
 
 class Featurized:
@@ -195,14 +275,40 @@ class Featurized:
 
 
 def to_csr(
-    rows: Sequence[list[int]], dimension: int, data: np.ndarray | None = None
+    rows: np.ndarray,
+    cols: np.ndarray,
+    shape: tuple[int, int],
+    weights: np.ndarray | None = None,
 ) -> sparse.csr_matrix:
-    """Stack rows of sorted, distinct column indices into a CSR matrix.
-    ``data`` holds the values of every row in order; without it each stored
-    value is 1.0 (binary presence).  Rows are lists because reading Python
-    ints one by one is several times faster than reading numpy scalars."""
-    indptr = np.cumsum([0] + [len(row) for row in rows])
-    indices = np.fromiter(itertools.chain.from_iterable(rows), np.int64, int(indptr[-1]))
-    if data is None:
-        data = np.ones(len(indices))
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), dimension))
+    """The CSR matrix of ``shape`` with entries at (rows[i], cols[i]).
+    Without ``weights`` an entry is 1.0 however often it repeats (binary
+    presence).  With them an entry is the sum of its weights, added in the
+    order given starting from 0.0, and entries that sum to zero are not
+    stored."""
+    n_rows, dimension = shape
+    if n_rows * dimension > _INT64_MAX:
+        raise ValueError(f"a {n_rows} x {dimension} matrix is too large for int64 keys")
+    flat = np.asarray(rows, dtype=np.int64) * dimension + cols
+    # sorting is several times faster than np.unique on arrays this small
+    if weights is None:
+        flat = np.sort(flat)
+    else:
+        order = np.argsort(flat, kind="stable")  # keeps each entry's weights in order
+        flat, weights = flat[order], weights[order]
+    first = np.empty(len(flat), dtype=bool)
+    first[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    if weights is None:
+        flat = flat[first]
+        data = np.ones(len(flat))
+    else:
+        # bincount adds each entry's weights one by one, in order
+        data = np.bincount(np.cumsum(first) - 1, weights, np.count_nonzero(first))
+        stored = data != 0
+        flat, data = flat[first][stored], data[stored]
+    row_of, indices = np.divmod(flat, max(dimension, 1))
+    indptr = np.searchsorted(row_of, np.arange(n_rows + 1))
+    # scipy stores int32 indices where they fit; handing it int32 skips its check
+    if max(n_rows, dimension, len(flat)) <= _INT32_MAX:
+        indices, indptr = indices.astype(np.int32), indptr.astype(np.int32)
+    return sparse.csr_matrix((data, indices, indptr), shape=shape, dtype=np.float64)

@@ -5,11 +5,11 @@ For one fixed synthetic corpus, runs ``tune`` (3 trials x 3 folds),
 through ``sla.cli.main``, then prints one ``sha256  path`` line per output
 file, with paths relative to the output directory.  Manifests are left out,
 since they record paths and timings.  Two checkouts whose listings are
-equal wrote the same bytes:
+equal wrote the same bytes.  ``--against LISTING`` also diffs the listing
+with one saved from another checkout, and exits 1 if they differ:
 
-    PYTHONPATH=src python tests/replay_outputs.py /tmp/new > new.txt
     PYTHONPATH=../other/src python tests/replay_outputs.py /tmp/old > old.txt
-    diff old.txt new.txt
+    PYTHONPATH=src python tests/replay_outputs.py /tmp/new --against old.txt
 
 The ``sla`` that runs is the one on ``PYTHONPATH``.  pytest does not
 collect this file.
@@ -17,7 +17,9 @@ collect this file.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -69,17 +71,28 @@ def replay(out: Path) -> None:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tests/replay_outputs.py <out-dir>", file=sys.stderr)
-        return 1
-    out = Path(argv[0])
-    replay(out)
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+    parser = argparse.ArgumentParser(description="Replay a fixed CLI chain and hash its outputs.")
+    parser.add_argument("out", type=Path, help="directory to write the outputs under")
+    parser.add_argument(
+        "--against", type=Path, metavar="LISTING", help="a saved listing to diff this one with"
+    )
+    args = parser.parse_args(argv)
+    replay(args.out)
+    listing = []
+    for path in sorted(p for p in args.out.rglob("*") if p.is_file()):
         if path.name == "manifest.json" or path.name.endswith(".manifest.json"):
             continue
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(out).as_posix()}")
-    return 0
+        listing.append(f"{digest}  {path.relative_to(args.out).as_posix()}\n")
+    sys.stdout.writelines(listing)
+    if args.against is None:
+        return 0
+    saved = args.against.read_text(encoding="utf-8").splitlines(keepends=True)
+    diff = list(difflib.unified_diff(saved, listing, str(args.against), "this checkout"))
+    sys.stderr.writelines(diff)
+    verdict = "differ from" if diff else "identical to"
+    print(f"{len(listing)} outputs; {verdict} {args.against}", file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

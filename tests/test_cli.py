@@ -163,6 +163,28 @@ def test_train_predict_evaluate_chain(workdir, capsys, tmp_path):
     assert grade["micro_f1"] >= 0.9
 
 
+def test_predict_refuses_learner_params_with_unknown_or_missing_keys(workdir, capsys, tmp_path):
+    corpus = workdir / "corpus.jsonl"
+    model = tmp_path / "model.json"
+    code, _, _ = run(capsys, "train", "--corpus", str(corpus), "--attribute", "grade",
+                     "--out", str(model))
+    assert code == 0
+    edits = [
+        (("hyper", "gbt"), lambda params: params.update(beam=1), "beam"),
+        (("hyper", "lin"), lambda params: params.pop("tol"), "tol"),
+        (("line_scorer", "params"), lambda params: params.update(beam=1), "beam"),
+    ]
+    for (outer, inner), edit, key in edits:
+        bundle = json.loads(model.read_text())
+        edit(bundle[outer][inner])
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(bundle), encoding="utf-8")
+        code, _, err = run(capsys, "predict", "--model", str(edited),
+                           "--corpus", str(corpus), "--out", str(tmp_path / "preds.jsonl"))
+        assert code == 2, err
+        assert f"'{key}'" in err and "internal error" not in err
+
+
 def test_train_baseline_and_predict(workdir, capsys, tmp_path):
     corpus = workdir / "corpus.jsonl"
     model = tmp_path / "base.json"

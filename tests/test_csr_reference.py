@@ -1,5 +1,6 @@
 """The CSR featurizers against frozen copies of the tuple-backed sparse
-vectors they replaced: equal indices and values, bit for bit."""
+vectors and the string n-grams they replaced: equal indices and values,
+bit for bit."""
 
 from dataclasses import dataclass
 from typing import Iterable
@@ -8,10 +9,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sla.baselines import featurize_document
+from sla.baselines import document_matrix, featurize_document
 from sla.corpus import Report
 from sla.pipeline import Segment, SelectedLines, compose_representation
-from sla.textproc import _ngrams, build_vocabulary, tokenize, tokenize_lines, vectorize
+from sla.textproc import UNK, build_vocabulary, tokenize, tokenize_lines, vectorize
 
 # ---------------------------------------------------------------------------
 # frozen reference: the single-vector path, as it was before the CSR rows
@@ -43,13 +44,17 @@ class _RefVector:
         return _RefVector(self.indices, tuple(v * factor for v in self.values), self.dimension)
 
 
+def _ref_ngrams(tokens, max_n):
+    for n in range(1, max_n + 1):
+        for i in range(len(tokens) - n + 1):
+            yield " ".join(tokens[i : i + n])
+
+
 def _ref_vectorize(tokens, vocab) -> _RefVector:
-    if hasattr(tokens, "tokens"):
-        tokens = tokens.tokens
     mapped = tuple(vocab.map_token(t) for t in tokens)
     idx = {
         vocab.ngram_to_index[g]
-        for g in _ngrams(mapped, vocab.max_n)
+        for g in _ref_ngrams(mapped, vocab.max_n)
         if g in vocab.ngram_to_index
     }
     indices = tuple(sorted(idx))
@@ -82,6 +87,11 @@ def _ref_featurize(report, vocab) -> _RefVector:
     return _RefVector(indices, (1.0,) * len(indices), vocab.dimension)
 
 
+def _row(matrix, r: int) -> tuple[np.ndarray, np.ndarray]:
+    span = slice(matrix.indptr[r], matrix.indptr[r + 1])
+    return matrix.indices[span], matrix.data[span]
+
+
 def _assert_row_equal(ref: _RefVector, indices: np.ndarray, data: np.ndarray) -> None:
     assert np.asarray(indices, dtype=np.int64).tobytes() == np.asarray(
         ref.indices, dtype=np.int64
@@ -90,7 +100,7 @@ def _assert_row_equal(ref: _RefVector, indices: np.ndarray, data: np.ndarray) ->
 
 
 # ---------------------------------------------------------------------------
-# the property
+# the properties
 # ---------------------------------------------------------------------------
 
 _WORDS = ["grade", ":", "2", "3", "g2", "mass", "cecum", "null", "Rare."]
@@ -118,61 +128,136 @@ def _segments(draw, n_lines: int) -> SelectedLines:
     return SelectedLines(tuple(Segment(s, e, w) for s, e, w in segments), k=n_lines)
 
 
+_LINES = st.lists(
+    st.lists(st.sampled_from(_WORDS), max_size=7).map(" ".join), min_size=1, max_size=12
+)
+
+
 @st.composite
 def _case(draw):
-    lines = draw(
-        st.lists(
-            st.lists(st.sampled_from(_WORDS), max_size=7).map(" ".join),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    report = Report(id="r", cancer="colon", lines=tuple(lines))
-    # the vocabulary sees only some lines, so the others carry unseen n-grams
-    train = tokenize_lines(report)[: draw(st.integers(1, len(lines)))]
-    vocab = build_vocabulary(train, max_n=draw(st.integers(1, 3)))
-    return report, vocab, draw(_segments(len(lines)))
+    """A batch of one to three reports, a vocabulary of some of their lines
+    (so the others carry unseen n-grams), and a selection per report."""
+    reports = [
+        Report(id=f"r{i}", cancer="colon", lines=tuple(draw(_LINES)))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    lines = [tl for report in reports for tl in tokenize_lines(report)]
+    train = lines[: draw(st.integers(1, len(lines)))]
+    vocab = build_vocabulary(train, max_n=draw(st.integers(1, 4)))
+    return reports, vocab, [draw(_segments(len(r.lines))) for r in reports]
 
 
-def _fixed_case(lines, max_n, segments):
-    report = Report(id="r", cancer="colon", lines=lines)
-    vocab = build_vocabulary(tokenize_lines(report), max_n=max_n)
-    selection = SelectedLines(tuple(Segment(*s) for s in segments), k=len(lines))
-    return report, vocab, selection
+def _fixed_case(lines, max_n, segments, *more):
+    """A batch of the report of ``lines`` with ``segments`` selected, and of
+    each further (lines, segments) pair; the vocabulary is every line's."""
+    batch = [(lines, segments), *more]
+    reports = [Report(id=f"r{i}", cancer="colon", lines=ls) for i, (ls, _) in enumerate(batch)]
+    vocab = build_vocabulary([tl for r in reports for tl in tokenize_lines(r)], max_n=max_n)
+    selections = [
+        SelectedLines(tuple(Segment(*s) for s in segs), k=len(ls)) for ls, segs in batch
+    ]
+    return reports, vocab, selections
 
 
 # three segments sharing n-grams, with weights whose sum depends on the order
 _OVERLAP = (("grade : 2", "x", "grade : 2", "y", "grade : 3"), 2,
             [(0, 0, 0.1), (2, 2, 0.2), (4, 4, 0.7)])
+# a segment over more than two lines that crosses an empty line and a
+# one-token line, and one that is a single one-token line
+_ACROSS = (("grade : 2", "", "mass", "2 cecum", "grade", "x"), 4,
+           [(0, 3, 0.5), (4, 4, 0.2)])
 
 
 @given(_case())
 @example(_fixed_case(*_OVERLAP))
 @example(_fixed_case(_OVERLAP[0], 2, [(0, 0, 1.0), (2, 2, 1.0), (4, 4, 1.0)]))
 @example(_fixed_case(("grade : 2", "mass"), 2, []))  # an empty selection
+@example(_fixed_case(*_ACROSS, (("", "mass"), [(0, 1, 1.0)]), (("grade 3",), [])))
 @settings(max_examples=200, deadline=None)
 def test_csr_featurizers_match_the_single_vector_reference(case):
-    report, vocab, selection = case
-    token_lines = tokenize_lines(report)
+    reports, vocab, selections = case
+    doc_lines = [tokenize_lines(report) for report in reports]
 
-    rows = vectorize(token_lines, vocab)
-    assert rows.shape == (len(token_lines), vocab.dimension)
-    for r, tl in enumerate(token_lines):
-        span = slice(rows.indptr[r], rows.indptr[r + 1])
-        _assert_row_equal(_ref_vectorize(tl, vocab), rows.indices[span], rows.data[span])
+    for token_lines in doc_lines:
+        rows = vectorize(token_lines, vocab)
+        assert rows.shape == (len(token_lines), vocab.dimension)
+        for r, tl in enumerate(token_lines):
+            _assert_row_equal(_ref_vectorize(tl, vocab), *_row(rows, r))
 
-    rep = compose_representation(selection, token_lines, vocab)
-    assert rep.shape == (1, vocab.dimension)
-    _assert_row_equal(_ref_compose(selection, report, vocab), rep.indices, rep.data)
-
-    doc = featurize_document(report, vocab)
-    assert doc.shape == (1, vocab.dimension)
-    _assert_row_equal(_ref_featurize(report, vocab), doc.indices, doc.data)
+    # one call for the batch: a row per document
+    composed = compose_representation(selections, doc_lines, vocab)
+    docs = document_matrix(doc_lines, vocab)
+    assert composed.shape == docs.shape == (len(reports), vocab.dimension)
+    for i, (report, selection) in enumerate(zip(reports, selections)):
+        _assert_row_equal(_ref_compose(selection, report, vocab), *_row(composed, i))
+        _assert_row_equal(_ref_featurize(report, vocab), *_row(docs, i))
+        doc = featurize_document(report, vocab)
+        assert doc.shape == (1, vocab.dimension)
+        _assert_row_equal(_ref_featurize(report, vocab), doc.indices, doc.data)
 
 
 def test_overlapping_weights_add_in_segment_order():
-    report, vocab, selection = _fixed_case(*_OVERLAP)
+    reports, vocab, selections = _fixed_case(*_OVERLAP)
     column = vocab.ngram_to_index["grade"]
-    rep = compose_representation(selection, tokenize_lines(report), vocab)
+    rep = compose_representation(selections, [tokenize_lines(reports[0])], vocab)
     got = rep.data[list(rep.indices).index(column)]
     assert got == (0.1 + 0.2) + 0.7 != 0.1 + (0.2 + 0.7)
+
+
+_TRAIN_LINES = st.lists(
+    st.lists(st.sampled_from(["grade", ":", "2", "3", "mass", "of"]), max_size=6),
+    min_size=1,
+    max_size=10,
+)
+# words the training lines never hold, and the literal <UNK>, map to <UNK>
+_QUERY_LINES = st.lists(
+    st.lists(st.sampled_from(["grade", ":", "2", "mass", "of", "unseen", "rare", UNK]), max_size=6),
+    max_size=10,
+)
+
+
+@given(
+    train=_TRAIN_LINES,
+    query=_QUERY_LINES,
+    n=st.integers(1, 4),
+    m=st.integers(1, 4),
+    min_count=st.integers(1, 3),
+)
+# every word known: no <UNK> in the vocabulary, and an all-<UNK> line
+@example([["mass", "of"], ["mass", "of", "mass"]], [["rare", "unseen"], [], ["of"]], 2, 2, 1)
+# <UNK> in the vocabulary, at every position of a 4-gram
+@example(
+    [["grade", "2", "rare", "of"]] * 2 + [["x", "y", "z", "q"]],
+    [["rare", "unseen", UNK, "q"]],
+    4, 3, 2,
+)
+@settings(max_examples=300, deadline=None)
+def test_vectorize_matches_the_reference_at_every_order(train, query, n, m, min_count):
+    full = build_vocabulary(train, max_n=n, min_count=min_count)
+    restricted, _ = full.restrict(min(m, n))
+    for vocab in (full, restricted):
+        for lines in (train, query):
+            rows = vectorize(lines, vocab)
+            assert rows.shape == (len(lines), vocab.dimension)
+            for r, tl in enumerate(lines):
+                _assert_row_equal(_ref_vectorize(tl, vocab), *_row(rows, r))
+
+
+def test_vectorize_keys_do_not_overflow_on_a_large_vocabulary():
+    # 60,001 distinct words, every line twice so that each is known: keys
+    # that packed a 4-gram's four word ids in base B would need B**4 > 2**63
+    words = [f"w{i}" for i in range(60_001)]
+    lines = [tuple(words[i : i + 8]) for i in range(0, len(words), 8)]
+    vocab = build_vocabulary(lines * 2, max_n=4)
+    assert vocab.gram_keys.base ** 4 > 2**63
+    rng = np.random.default_rng(0)
+    query = [
+        *lines[:40],
+        *lines[-40:],  # the largest columns and word ids
+        *(tuple(str(w) for w in rng.choice(words, size=6)) for _ in range(40)),
+        (words[-1], words[0], "unseen", words[1]),
+    ]
+    rows = vectorize(query, vocab)
+    assert rows.shape == (len(query), vocab.dimension)
+    for r, tl in enumerate(query):
+        _assert_row_equal(_ref_vectorize(tl, vocab), *_row(rows, r))

@@ -10,7 +10,6 @@ from sla.evaluation import (
     DEFAULT_CI_LEVEL,
     DEFAULT_RUNS,
     DEFAULT_SIZES,
-    ErrorCategory,
     agreement,
     bootstrap_ci,
     evaluate_attribute,
@@ -19,7 +18,6 @@ from sla.evaluation import (
     macro_f1,
     micro_f1,
     parallel_map,
-    tally_error_annotations,
 )
 
 from test_pipeline import tiny_corpus
@@ -175,30 +173,6 @@ def test_agreement_identical_and_edge_cases():
         agreement(["x"], ["x", "y"])
     with pytest.raises(ValueError):
         agreement([], [])
-
-
-# ---------------------------------------------------------------------------
-# error-category tallies
-# ---------------------------------------------------------------------------
-
-
-def test_tally_error_annotations(tmp_path):
-    path = tmp_path / "errors.jsonl"
-    rows = [
-        {"id": "d1", "attribute": "grade", "category": "rare_phrasing"},
-        {"id": "d2", "attribute": "grade", "category": "rare_phrasing"},
-        {"id": "d3", "attribute": "grade", "category": "annotator"},
-    ]
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n\n", encoding="utf-8")
-    counts = tally_error_annotations(str(path))
-    assert counts["rare_phrasing"] == 2
-    assert counts["annotator"] == 1
-    assert counts["multi_label"] == 0
-    assert set(counts) == {c.value for c in ErrorCategory}
-
-    path.write_text(json.dumps({"id": "d", "category": "typo"}) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="unknown category"):
-        tally_error_annotations(str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def test_prediction_tie_breaks_to_earliest_class():
         weights=np.zeros((2, 3)),
         intercepts=np.zeros(2),
     )
-    pred, scores = predict_logreg(model, to_csr([[0]], 3))
+    pred, scores = predict_logreg(model, to_csr(np.array([0]), np.array([0]), (1, 3)))
     assert scores["a"] == scores["b"]
     assert pred == "a"
 
@@ -205,7 +205,7 @@ def test_decision_scores_csr_row_gathers_its_columns():
     assert np.allclose(decision_scores(model, row), 1.0 / (1.0 + np.exp(-dense)))
     with pytest.raises(ValueError):
         decision_scores(model, row.toarray()[0])  # dense vectors are not accepted
-    empty = to_csr([[]], 7)
+    empty = to_csr(np.array([], dtype=np.int64), np.array([], dtype=np.int64), (1, 7))
     assert decision_scores(model, empty).tobytes() == learners._sigmoid(model.intercepts).tobytes()
     with pytest.raises(ValueError):
         decision_scores(model, X[:2])

@@ -128,18 +128,6 @@ def test_multi_label_values_compose_in_declared_order():
         assert "not reported" not in ann.values
 
 
-def test_describe_gold_reports_exact_marginals():
-    docs = generate_corpus(make(num_docs=25))
-    summary = synth.describe_gold(docs)
-    assert summary.n_docs == 25
-    assert sum(summary.label_counts["grade"].values()) == 25
-    assert 0 < summary.synoptic_docs < 25
-    hand_count = sum(
-        1 for d in docs if compose_label(d.annotations["grade"].values) == "grade 1"
-    )
-    assert summary.label_counts["grade"].get("grade 1", 0) == hand_count
-
-
 def test_config_validation():
     with pytest.raises(ValueError, match="cancer"):
         make(cancer="liver")

@@ -1,3 +1,6 @@
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,9 +88,33 @@ def test_joined_lines_tokenize_as_the_concatenation_of_their_tokens(lines):
     assert tokenize(" ".join(lines)) == tuple(t for line in lines for t in tokenize(line))
 
 
+# frozen copy of the per-line tokenizer that the one-pass tokenize_lines
+# replaced: it pads with \s* and normalizes each line on its own
+_REF_REMOVE = str.maketrans("", "", ",\\;~.")
+_REF_PAD = re.compile(r"\s*([:/()+=])\s*")
+_REF_NULL = re.compile(r"\bnull\b")
+
+
+def _ref_tokenize(raw):
+    s = raw.lower().translate(_REF_REMOVE)
+    s = _REF_PAD.sub(r" \1 ", s)
+    return tuple(_REF_NULL.sub(" ", s).strip().split())
+
+
+@given(st.lists(_EDGE_LINE, min_size=1, max_size=6))
+@settings(max_examples=1000, deadline=None)
+def test_tokenize_lines_equals_the_per_line_reference(lines):
+    report = Report(id="r", cancer="colon", lines=tuple(lines))
+    assert tokenize_lines(report) == [_ref_tokenize(line) for line in lines]
+    assert [tokenize(line) for line in lines] == [_ref_tokenize(line) for line in lines]
+
+
 def test_tokenize_lines_keeps_source_indices():
     report = Report(id="r1", cancer="colon", lines=("First Line.", "grade:2"))
     assert tokenize_lines(report) == [("first", "line"), ("grade", ":", "2")]
+    # the one-pass split relies on lines without newlines, which Report ensures
+    with pytest.raises(ValueError, match="r2: a line holds a newline"):
+        tokenize_lines(SimpleNamespace(id="r2", lines=("a\nb", "c")))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +287,33 @@ def test_restrict_rejects_orders_above_its_own():
 
 
 def test_to_csr_matches_dense_layout():
-    m = to_csr([[0, 2], [1], []], 3, np.array([1.0, 0.5, 2.0]))
+    rows, cols = np.array([0, 0, 1]), np.array([0, 2, 1])
+    m = to_csr(rows, cols, (3, 3), np.array([1.0, 0.5, 2.0]))
     assert m.shape == (3, 3)
     assert m.toarray().tolist() == [[1.0, 0.0, 0.5], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
-    assert to_csr([[0, 2]], 3).toarray().tolist() == [[1.0, 0.0, 1.0]]
+    binary = to_csr(np.array([0, 0]), np.array([2, 0]), (1, 3))
+    assert binary.toarray().tolist() == [[1.0, 0.0, 1.0]]
+
+
+def test_to_csr_sums_repeated_entries_in_order_and_drops_zeros():
+    rows, cols = np.array([1, 0, 1, 1, 0]), np.array([2, 1, 2, 0, 1])
+    m = to_csr(rows, cols, (2, 3), np.array([0.1, 1.0, 0.2, 0.0, -1.0]))
+    assert m.indptr.tolist() == [0, 0, 1]  # row 0's entries cancel, row 1's 0.0 is dropped
+    assert m.indices.tolist() == [2] and m.data.tolist() == [0.1 + 0.2]
+    binary = to_csr(rows, cols, (2, 3))
+    assert binary.toarray().tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
+    assert binary.dtype == to_csr(rows[:0], cols[:0], (2, 3), np.array([])).dtype == np.float64
+
+
+def test_to_csr_refuses_shapes_whose_keys_overflow_int64():
+    empty = np.array([], dtype=np.int64)
+    assert to_csr(empty, empty, (3, 2**61)).shape == (3, 2**61)
+    with pytest.raises(ValueError, match="too large for int64 keys"):
+        to_csr(empty, empty, (4, 2**61))
+
+
+def test_vectorize_refuses_a_vocabulary_without_the_prefix_of_an_ngram():
+    # "a b c" needs "a b": the key of an n-gram holds its prefix's column
+    vocab = Vocabulary(ngram_to_index={"a": 0, "a b c": 1, "b": 2, "c": 3}, max_n=3)
+    with pytest.raises(ValueError, match="'a b' is not itself in the vocabulary"):
+        vectorize([("a", "b", "c")], vocab)
