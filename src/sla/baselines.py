@@ -14,14 +14,23 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import AttributeSchema, LabeledDocument, Report, gold_label
+from .corpus import (
+    AttributeSchema,
+    LabeledDocument,
+    Report,
+    annotated_documents,
+    bundle_header,
+    check_bundle_version,
+    gold_label,
+)
 from .learners import (
     GbtModel,
     GbtParams,
     LinearModel,
     LinParams,
+    label_scores,
     predict_gbt_batch,
-    predict_logreg_rows,
+    predict_logreg,
     train_gbt,
     train_l1_logreg,
 )
@@ -35,6 +44,7 @@ from .textproc import (
 )
 
 BASELINE_KINDS = ("doc-logreg", "doc-boost")
+DEFAULT_NGRAM_N = 1  # the n-gram order of a baseline whose order is not given
 
 
 def document_matrix(
@@ -82,18 +92,14 @@ def train_doc_baseline(
     train_docs: Sequence[LabeledDocument],
     attribute: str,
     kind: str = "doc-logreg",
-    ngram_n: int = 1,
+    ngram_n: int = DEFAULT_NGRAM_N,
     lin: LinParams | None = None,
     gbt: GbtParams | None = None,
     schemas: Mapping[tuple[str, str], AttributeSchema] | None = None,
 ) -> DocBaselineModel:
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    docs = [d for d in train_docs if attribute in d.annotations]
-    if len(docs) < 2:
-        raise ValueError(
-            f"need at least 2 training documents annotated for {attribute!r}, got {len(docs)}"
-        )
+    docs = annotated_documents(train_docs, attribute, 2, "training")
     features = baseline_features(ngram_n, [tokenize_lines(d.report) for d in docs])
     labels = [gold_label(d, attribute, schemas) for d in docs]
     return fit_doc_baseline(features, labels, attribute, kind, ngram_n, lin, gbt)
@@ -104,7 +110,7 @@ def fit_doc_baseline(
     labels: Sequence[str],
     attribute: str,
     kind: str,
-    ngram_n: int = 1,
+    ngram_n: int,
     lin: LinParams | None = None,
     gbt: GbtParams | None = None,
 ) -> DocBaselineModel:
@@ -115,15 +121,12 @@ def fit_doc_baseline(
     if kind == "doc-logreg":
         model.linear = train_l1_logreg(X, labels, lin or LinParams())
     else:
-        classes = tuple(sorted(set(labels)))
-        model.boost_classes = classes
-        model.boost_models = []
-        if len(classes) == 1:
-            model.boost_models = None  # constant predictor, handled at predict time
-        else:
-            for cls in classes:
-                y = np.array([1.0 if lab == cls else 0.0 for lab in labels])
-                model.boost_models.append(train_gbt(X, y, gbt or GbtParams()))
+        model.boost_classes = tuple(sorted(set(labels)))
+        if len(model.boost_classes) > 1:  # one class is a constant predictor
+            model.boost_models = [
+                train_gbt(X, [1.0 if lab == c else 0.0 for lab in labels], gbt or GbtParams())
+                for c in model.boost_classes
+            ]
     return model
 
 
@@ -142,15 +145,13 @@ def predict_doc_rows(model: DocBaselineModel, X: sparse.csr_matrix) -> list[tupl
     """Label and per-class scores of each row of ``X``, a document matrix
     under ``model.vocab``."""
     if model.kind == "doc-logreg":
-        return [(str(label), scores) for label, scores in predict_logreg_rows(model.linear, X)]
-    classes = model.boost_classes
-    if model.boost_models is None:
-        return [(str(classes[0]), {str(classes[0]): 1.0}) for _ in range(X.shape[0])]
-    probs = np.column_stack([predict_gbt_batch(m, X) for m in model.boost_models])
-    return [
-        (str(classes[int(np.argmax(p))]), {str(c): float(q) for c, q in zip(classes, p)})
-        for p in probs
-    ]
+        outputs = predict_logreg(model.linear, X)
+    elif model.boost_models is None:  # one class: a constant predictor
+        outputs = label_scores(model.boost_classes, np.ones((X.shape[0], 1)))
+    else:
+        probs = np.column_stack([predict_gbt_batch(m, X) for m in model.boost_models])
+        outputs = label_scores(model.boost_classes, probs)
+    return [(str(label), scores) for label, scores in outputs]
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +159,9 @@ def predict_doc_rows(model: DocBaselineModel, X: sparse.csr_matrix) -> list[tupl
 # ---------------------------------------------------------------------------
 
 
-_BUNDLE_VERSION = 1
-
-
 def baseline_to_dict(model: DocBaselineModel) -> dict:
     return {
-        "version": _BUNDLE_VERSION,
-        "kind": model.kind,
+        **bundle_header(model.kind),
         "attribute": model.attribute,
         "vocab": model.vocab.to_dict(),
         "linear": model.linear.to_dict() if model.linear else None,
@@ -176,11 +173,7 @@ def baseline_to_dict(model: DocBaselineModel) -> dict:
 
 
 def baseline_from_dict(payload: dict) -> DocBaselineModel:
-    if payload.get("version") != _BUNDLE_VERSION:
-        raise ValueError(
-            f"unsupported baseline bundle version {payload.get('version')!r}"
-            f" (expected {_BUNDLE_VERSION})"
-        )
+    check_bundle_version(payload, "baseline")
     return DocBaselineModel(
         attribute=payload["attribute"],
         kind=payload["kind"],

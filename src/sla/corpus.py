@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -219,6 +219,20 @@ def schema_value_order(
     return schema.allowed_values if schema is not None else None
 
 
+def annotated_documents(
+    docs: Iterable[LabeledDocument], attribute: str, at_least: int, purpose: str
+) -> list[LabeledDocument]:
+    """The documents of ``docs`` annotated for ``attribute``, in order; a
+    ValueError naming ``purpose`` if there are fewer than ``at_least``."""
+    annotated = [d for d in docs if attribute in d.annotations]
+    if len(annotated) < at_least:
+        raise ValueError(
+            f"{purpose} needs at least {at_least} document{'s' * (at_least != 1)}"
+            f" annotated for {attribute!r}, got {len(annotated)}"
+        )
+    return annotated
+
+
 def gold_label(
     doc: LabeledDocument,
     attribute: str,
@@ -261,6 +275,42 @@ def validate_against_schema(
 # ---------------------------------------------------------------------------
 # file I/O
 # ---------------------------------------------------------------------------
+
+
+def dataclass_kwargs(cls, payload: Mapping, what: str, optional: Iterable[str] = ()) -> dict:
+    """``payload``, a JSON object of the dataclass ``cls``'s fields, as
+    keyword arguments of ``cls``.  A key that is not a field, or a field
+    without its key that ``optional`` does not name, is a ValueError
+    naming it and ``what``."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(payload) - set(names))
+    if unknown:
+        raise ValueError(f"{what}: unknown keys: {', '.join(unknown)}")
+    missing = sorted(set(names) - set(payload) - set(optional))
+    if missing:
+        raise ValueError(f"{what}: missing keys: {', '.join(missing)}")
+    return dict(payload)
+
+
+# the sla and the baseline model bundles share one format version
+_BUNDLE_VERSION = 1
+
+
+def bundle_header(kind: str) -> dict:
+    """The first keys of a model bundle of ``kind``."""
+    return {"version": _BUNDLE_VERSION, "kind": kind}
+
+
+def check_bundle_version(payload: Mapping, what: str) -> None:
+    """A ValueError unless the ``what`` bundle ``payload`` has this
+    version."""
+    if payload.get("version") != _BUNDLE_VERSION:
+        raise ValueError(
+            f"unsupported {what} bundle version {payload.get('version')!r}"
+            f" (expected {_BUNDLE_VERSION})"
+        )
 
 
 def doc_to_record(doc: LabeledDocument) -> dict:

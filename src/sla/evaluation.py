@@ -21,7 +21,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import LabeledDocument, gold_label, select_documents, split_corpus
+from .corpus import LabeledDocument, annotated_documents, gold_label, select_documents, split_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +47,13 @@ def _class_counts(
 
 def _observed_classes(preds, golds):
     return sorted(set(preds) | set(golds), key=str)
+
+
+def _precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
 
 
 def micro_f1(preds: Sequence[Hashable], golds: Sequence[Hashable]) -> float:
@@ -83,11 +90,7 @@ def macro_f1(
     counts = _class_counts(preds, golds, classes)
     total = 0.0
     for c in classes:
-        tp, fp, fn = counts[c]
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        if precision + recall:
-            total += 2.0 * precision * recall / (precision + recall)
+        total += _precision_recall_f1(*counts[c])[2]
     return total / len(classes)
 
 
@@ -131,11 +134,8 @@ def evaluate_attribute(
     counts = _class_counts(preds, golds, classes)
     per_class = {}
     for c in classes:
-        tp, fp, fn = counts[c]
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class[str(c)] = ClassMetrics(precision, recall, f1, support=tp + fn)
+        tp, _, fn = counts[c]
+        per_class[str(c)] = ClassMetrics(*_precision_recall_f1(*counts[c]), support=tp + fn)
     confusion: dict[str, dict[str, int]] = {}
     for p, g in zip(preds, golds):
         confusion.setdefault(str(g), {}).setdefault(str(p), 0)
@@ -304,13 +304,14 @@ class LearningCurve:
     cells: tuple[CurveCell, ...] = field(default=())
 
     def mean_micro_f1(self, size: int) -> float:
-        vals = [c.report.micro_f1 for c in self.cells if c.size == size]
-        if not vals:
-            raise ValueError(f"no cells for size {size}")
-        return sum(vals) / len(vals)
+        return self._mean(size, "micro_f1")
 
     def mean_macro_f1(self, size: int) -> float:
-        vals = [c.report.macro_f1 for c in self.cells if c.size == size]
+        return self._mean(size, "macro_f1")
+
+    def _mean(self, size: int, metric: str) -> float:
+        """The mean of ``metric`` over the cells of ``size``."""
+        vals = [getattr(c.report, metric) for c in self.cells if c.size == size]
         if not vals:
             raise ValueError(f"no cells for size {size}")
         return sum(vals) / len(vals)
@@ -341,13 +342,7 @@ def run_curve_cell(
     split_seed, search_seed, boot_seed = _cell_seeds(base_seed, size, run)
     split = split_corpus(docs, size, split_seed)
     train = select_documents(docs, split.train_ids)
-    test = [
-        d
-        for d in select_documents(docs, split.test_ids)
-        if attribute in d.annotations
-    ]
-    if not test:
-        raise ValueError(f"no test documents annotated for {attribute!r}")
+    test = annotated_documents(select_documents(docs, split.test_ids), attribute, 1, "testing")
     best_config, _ = tuning.random_search(
         train,
         attribute,

@@ -31,12 +31,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
+
+from .corpus import dataclass_kwargs
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -97,20 +99,6 @@ class GbtParams:
             raise ValueError("num_rounds must be >= 0")
 
 
-def params_from_dict(cls, payload: Mapping, what: str):
-    """``cls``, ``GbtParams`` or ``LinParams``, from a model bundle's dict
-    of it, which ``asdict`` wrote with every field: a key that is not a
-    field, or a field without its key, is a ValueError naming it."""
-    names = [f.name for f in fields(cls)]
-    if not isinstance(payload, Mapping):
-        raise ValueError(f"{what} must be a JSON object, got {type(payload).__name__}")
-    unknown = sorted(set(payload) - set(names))
-    missing = [name for name in names if name not in payload]
-    if unknown or missing:
-        raise ValueError(f"{what}: unknown keys {unknown}, missing keys {missing}")
-    return cls(**payload)
-
-
 @dataclass
 class TreeNode:
     """Binary tree over presence features: left = absent, right = present."""
@@ -168,7 +156,7 @@ class GbtModel:
     @classmethod
     def from_dict(cls, payload: dict) -> "GbtModel":
         return cls(
-            params=params_from_dict(GbtParams, payload["params"], "gbt model params"),
+            params=GbtParams(**dataclass_kwargs(GbtParams, payload["params"], "gbt model params")),
             base_score=float(payload["base_score"]),
             trees=[TreeNode.from_dict(t) for t in payload["trees"]],
             num_features=int(payload["num_features"]),
@@ -657,26 +645,25 @@ def train_l1_logreg(
     return LinearModel(classes=classes, weights=weights, intercepts=intercepts)
 
 
-def decision_scores(model: LinearModel, x: sparse.spmatrix) -> np.ndarray:
-    """Per-class sigmoid scores for one feature vector, a one-row sparse
-    matrix."""
-    if not sparse.issparse(x) or x.shape[0] != 1:
-        raise ValueError(f"decision_scores takes one sparse row, got shape {np.shape(x)}")
-    row = x.tocsr()
-    margins = model.weights[:, row.indices].dot(row.data) + model.intercepts
-    return _sigmoid(margins)
+def label_scores(classes: Sequence[Hashable], scores: np.ndarray) -> list[tuple[Hashable, dict]]:
+    """Each row of the (rows x classes) ``scores`` as its label, the class
+    of the highest score with ties to the earliest class, and its score per
+    class."""
+    return [
+        (classes[int(np.argmax(row))], {c: float(s) for c, s in zip(classes, row)})
+        for row in scores
+    ]
 
 
-def predict_logreg(model: LinearModel, x) -> tuple[Hashable, dict]:
-    """Predicted label (argmax of per-class scores, ties to the earliest
-    class in class order) plus the full score map."""
-    scores = decision_scores(model, x)
-    best = int(np.argmax(scores))
-    return model.classes[best], {c: float(s) for c, s in zip(model.classes, scores)}
-
-
-def predict_logreg_rows(model: LinearModel, X: sparse.csr_matrix) -> list[tuple[Hashable, dict]]:
-    """``predict_logreg`` of each row of ``X``."""
-    # a one-row matrix is its own row, and slicing costs a twentieth of a prediction
-    rows = [X] if X.shape[0] == 1 else [X[i] for i in range(X.shape[0])]
-    return [predict_logreg(model, x) for x in rows]
+def predict_logreg(model: LinearModel, X: sparse.spmatrix) -> list[tuple[Hashable, dict]]:
+    """``label_scores`` of the per-class sigmoid scores of each row of the
+    sparse ``X``.  A row's margins gather the weights of its own columns,
+    one row at a time."""
+    if not sparse.issparse(X):
+        raise ValueError(f"predict_logreg takes a sparse matrix, got {type(X).__name__}")
+    X = X.tocsr()
+    margins = np.empty((X.shape[0], len(model.classes)))
+    for i in range(X.shape[0]):
+        row = slice(X.indptr[i], X.indptr[i + 1])
+        margins[i] = model.weights[:, X.indices[row]].dot(X.data[row]) + model.intercepts
+    return label_scores(model.classes, _sigmoid(margins))

@@ -32,7 +32,7 @@ keyword-matched line (no cap), "oracle" the annotator's gold lines.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Mapping, NamedTuple, Sequence
 
@@ -44,6 +44,10 @@ from .corpus import (
     CorpusError,
     LabeledDocument,
     Report,
+    annotated_documents,
+    bundle_header,
+    check_bundle_version,
+    dataclass_kwargs,
     gold_label,
 )
 from .learners import (
@@ -51,9 +55,8 @@ from .learners import (
     GbtParams,
     LinearModel,
     LinParams,
-    params_from_dict,
     predict_gbt_batch,
-    predict_logreg_rows,
+    predict_logreg,
     train_gbt,
     train_l1_logreg,
 )
@@ -354,11 +357,7 @@ def train_sla(
     if hyper is None:
         hyper = SlaHyperParams()
     variant_row(variant)  # refuse an unknown variant before reading documents
-    docs = [d for d in train_docs if attribute in d.annotations]
-    if len(docs) < 2:
-        raise ValueError(
-            f"need at least 2 training documents annotated for {attribute!r}, got {len(docs)}"
-        )
+    docs = annotated_documents(train_docs, attribute, 2, "training")
     doc_lines = [tokenize_lines(d.report) for d in docs]
     features = sla_features(variant, [hyper], doc_lines)
     return fit_sla(features, docs, doc_lines, attribute, hyper, variant, keyword_rules, schemas)
@@ -486,7 +485,7 @@ def predict_featurized(
         gold_lines,
         line_scores,
     )
-    outputs = predict_logreg_rows(model.final_classifier, X)
+    outputs = predict_logreg(model.final_classifier, X)
     return [
         Prediction(str(label), scores, selection)
         for (label, scores), selection in zip(outputs, selections)
@@ -504,14 +503,12 @@ def predict_sla(
 # model bundle serialization
 # ---------------------------------------------------------------------------
 
-_BUNDLE_VERSION = 1
 BUNDLE_KIND = "sla"  # a baseline bundle's kind is its baseline kind
 
 
 def model_to_dict(model: SlaModel) -> dict:
     return {
-        "version": _BUNDLE_VERSION,
-        "kind": BUNDLE_KIND,
+        **bundle_header(BUNDLE_KIND),
         "attribute": model.attribute,
         "variant": model.variant,
         "k": model.k,
@@ -527,32 +524,35 @@ def model_to_dict(model: SlaModel) -> dict:
 def model_from_dict(payload: dict) -> SlaModel:
     if payload.get("kind") != BUNDLE_KIND:
         raise ValueError(f"not an sla model bundle: kind={payload.get('kind')!r}")
-    if payload.get("version") != _BUNDLE_VERSION:
-        raise ValueError(
-            f"unsupported sla model bundle version {payload.get('version')!r}"
-            f" (expected {_BUNDLE_VERSION})"
-        )
+    check_bundle_version(payload, "sla model")
     hyper = None
     if payload.get("hyper"):
-        h = payload["hyper"]
-        names = {f.name for f in fields(SlaHyperParams)}
         # bundles written before gbt and lin were serialized get the defaults
-        if not names - {"gbt", "lin"} <= set(h) <= names:
-            raise ValueError(f"sla bundle hyper keys {sorted(h)} are not those of SlaHyperParams")
+        h = dataclass_kwargs(
+            SlaHyperParams,
+            payload["hyper"],
+            "sla bundle hyper keys are not those of SlaHyperParams",
+            optional=("gbt", "lin"),
+        )
         gbt, lin = (
-            params_from_dict(cls, h[key], f"sla bundle hyper.{key}") if key in h else cls()
+            cls(**dataclass_kwargs(cls, h[key], f"sla bundle hyper.{key}")) if key in h else cls()
             for key, cls in (("gbt", GbtParams), ("lin", LinParams))
         )
         hyper = SlaHyperParams(**{**h, "gbt": gbt, "lin": lin})
+    final_vocab = Vocabulary.from_dict(payload["final_vocab"])
+    line_vocab = None
+    if payload.get("line_vocab"):
+        # one object when both stages read the same n-grams, so that serving
+        # builds its integer keys once
+        same = payload["line_vocab"] == payload["final_vocab"]
+        line_vocab = final_vocab if same else Vocabulary.from_dict(payload["line_vocab"])
     return SlaModel(
         attribute=payload["attribute"],
         variant=payload["variant"],
         k=payload["k"],
-        final_vocab=Vocabulary.from_dict(payload["final_vocab"]),
+        final_vocab=final_vocab,
         final_classifier=LinearModel.from_dict(payload["final_classifier"]),
-        line_vocab=Vocabulary.from_dict(payload["line_vocab"])
-        if payload.get("line_vocab")
-        else None,
+        line_vocab=line_vocab,
         line_scorer=GbtModel.from_dict(payload["line_scorer"])
         if payload.get("line_scorer")
         else None,

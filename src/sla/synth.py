@@ -21,7 +21,7 @@ documents are generated in parallel.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ from .corpus import (
     EnrichedAnnotation,
     LabeledDocument,
     Report,
+    dataclass_kwargs,
 )
 
 DEFAULT_CUES = {
@@ -207,7 +208,7 @@ def _draw_values(rng: np.random.Generator, spec: SynthAttribute, multi_rate: flo
     return (spec.values[pick],)
 
 
-def _generate_doc(index: int, config: GenConfig, rng: np.random.Generator):
+def _generate_doc(index: int, config: GenConfig, rng: np.random.Generator) -> LabeledDocument:
     lo, hi = config.lines_per_doc
     target = int(rng.integers(lo, hi + 1))
     synoptic = bool(rng.random() < config.synoptic_probability)
@@ -289,7 +290,7 @@ def _generate_doc(index: int, config: GenConfig, rng: np.random.Generator):
             line_indices=tuple(supports),
             scheme=config.scheme,
         )
-    return LabeledDocument(report=report, annotations=annotations), synoptic
+    return LabeledDocument(report=report, annotations=annotations)
 
 
 def generate_corpus(config: GenConfig) -> list[LabeledDocument]:
@@ -297,11 +298,9 @@ def generate_corpus(config: GenConfig) -> list[LabeledDocument]:
     the "minimal" and "full" schemes of the same config yield identical
     report text and differ only in annotation highlights."""
     children = np.random.SeedSequence(config.seed).spawn(config.num_docs)
-    docs = []
-    for i, child in enumerate(children):
-        doc, _ = _generate_doc(i, config, np.random.default_rng(child))
-        docs.append(doc)
-    return docs
+    return [
+        _generate_doc(i, config, np.random.default_rng(child)) for i, child in enumerate(children)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -310,50 +309,24 @@ def generate_corpus(config: GenConfig) -> list[LabeledDocument]:
 
 
 def config_to_dict(config: GenConfig) -> dict:
-    return {
-        "cancer": config.cancer,
-        "num_docs": config.num_docs,
-        "lines_per_doc": list(config.lines_per_doc),
-        "attributes": [
-            {
-                "attribute": a.attribute,
-                "values": list(a.values),
-                "weights": list(a.weights) if a.weights else None,
-                "cue": a.cue,
-            }
-            for a in config.attributes
-        ],
-        "synoptic_probability": config.synoptic_probability,
-        "distractor_lexicon": list(config.distractor_lexicon),
-        "rare_phrasing_rate": config.rare_phrasing_rate,
-        "multi_label_rate": config.multi_label_rate,
-        "echo_lines": list(config.echo_lines),
-        "scheme": config.scheme,
-        "seed": config.seed,
-    }
+    """The config as the JSON object ``config_from_dict`` reads, every field
+    included."""
+    return json.loads(json.dumps(asdict(config)))
 
 
-def _fields_of(cls, payload: dict, what: str) -> dict:
-    """``payload`` as keyword arguments of the dataclass ``cls``: a key that
-    is not one of its fields, or a missing field without a default, is a
-    ValueError naming it."""
-    names = {f.name for f in fields(cls)}
-    required = {f.name for f in fields(cls) if f.default is MISSING}
-    unknown = sorted(set(payload) - names)
-    if unknown:
-        raise ValueError(f"{what}: unknown keys: {', '.join(unknown)}")
-    missing = sorted(required - set(payload))
-    if missing:
-        raise ValueError(f"{what}: missing keys: {', '.join(missing)}")
-    return dict(payload)
+def _kwargs(cls, payload: dict, what: str) -> dict:
+    """``payload`` as keyword arguments of ``cls``, in which a field with a
+    default may be absent."""
+    optional = [f.name for f in fields(cls) if f.default is not MISSING]
+    return dataclass_kwargs(cls, payload, what, optional)
 
 
 def config_from_dict(payload: dict) -> GenConfig:
     """A ``GenConfig`` from the keys that are present; an absent key takes
     its field's default."""
-    kwargs = _fields_of(GenConfig, payload, "generator config")
+    kwargs = _kwargs(GenConfig, payload, "generator config")
     kwargs["attributes"] = tuple(
-        SynthAttribute(**_fields_of(SynthAttribute, a, f"generator attribute {i}"))
+        SynthAttribute(**_kwargs(SynthAttribute, a, f"generator attribute {i}"))
         for i, a in enumerate(payload.get("attributes", ()))
     )
     return GenConfig(**kwargs)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .baselines import (
     BASELINE_KINDS,
+    DEFAULT_NGRAM_N,
     DocBaselineModel,
     baseline_features,
     baseline_from_dict,
@@ -35,7 +36,7 @@ from .baselines import (
     predict_doc_rows,
     train_doc_baseline,
 )
-from .corpus import CorpusError, LabeledDocument, gold_label
+from .corpus import CorpusError, LabeledDocument, annotated_documents, gold_label
 from .evaluation import micro_f1, parallel_map
 from .learners import GbtParams, LinParams
 from .pipeline import (
@@ -186,12 +187,15 @@ class FittedVariant:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         kind = payload.get("kind")
-        if kind == BUNDLE_KIND:
-            model = model_from_dict(payload)
-            return cls(method=model.variant, sla_model=model)
-        if kind in BASELINE_KINDS:
-            model = baseline_from_dict(payload)
-            return cls(method=model.kind, baseline=model)
+        try:
+            if kind == BUNDLE_KIND:
+                model = model_from_dict(payload)
+                return cls(method=model.variant, sla_model=model)
+            if kind in BASELINE_KINDS:
+                model = baseline_from_dict(payload)
+                return cls(method=model.kind, baseline=model)
+        except KeyError as exc:
+            raise CorpusError(f"{path}: {kind} model bundle has no key {exc}") from None
         raise CorpusError(f"{path}: unknown model bundle kind {kind!r}")
 
 
@@ -214,9 +218,8 @@ def _present(cfg: Mapping, keys: Sequence[str]) -> dict:
 def _learner_params(method: str, config: Mapping | None, seed: int) -> dict:
     """The keyword arguments that train ``method`` from a flat config dict
     of its ``_METHOD_KEYS``: ``hyper`` for a pipeline variant, ``lin``,
-    ``gbt`` and ``ngram_n`` (when given) for a baseline.  A key that is
-    absent takes the default of the parameter it sets; any other key is a
-    ValueError."""
+    ``gbt`` and ``ngram_n`` for a baseline.  A key that is absent takes the
+    default of the parameter it sets; any other key is a ValueError."""
     if method not in _METHOD_KEYS:
         raise ValueError(f"unknown method {method!r}")
     cfg = dict(config or {})
@@ -227,7 +230,7 @@ def _learner_params(method: str, config: Mapping | None, seed: int) -> dict:
     lin = LinParams(**({"l1_strength": cfg["C"]} if "C" in cfg else {}))
     if method in VARIANTS:
         return {"hyper": SlaHyperParams(gbt=gbt, lin=lin, **_present(cfg, _SLA_KEYS))}
-    return {"lin": lin, "gbt": gbt, **_present(cfg, ("ngram_n",))}
+    return {"lin": lin, "gbt": gbt, "ngram_n": cfg.get("ngram_n", DEFAULT_NGRAM_N)}
 
 
 def fit_variant(
@@ -325,12 +328,7 @@ def _search(
     """Every configuration's ``TrialResult``, fold by fold.  Each annotated
     report is tokenized once.  The ``jobs`` workers take whole folds,
     fixed before any trial runs, so the job count cannot change a result."""
-    docs = [d for d in train_docs if attribute in d.annotations]
-    if len(docs) < folds:
-        raise ValueError(
-            f"{folds}-fold cross-validation needs at least {folds} annotated "
-            f"documents, got {len(docs)}"
-        )
+    docs = annotated_documents(train_docs, attribute, folds, f"{folds}-fold cross-validation")
     labels = [gold_label(d, attribute, schemas) for d in docs]
     fold_rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     fold_of = assign_folds(labels, folds, fold_rng)
@@ -377,8 +375,7 @@ def _score_fold(
             return [x.label for x in predict_featurized(model, held_lines, X_held, gold)]
 
     else:
-        # a baseline's n-gram order defaults to train_doc_baseline's 1
-        max_n = max(p.get("ngram_n", 1) for p in params)
+        max_n = max(p["ngram_n"] for p in params)
         features = baseline_features(max_n, train_lines, held_lines)
 
         def predict(p):

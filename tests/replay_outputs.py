@@ -1,7 +1,8 @@
 """Replay a fixed CLI chain and print a checksum of every output it writes.
 
 For one fixed synthetic corpus, runs ``tune`` (3 trials x 3 folds),
-``train`` from the tuned configuration and ``predict`` for every method
+``train`` from the tuned configuration, ``predict`` and ``evaluate`` for
+every method, and a small ``learning-curve`` for ``sla`` and ``doc-boost``
 through ``sla.cli.main``, then prints one ``sha256  path`` line per output
 file, with paths relative to the output directory.  Manifests are left out,
 since they record paths and timings.  Two checkouts whose listings are
@@ -45,6 +46,9 @@ GEN_CONFIG = {
     "seed": 11,
 }
 
+# one scored pipeline variant and one baseline
+CURVE_METHODS = ("sla", "doc-boost")
+
 
 def _run(*argv: str) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -54,20 +58,27 @@ def _run(*argv: str) -> None:
 
 
 def replay(out: Path) -> None:
-    """Write the corpus and every method's tune, train and predict outputs
-    under ``out``."""
+    """Write the corpus, every method's tune, train, predict and evaluate
+    outputs, and the learning curves of ``CURVE_METHODS`` under ``out``."""
     out.mkdir(parents=True, exist_ok=True)
     config = out / "gen.json"
     config.write_text(json.dumps(GEN_CONFIG), encoding="utf-8")
     corpus = str(out / "corpus.jsonl")
     _run("synth", "--config", str(config), "--out", corpus)
     for method in METHODS:
-        tuned, model, preds = (str(out / method / n) for n in ("tune", "model.json", "preds.jsonl"))
+        tuned, model, preds, report = (
+            str(out / method / n) for n in ("tune", "model.json", "preds.jsonl", "eval.json")
+        )
         _run("tune", "--corpus", corpus, "--attribute", "grade", "--variant", method,
              "--trials", "3", "--folds", "3", "--seed", "0", "--out", tuned)
         _run("train", "--corpus", corpus, "--attribute", "grade", "--variant", method,
              "--params", str(Path(tuned) / "best.json"), "--out", model)
         _run("predict", "--model", model, "--corpus", corpus, "--out", preds)
+        _run("evaluate", "--corpus", corpus, "--preds", preds, "--out", report)
+    for method in CURVE_METHODS:
+        _run("learning-curve", "--corpus", corpus, "--attribute", "grade", "--variant", method,
+             "--sizes", "12", "--runs", "1", "--trials", "2", "--folds", "2",
+             "--out", str(out / method / "curve"))
 
 
 def main(argv: list[str]) -> int:

@@ -182,7 +182,46 @@ def test_predict_refuses_learner_params_with_unknown_or_missing_keys(workdir, ca
         code, _, err = run(capsys, "predict", "--model", str(edited),
                            "--corpus", str(corpus), "--out", str(tmp_path / "preds.jsonl"))
         assert code == 2, err
-        assert f"'{key}'" in err and "internal error" not in err
+        assert f"keys: {key}" in err and "internal error" not in err
+
+
+@pytest.fixture(scope="module")
+def bundles(workdir, tmp_path_factory):
+    """An sla and a doc-logreg model bundle trained on the module's corpus."""
+    root = tmp_path_factory.mktemp("bundles")
+    paths = {method: root / f"{method}.json" for method in ("sla", "doc-logreg")}
+    for method, path in paths.items():
+        code = cli.main(["train", "--corpus", str(workdir / "corpus.jsonl"), "--attribute",
+                         "grade", "--variant", method, "--out", str(path)])
+        assert code == 0
+    return paths
+
+
+@pytest.mark.parametrize("method, dotted", [
+    ("sla", "attribute"),
+    ("sla", "k"),
+    ("sla", "final_classifier"),
+    ("sla", "final_classifier.weights"),
+    ("sla", "line_vocab.ngrams"),
+    ("doc-logreg", "vocab"),
+    ("doc-logreg", "attribute"),
+    ("doc-logreg", "linear.intercepts"),
+])
+def test_predict_names_a_key_missing_from_the_bundle(workdir, bundles, capsys, tmp_path,
+                                                     method, dotted):
+    bundle = json.loads(bundles[method].read_text())
+    *outer, key = dotted.split(".")
+    holder = bundle
+    for name in outer:
+        holder = holder[name]
+    del holder[key]
+    edited, preds = tmp_path / "edited.json", tmp_path / "preds.jsonl"
+    edited.write_text(json.dumps(bundle), encoding="utf-8")
+    code, _, err = run(capsys, "predict", "--model", str(edited),
+                       "--corpus", str(workdir / "corpus.jsonl"), "--out", str(preds))
+    assert code == 2, err
+    assert f"data error: {edited}: " in err and f"has no key '{key}'" in err
+    assert not preds.exists()
 
 
 def test_train_baseline_and_predict(workdir, capsys, tmp_path):

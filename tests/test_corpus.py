@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -7,8 +8,10 @@ from sla.corpus import (
     EnrichedAnnotation,
     LabeledDocument,
     Report,
+    annotated_documents,
     compose_label,
     corpus_to_jsonl,
+    dataclass_kwargs,
     doc_to_record,
     load_corpus,
     load_schemas,
@@ -200,3 +203,30 @@ def test_select_documents_preserves_requested_order():
     docs = [make_doc(doc_id=f"d{i}") for i in range(5)]
     picked = select_documents(docs, ["d3", "d0"])
     assert [d.report.id for d in picked] == ["d3", "d0"]
+
+
+def test_annotated_documents_keeps_order_and_names_its_floor():
+    docs = [make_doc("d1"), make_doc("d2", attribute="procedure"), make_doc("d3")]
+    picked = annotated_documents(docs, "grade", 2, "training")
+    assert [d.report.id for d in picked] == ["d1", "d3"]
+    with pytest.raises(ValueError, match="training needs at least 3 documents annotated for"):
+        annotated_documents(docs, "grade", 3, "training")
+    with pytest.raises(ValueError, match="testing needs at least 1 document annotated for 'x'"):
+        annotated_documents(docs, "x", 1, "testing")
+
+
+@dataclass
+class _Pair:
+    left: int
+    right: int = 0
+
+
+def test_dataclass_kwargs_names_unknown_and_missing_keys():
+    assert dataclass_kwargs(_Pair, {"left": 1, "right": 2}, "pair") == {"left": 1, "right": 2}
+    assert dataclass_kwargs(_Pair, {"left": 1}, "pair", optional=("right",)) == {"left": 1}
+    with pytest.raises(ValueError, match="pair: missing keys: right"):
+        dataclass_kwargs(_Pair, {"left": 1}, "pair")
+    with pytest.raises(ValueError, match="pair: unknown keys: middle, top"):
+        dataclass_kwargs(_Pair, {"left": 1, "right": 2, "top": 3, "middle": 4}, "pair")
+    with pytest.raises(ValueError, match="pair must be a JSON object, got list"):
+        dataclass_kwargs(_Pair, [1, 2], "pair")

@@ -12,7 +12,7 @@ from sla.learners import (
     LinearModel,
     LinParams,
     balanced_class_weights,
-    decision_scores,
+    label_scores,
     logloss_value_grad,
     predict_logreg,
     train_l1_logreg,
@@ -137,8 +137,7 @@ def test_separable_multiclass_is_fit_perfectly():
     X = sparse.csr_matrix(np.vstack([np.eye(3)] * 7))
     y = ["a", "b", "c"] * 7
     model = train_l1_logreg(X, y, LinParams(l1_strength=100.0))
-    for i, label in enumerate(("a", "b", "c")):
-        pred, scores = predict_logreg(model, X[i])
+    for (pred, scores), label in zip(predict_logreg(model, X[:3]), ("a", "b", "c")):
         assert pred == label
         assert scores[label] == max(scores.values())
 
@@ -149,9 +148,14 @@ def test_prediction_tie_breaks_to_earliest_class():
         weights=np.zeros((2, 3)),
         intercepts=np.zeros(2),
     )
-    pred, scores = predict_logreg(model, to_csr(np.array([0]), np.array([0]), (1, 3)))
+    [(pred, scores)] = predict_logreg(model, to_csr(np.array([0]), np.array([0]), (1, 3)))
     assert scores["a"] == scores["b"]
     assert pred == "a"
+    # the one labeller of every method: the first of the highest scores
+    table = np.array([[0.2, 0.7, 0.7], [0.5, 0.5, 0.5], [1.0, 0.0, 0.0]])
+    rows = label_scores(("a", "b", "c"), table)
+    assert [label for label, _ in rows] == ["b", "a", "a"]
+    assert rows[0][1] == {"a": 0.2, "b": 0.7, "c": 0.7}
 
 
 def test_class_order_overrides_sorting():
@@ -167,8 +171,7 @@ def test_single_class_degenerates_to_constant():
     model = train_l1_logreg(X, ["only"] * 3)
     assert model.classes == ("only",)
     assert np.all(model.weights == 0.0)
-    pred, _ = predict_logreg(model, X[0])
-    assert pred == "only"
+    assert [label for label, _ in predict_logreg(model, X)] == ["only"] * 3
 
 
 def test_balanced_class_weights_formula():
@@ -185,30 +188,31 @@ def test_balanced_weights_shift_decisions_toward_rare_class():
     y = ["maj"] * 9 + ["min"]
     balanced = train_l1_logreg(X, y, LinParams(l1_strength=10.0, balanced=True))
     unbalanced = train_l1_logreg(X, y, LinParams(l1_strength=10.0, balanced=False))
-    s_bal = decision_scores(balanced, X[0])
-    s_unbal = decision_scores(unbalanced, X[0])
-    min_idx = list(balanced.classes).index("min")
-    assert s_bal[min_idx] > s_unbal[min_idx]
+    [(_, s_bal)] = predict_logreg(balanced, X[:1])
+    [(_, s_unbal)] = predict_logreg(unbalanced, X[:1])
+    assert s_bal["min"] > s_unbal["min"]
 
 
-def test_decision_scores_csr_row_gathers_its_columns():
+def test_predict_logreg_gathers_each_rows_columns():
     rng = np.random.default_rng(6)
     X, y_pm, _ = random_problem(rng, n=25, d=7)
     y = ["a" if v > 0 else "b" for v in y_pm]
     model = train_l1_logreg(X, y)
-    row = X[3]
-    # the arithmetic of the removed single-vector fast path
-    idx = np.asarray(row.indices, dtype=np.int64)
-    expect = learners._sigmoid(model.weights[:, idx].dot(row.data) + model.intercepts)
-    assert decision_scores(model, row).tobytes() == expect.tobytes()
-    dense = model.weights.dot(row.toarray()[0]) + model.intercepts
-    assert np.allclose(decision_scores(model, row), 1.0 / (1.0 + np.exp(-dense)))
-    with pytest.raises(ValueError):
-        decision_scores(model, row.toarray()[0])  # dense vectors are not accepted
     empty = to_csr(np.array([], dtype=np.int64), np.array([], dtype=np.int64), (1, 7))
-    assert decision_scores(model, empty).tobytes() == learners._sigmoid(model.intercepts).tobytes()
+    batch = sparse.vstack([X, empty], format="csr")
+    scored = predict_logreg(model, batch)
+    assert len(scored) == 26
+    for i, (_, scores) in enumerate(scored):
+        # each row's own arithmetic: the weights of its columns, its values
+        row = batch[i]
+        idx = np.asarray(row.indices, dtype=np.int64)
+        expect = learners._sigmoid(model.weights[:, idx].dot(row.data) + model.intercepts)
+        assert np.array(list(scores.values())).tobytes() == expect.tobytes()
+        dense = model.weights.dot(row.toarray()[0]) + model.intercepts
+        assert np.allclose(list(scores.values()), 1.0 / (1.0 + np.exp(-dense)))
+    assert scored[-1][1] == dict(zip(model.classes, learners._sigmoid(model.intercepts)))
     with pytest.raises(ValueError):
-        decision_scores(model, X[:2])
+        predict_logreg(model, X.toarray())  # dense matrices are not accepted
 
 
 def test_linear_model_roundtrip():

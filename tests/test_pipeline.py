@@ -388,6 +388,19 @@ def test_model_bundle_roundtrip(tmp_path):
     assert predict_sla(loaded, docs[0].report).label == predict_sla(model, docs[0].report).label
 
 
+def test_bundle_whose_stages_read_the_same_ngrams_loads_one_vocabulary():
+    docs = tiny_corpus(n=30, seed=17)
+    reports = [d.report for d in docs]
+    for line_n, final_n in ((3, 3), (2, 3)):
+        hyper = SlaHyperParams(line_ngram_n=line_n, final_ngram_n=final_n, k=2)
+        model = train_sla(docs, "grade", hyper=hyper)
+        again = model_from_dict(model_to_dict(model))
+        assert (again.line_vocab is again.final_vocab) == (line_n == final_n)
+        assert again.line_vocab.to_dict() == model.line_vocab.to_dict()
+        batch = predict_sla_batch(again, reports)
+        assert [_bits(p) for p in batch] == [_bits(p) for p in predict_sla_batch(model, reports)]
+
+
 def test_model_bundle_keeps_learner_hyperparameters():
     docs = tiny_corpus(n=30, seed=17)
     hyper = SlaHyperParams(
