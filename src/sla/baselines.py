@@ -20,6 +20,7 @@ from .corpus import (
     Report,
     annotated_documents,
     bundle_header,
+    bundle_value,
     check_bundle_version,
     gold_label,
 )
@@ -38,9 +39,9 @@ from .textproc import (
     Featurized,
     Vocabulary,
     build_vocabulary,
+    find_ngrams,
     to_csr,
     tokenize_lines,
-    vectorize,
 )
 
 BASELINE_KINDS = ("doc-logreg", "doc-boost")
@@ -51,12 +52,11 @@ def document_matrix(
     doc_lines: Sequence[Sequence[Sequence[str]]], vocab: Vocabulary
 ) -> sparse.csr_matrix:
     """One binary row per document, given as its token lines: the union of
-    its lines' n-gram features, from one ``vectorize`` call over every
-    line."""
-    lines = vectorize([tl for tls in doc_lines for tl in tls], vocab)
+    its lines' n-gram features, from one ``find_ngrams`` call with each
+    line as its own stream."""
+    hits = find_ngrams([[tl] for tls in doc_lines for tl in tls], vocab)
     docs = np.repeat(np.arange(len(doc_lines)), [len(tls) for tls in doc_lines])
-    docs = np.repeat(docs, np.diff(lines.indptr))
-    return to_csr(docs, lines.indices, (len(doc_lines), vocab.dimension))
+    return to_csr(docs[hits.first], hits.cols, (len(doc_lines), vocab.dimension))
 
 
 def featurize_document(report: Report, vocab: Vocabulary) -> sparse.csr_matrix:
@@ -174,15 +174,18 @@ def baseline_to_dict(model: DocBaselineModel) -> dict:
 
 def baseline_from_dict(payload: dict) -> DocBaselineModel:
     check_bundle_version(payload, "baseline")
+
+    def read(key: str, kind: type, optional: bool = False):
+        return bundle_value(payload, key, kind, f"{payload['kind']} bundle", optional)
+
+    linear = read("linear", dict, optional=True)
+    boost_classes = read("boost_classes", list, optional=True)
+    boost_models = read("boost_models", list, optional=True)
     return DocBaselineModel(
-        attribute=payload["attribute"],
+        attribute=read("attribute", str),
         kind=payload["kind"],
-        vocab=Vocabulary.from_dict(payload["vocab"]),
-        linear=LinearModel.from_dict(payload["linear"]) if payload.get("linear") else None,
-        boost_classes=tuple(payload["boost_classes"])
-        if payload.get("boost_classes")
-        else None,
-        boost_models=[GbtModel.from_dict(m) for m in payload["boost_models"]]
-        if payload.get("boost_models")
-        else None,
+        vocab=Vocabulary.from_dict(read("vocab", dict)),
+        linear=LinearModel.from_dict(linear) if linear else None,
+        boost_classes=tuple(boost_classes) if boost_classes else None,
+        boost_models=[GbtModel.from_dict(m) for m in boost_models] if boost_models else None,
     )

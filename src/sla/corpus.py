@@ -294,6 +294,25 @@ def dataclass_kwargs(cls, payload: Mapping, what: str, optional: Iterable[str] =
     return dict(payload)
 
 
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON array", str: "a string", int: "an integer"}
+
+
+def bundle_value(payload: Mapping, key: str, kind: type, what: str, optional: bool = False):
+    """``payload[key]``, which must be of type ``kind`` (``dict``, ``list``,
+    ``str`` or ``int``, which takes no bool): a KeyError if the key is
+    absent, and a ValueError naming ``what`` and the key if the value has
+    another type.  An ``optional`` key may be absent or null; it reads
+    None."""
+    value = payload.get(key) if optional else payload[key]
+    if value is None and optional:
+        return None
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(
+            f"{what} key {key!r} must be {_JSON_KINDS[kind]}, got {type(value).__name__}"
+        )
+    return value
+
+
 # the sla and the baseline model bundles share one format version
 _BUNDLE_VERSION = 1
 

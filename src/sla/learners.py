@@ -378,7 +378,8 @@ def predict_gbt_margin(model: GbtModel, X, num_trees: int | None = None) -> np.n
     X must be binary with the model's feature count.  Rows that hold the
     same pattern of the features the forest splits on share one margin, so
     each distinct pattern walks every tree at once, a level at a time, and
-    its leaf steps are summed in tree order."""
+    its leaf steps are summed in tree order.  A pattern's margin depends on
+    no other pattern, so the order in which patterns are found is free."""
     k = len(model.trees) if num_trees is None else num_trees
     if not 0 <= k <= len(model.trees):
         raise ValueError(f"num_trees must be in [0, {len(model.trees)}], got {k}")
@@ -387,22 +388,27 @@ def predict_gbt_margin(model: GbtModel, X, num_trees: int | None = None) -> np.n
     if width != model.num_features:
         raise ValueError(f"X has {width} features, the model {model.num_features}")
     forest = model._forest
-    present = np.zeros((n, len(forest.used)), dtype=bool)
+    # a forest without a split still gets one (absent) feature, so that every
+    # row packs into at least one byte; its walk reads none
+    used = max(len(forest.used), 1)
+    present = np.zeros((n, used), dtype=bool)
     column = forest.column[X_csr.indices]
     row = np.repeat(np.arange(n), np.diff(X_csr.indptr))
     kept = column >= 0
     present[row[kept], column[kept]] = True
+    packed = np.packbits(present, axis=1)
     _, first, inverse = np.unique(
-        np.packbits(present, axis=1), axis=0, return_index=True, return_inverse=True
+        packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True
     )
-    patterns = present[first]
 
     node = np.tile(forest.roots, (len(first), 1))
+    at = (first * used)[:, None]  # where each pattern's row starts in ``present``
+    flat = present.ravel()
     for _ in range(forest.depth):
-        go_right = np.take_along_axis(patterns, forest.feature[node], axis=1)
+        go_right = flat[at + forest.feature[node]]
         node = np.where(go_right, forest.right[node], forest.left[node])
     terms = np.column_stack((np.full(len(first), model.base_score), forest.step[node]))
-    return np.cumsum(terms, axis=1)[inverse.ravel(), k]
+    return np.cumsum(terms, axis=1)[inverse, k]
 
 
 def predict_gbt_batch(model: GbtModel, X) -> np.ndarray:

@@ -46,6 +46,7 @@ from .corpus import (
     Report,
     annotated_documents,
     bundle_header,
+    bundle_value,
     check_bundle_version,
     dataclass_kwargs,
     gold_label,
@@ -62,12 +63,13 @@ from .learners import (
 )
 from .textproc import (
     Featurized,
+    Hits,
     Vocabulary,
     build_vocabulary,
+    find_ngrams,
     to_csr,
     tokenize,
     tokenize_lines,
-    vectorize,
 )
 
 
@@ -185,6 +187,8 @@ class SlaModel:
             raise ValueError(f"variant {self.variant} requires a line scorer")
         if selector == "rules" and not self.keyword_rules:
             raise ValueError("rules variant requires keyword rules")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
 
 
 # ---------------------------------------------------------------------------
@@ -272,43 +276,36 @@ def join_adjacent(
     return SelectedLines(tuple(segments), k=len(idx) if k is None else k)
 
 
-def compose_representation(
-    selections: Sequence[SelectedLines],
-    doc_lines: Sequence[Sequence[Sequence[str]]],
-    final_vocab: Vocabulary,
-) -> sparse.csr_matrix:
+def compose_representation(selections: Sequence[SelectedLines], hits: Hits) -> sparse.csr_matrix:
     """Each document's weighted sum of segment vectors, one CSR row per
-    document, from one ``vectorize`` call over every segment of the batch.
-    A segment's tokens are its member lines' tokens in order, which is how
-    the lines joined with a space tokenize, so n-grams may cross the
-    original line boundaries inside a segment.  Each feature's segment
-    weights are added in segment order from 0.0, and a feature whose
-    weights sum to zero is not stored."""
+    document, from the final-vocabulary ``hits`` of the batch with each
+    document as one stream.  A segment's n-grams are the hits whose first
+    and last lines both lie inside it: the n-grams of its member lines'
+    tokens in order, which is how the lines joined with a space tokenize,
+    so n-grams may cross the original line boundaries inside a segment.
+    Each feature's segment weights are added in segment order from 0.0,
+    and a feature whose weights sum to zero is not stored."""
     segments = [(doc, seg) for doc, sel in enumerate(selections) for seg in sel.segments]
-    rows = vectorize(
-        [[t for line in doc_lines[d][s.start : s.end + 1] for t in line] for d, s in segments],
-        final_vocab,
-    )
-    per_row = np.diff(rows.indptr)
-    docs = np.repeat(np.array([d for d, _ in segments], dtype=np.int64), per_row)
-    weights = np.repeat(np.array([s.weight for _, s in segments], dtype=np.float64), per_row)
-    return to_csr(docs, rows.indices, (len(selections), final_vocab.dimension), weights)
+    docs = np.array([d for d, _ in segments], dtype=np.int64)
+    lines = np.array([(s.start, s.end) for _, s in segments], dtype=np.int64).reshape(-1, 2)
+    span, cols = hits.within(*(lines + hits.streams[docs, None]).T)
+    weights = np.array([s.weight for _, s in segments], dtype=np.float64)
+    return to_csr(docs[span], cols, (len(selections), hits.dimension), weights[span])
 
 
-def _represent(
+def _select(
     variant: str,
     k: int,
     keyword_rules: Sequence[str] | None,
-    final_vocab: Vocabulary,
     doc_lines: Sequence[Sequence[Sequence[str]]],
     gold_lines: Sequence[Sequence[int] | None],
     line_scores: np.ndarray | None,
-) -> tuple[list[SelectedLines], sparse.csr_matrix]:
-    """Selection and stage-2 row of each document, given as its token
-    lines.  The row's selector picks the lines, which become joined or
-    single-line segments weighted by their stage-1 scores or by 1.
-    ``line_scores`` holds the scores of every line of every document in
-    order (None unless scored)."""
+) -> list[SelectedLines]:
+    """The selection of each document, given as its token lines.  The
+    row's selector picks the lines, which become joined or single-line
+    segments weighted by their stage-1 scores or by 1.  ``line_scores``
+    holds the scores of every line of every document in order (None unless
+    scored)."""
     row = VARIANTS[variant]
     offsets = np.cumsum([0] + [len(lines) for lines in doc_lines])
     phrases = [tokenize(rule) for rule in keyword_rules or ()]
@@ -331,7 +328,22 @@ def _represent(
             segments = tuple(Segment(i, i, float(weights[i])) for i in chosen)
             selection = SelectedLines(segments, k=doc_k)
         selections.append(selection)
-    return selections, compose_representation(selections, doc_lines, final_vocab)
+    return selections
+
+
+def _selected_lines(
+    doc_lines: Sequence[Sequence[Sequence[str]]], selections: Sequence[SelectedLines]
+) -> list[list[Sequence[str]]]:
+    """Each document's token lines with the lines outside its segments
+    emptied.  Read as one stream, a document then has the same hits inside
+    each segment as the whole document, from fewer tokens."""
+    kept = []
+    for lines, selection in zip(doc_lines, selections, strict=True):
+        doc = [()] * len(lines)
+        for seg in selection.segments:
+            doc[seg.start : seg.end + 1] = lines[seg.start : seg.end + 1]
+        kept.append(doc)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +382,14 @@ def sla_features(
     *held_lines,
 ) -> Featurized:
     """The vocabulary of the training documents' lines at the largest
-    n-gram order that a fit with any of ``hypers`` reads: the final order,
-    and the line order when stage 1 scores lines.  A scored variant also
-    gets the line matrix of the training documents and of each of
-    ``held_lines`` under it."""
+    n-gram order that a fit with any of ``hypers`` reads (the final order,
+    and the line order when stage 1 scores lines), with the ``Hits`` of the
+    training documents and of each of ``held_lines`` under it, each
+    document one stream: both stages read them."""
     scored = VARIANTS[variant].selector == "scored"
     max_n = max(max(h.final_ngram_n, h.line_ngram_n if scored else 1) for h in hypers)
-    lines = [tl for tls in train_lines for tl in tls]
-    vocab = build_vocabulary(lines, max_n)
-    if not scored:
-        return Featurized(vocab)
-    held = ([tl for tls in docs for tl in tls] for docs in held_lines)
-    return Featurized(vocab, *(vectorize(m, vocab) for m in (lines, *held)))
+    vocab = build_vocabulary([tl for tls in train_lines for tl in tls], max_n)
+    return Featurized(vocab, *(find_ngrams(docs, vocab) for docs in (train_lines, *held_lines)))
 
 
 def fit_sla(
@@ -395,17 +403,17 @@ def fit_sla(
     schemas: Mapping[tuple[str, str], AttributeSchema] | None = None,
 ) -> SlaModel:
     """Train a pipeline variant on annotated ``docs`` whose token lines and
-    ``sla_features`` are given; the first line matrix of ``features`` is
-    the training documents'."""
+    ``sla_features`` are given; the first ``Hits`` of ``features`` are the
+    training documents'."""
     selector = VARIANTS[variant].selector
     line_vocab = line_scorer = line_scores = None
     rules = None
     if selector == "scored":
-        line_vocab, (X_lines, *_) = features.at(hyper.line_ngram_n)
+        line_vocab, (line_hits, *_) = features.at(hyper.line_ngram_n)
         y_lines = np.concatenate([build_line_labels(d, attribute) for d in docs])
-        line_scorer = train_gbt(X_lines, y_lines, hyper.gbt)
+        line_scorer = train_gbt(line_hits.lines, y_lines, hyper.gbt)
         # rows score independently, so one call gives each document's scores
-        line_scores = predict_gbt_batch(line_scorer, X_lines)
+        line_scores = predict_gbt_batch(line_scorer, line_hits.lines)
     elif selector == "rules":
         if keyword_rules is None:
             defaults = load_keyword_rules()
@@ -415,10 +423,11 @@ def fit_sla(
         else:
             rules = tuple(keyword_rules)
 
-    final_vocab, _ = features.at(hyper.final_ngram_n)
+    final_vocab, (final_hits, *_) = features.at(hyper.final_ngram_n)
 
     gold = [d.annotations[attribute].line_indices for d in docs]
-    _, X = _represent(variant, hyper.k, rules, final_vocab, doc_lines, gold, line_scores)
+    selections = _select(variant, hyper.k, rules, doc_lines, gold, line_scores)
+    X = compose_representation(selections, final_hits)
     labels = [gold_label(d, attribute, schemas) for d in docs]
     classifier = train_l1_logreg(X, labels, hyper.lin)
     return SlaModel(
@@ -455,36 +464,38 @@ def predict_sla_batch(
     """Predict the attribute label of each report, scoring all their lines
     with one stage-1 call; only an oracle reads ``gold_lines``.  Each
     rationale is the exact selection used, so a prediction can be
-    recomputed from (rationale, report, model)."""
+    recomputed from (rationale, report, model).  Stage 2 reads its n-grams
+    from stage 1's pass when both stages read the same vocabulary."""
     doc_lines = [tokenize_lines(r) for r in reports]
-    X_lines = None
+    line_hits = None
     if VARIANTS[model.variant].selector == "scored":
-        X_lines = vectorize([tl for tls in doc_lines for tl in tls], model.line_vocab)
-    return predict_featurized(model, doc_lines, X_lines, gold_lines)
+        line_hits = find_ngrams(doc_lines, model.line_vocab)
+    final_hits = line_hits if model.final_vocab is model.line_vocab else None
+    return predict_featurized(model, doc_lines, line_hits, final_hits, gold_lines)
 
 
 def predict_featurized(
     model: SlaModel,
     doc_lines: Sequence[Sequence[Sequence[str]]],
-    X_lines: sparse.csr_matrix | None,
+    line_hits: Hits | None,
+    final_hits: Hits | None,
     gold_lines: Sequence[Sequence[int] | None] | None = None,
 ) -> list[Prediction]:
-    """``predict_sla_batch`` given the reports' token lines and, when
-    scored, their line matrix under ``model.line_vocab``."""
+    """``predict_sla_batch`` given the reports' token lines and their
+    ``Hits`` (each report one stream) under ``model.line_vocab`` when
+    scored, and under ``model.final_vocab``.  Without ``final_hits``, one
+    ``find_ngrams`` call finds them in the selected lines only."""
     if gold_lines is None:
         gold_lines = [None] * len(doc_lines)
     line_scores = None
-    if X_lines is not None:
-        line_scores = predict_gbt_batch(model.line_scorer, X_lines)
-    selections, X = _represent(
-        model.variant,
-        model.k,
-        model.keyword_rules,
-        model.final_vocab,
-        doc_lines,
-        gold_lines,
-        line_scores,
+    if line_hits is not None:
+        line_scores = predict_gbt_batch(model.line_scorer, line_hits.lines)
+    selections = _select(
+        model.variant, model.k, model.keyword_rules, doc_lines, gold_lines, line_scores
     )
+    if final_hits is None:
+        final_hits = find_ngrams(_selected_lines(doc_lines, selections), model.final_vocab)
+    X = compose_representation(selections, final_hits)
     outputs = predict_logreg(model.final_classifier, X)
     return [
         Prediction(str(label), scores, selection)
@@ -525,6 +536,10 @@ def model_from_dict(payload: dict) -> SlaModel:
     if payload.get("kind") != BUNDLE_KIND:
         raise ValueError(f"not an sla model bundle: kind={payload.get('kind')!r}")
     check_bundle_version(payload, "sla model")
+
+    def read(key: str, kind: type, optional: bool = False):
+        return bundle_value(payload, key, kind, "sla model bundle", optional)
+
     hyper = None
     if payload.get("hyper"):
         # bundles written before gbt and lin were serialized get the defaults
@@ -539,26 +554,26 @@ def model_from_dict(payload: dict) -> SlaModel:
             for key, cls in (("gbt", GbtParams), ("lin", LinParams))
         )
         hyper = SlaHyperParams(**{**h, "gbt": gbt, "lin": lin})
-    final_vocab = Vocabulary.from_dict(payload["final_vocab"])
+    final_payload = read("final_vocab", dict)
+    final_vocab = Vocabulary.from_dict(final_payload)
+    line_payload = read("line_vocab", dict, optional=True)
     line_vocab = None
-    if payload.get("line_vocab"):
+    if line_payload:
         # one object when both stages read the same n-grams, so that serving
-        # builds its integer keys once
-        same = payload["line_vocab"] == payload["final_vocab"]
-        line_vocab = final_vocab if same else Vocabulary.from_dict(payload["line_vocab"])
+        # finds each report's n-grams once
+        same = line_payload == final_payload
+        line_vocab = final_vocab if same else Vocabulary.from_dict(line_payload)
+    line_scorer = read("line_scorer", dict, optional=True)
+    keyword_rules = read("keyword_rules", list, optional=True)
     return SlaModel(
-        attribute=payload["attribute"],
-        variant=payload["variant"],
-        k=payload["k"],
+        attribute=read("attribute", str),
+        variant=read("variant", str),
+        k=read("k", int),
         final_vocab=final_vocab,
-        final_classifier=LinearModel.from_dict(payload["final_classifier"]),
+        final_classifier=LinearModel.from_dict(read("final_classifier", dict)),
         line_vocab=line_vocab,
-        line_scorer=GbtModel.from_dict(payload["line_scorer"])
-        if payload.get("line_scorer")
-        else None,
-        keyword_rules=tuple(payload["keyword_rules"])
-        if payload.get("keyword_rules")
-        else None,
+        line_scorer=GbtModel.from_dict(line_scorer) if line_scorer else None,
+        keyword_rules=tuple(keyword_rules) if keyword_rules else None,
         hyper=hyper,
     )
 

@@ -15,20 +15,28 @@ their tokens.  ``tokenize_lines`` relies on the same property for "\\n":
 it joins a report's lines with newlines, normalizes the text in one pass,
 and splits it back into lines (a ``Report`` line holds no newline).
 
-N-grams are enumerated inside a line only; they never span line
+Vocabulary n-grams are enumerated inside a line only; they never span line
 boundaries.  Unigrams seen fewer than ``min_count`` times in the training
 data are replaced by ``<UNK>`` before n-grams are enumerated, and
 out-of-vocabulary unigrams map through ``<UNK>`` at test time.  Features
 are binary presence.
 
-``vectorize`` works on integers.  Each word the vocabulary knows has an id,
-and ``<UNK>`` has its own, so there are B ids.  An n-gram's key packs the
-column of its (n-1)-gram prefix with the id of its last word:
-(prefix column + 1) * B + id, where a unigram's empty prefix has column
--1.  A key is below (dimension + 1) * B, so it cannot overflow int64 for
-any vocabulary this program can hold in memory, and an n-gram is looked up
-only where its prefix was found.  Columns still come from the sort of the
-string n-grams, so vocabularies and their files do not depend on the keys.
+``find_ngrams`` is the one n-gram finder, and it works on integers.  Each
+word the vocabulary knows has an id, and ``<UNK>`` has its own, so there
+are B ids.  An n-gram's key packs the column of its (n-1)-gram prefix with
+the id of its last word: (prefix column + 1) * B + id, where a unigram's
+empty prefix has column -1.  A key is below (dimension + 1) * B, so it
+cannot overflow int64 for any vocabulary this program can hold in memory,
+and an n-gram is looked up only where its prefix was found.  Columns still
+come from the sort of the string n-grams, so vocabularies and their files
+do not depend on the keys.
+
+The finder reads a stream of lines as one run of tokens and tags each hit
+with the lines of its first and last token.  The hits inside one line are
+that line's n-grams (``vectorize``).  The hits inside a run of lines are
+the n-grams of the run's tokens read in order: each window of the run is a
+window of the stream, and its prefix is one too.  So one pass over a
+report gives both its line rows and the n-grams of any of its segments.
 """
 
 from __future__ import annotations
@@ -221,25 +229,68 @@ def build_vocabulary(
     return Vocabulary(ngram_to_index=mapping, max_n=max_n, min_count=min_count)
 
 
-def vectorize(token_lines: Iterable[Sequence[str]], vocab: Vocabulary) -> sparse.csr_matrix:
-    """Binary bag-of-n-grams under a fixed vocabulary: one CSR row per token
-    line.
+@dataclass(frozen=True, eq=False)
+class Hits:
+    """Every vocabulary n-gram that ``find_ngrams`` found in a batch of
+    streams, one entry per occurrence.  Lines are counted across the
+    batch."""
 
-    Unknown unigrams are first mapped to <UNK>; n-grams absent from the
-    vocabulary are dropped.  The whole batch is one array of word ids, and
-    each order's n-grams are found with one search of the packed keys.
-    """
-    lines = list(token_lines)
+    first: np.ndarray  # the line of each hit's first token
+    last: np.ndarray  # the line of its last token
+    cols: np.ndarray  # its column
+    streams: np.ndarray  # the first line of each stream, then the number of lines
+    dimension: int
+
+    @cached_property
+    def lines(self) -> sparse.csr_matrix:
+        """One binary row per line: the n-grams inside it, which are its
+        ``vectorize`` row."""
+        inside = self.first == self.last
+        shape = (int(self.streams[-1]), self.dimension)
+        return to_csr(self.first[inside], self.cols[inside], shape)
+
+    def within(self, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each distinct (span, column) of the hits whose first and last
+        lines lie in a span of lines [starts[i], ends[i]], ordered by span,
+        then column.  The spans must be disjoint and ascending."""
+        # a hit can lie only in the last span that starts at or before it;
+        # before every span, its index -1 reads the end -1
+        span = np.searchsorted(starts, self.first, side="right") - 1
+        inside = self.last <= np.append(ends, -1)[span]
+        flat = np.sort(span[inside] * max(self.dimension, 1) + self.cols[inside])
+        return np.divmod(flat[_run_starts(flat)], max(self.dimension, 1))
+
+    def restrict(self, kept: np.ndarray) -> "Hits":
+        """The hits of the columns ``kept``, numbered in that order: with the
+        columns of ``Vocabulary.restrict``, the hits under the restricted
+        vocabulary."""
+        column = np.full(self.dimension, -1)
+        column[kept] = np.arange(len(kept))
+        cols = column[self.cols]
+        found = cols >= 0
+        return Hits(self.first[found], self.last[found], cols[found], self.streams, len(kept))
+
+
+def find_ngrams(streams: Iterable[Sequence[Sequence[str]]], vocab: Vocabulary) -> Hits:
+    """Every n-gram of ``vocab`` in each stream, a sequence of token lines
+    read as one sequence of tokens, so an n-gram may span its lines but
+    never two streams.  Unknown unigrams are first mapped to <UNK>.  The
+    whole batch is one array of word ids, and each order's n-grams are
+    found with one search of the packed keys."""
+    streams = list(streams)
+    lines = [line for stream in streams for line in stream]
     word_id, unk_id, base, keys, cols = vocab.gram_keys
     get = word_id.get
     ids = np.array([get(t, unk_id) for line in lines for t in line], dtype=np.int64)
     lengths = np.fromiter(map(len, lines), np.int64, len(lines))
     line_of = np.repeat(np.arange(len(lines)), lengths)
-    # tokens from each position to the end of its line, itself included
-    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
+    first_line = np.cumsum([0] + [len(stream) for stream in streams])
+    bounds = np.append(0, np.cumsum(lengths))[first_line]  # the first token of each stream
+    # tokens from each position to the end of its stream, itself included
+    room = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(len(ids))
     starts = np.arange(len(ids))
     prefix = np.full(len(ids), -1)  # the column of each window's (n-1)-gram
-    found_rows, found_cols = [], []
+    firsts, lasts, found = [], [], []
     for n in range(vocab.max_n):  # windows of n + 1 tokens
         if n:
             inside = room[starts] > n
@@ -248,30 +299,55 @@ def vectorize(token_lines: Iterable[Sequence[str]], vocab: Vocabulary) -> sparse
         pos = np.searchsorted(keys, key)
         hit = keys[pos] == key
         starts, prefix = starts[hit], cols[pos[hit]]
-        found_rows.append(line_of[starts])
-        found_cols.append(prefix)
-    return to_csr(
-        np.concatenate(found_rows), np.concatenate(found_cols), (len(lines), vocab.dimension)
+        firsts.append(line_of[starts])
+        lasts.append(line_of[starts + n])
+        found.append(prefix)
+    return Hits(
+        np.concatenate(firsts),
+        np.concatenate(lasts),
+        np.concatenate(found),
+        first_line,
+        vocab.dimension,
     )
 
 
+def vectorize(token_lines: Iterable[Sequence[str]], vocab: Vocabulary) -> sparse.csr_matrix:
+    """Binary bag-of-n-grams under a fixed vocabulary: one CSR row per token
+    line, from ``find_ngrams`` with each line as its own stream.  Unknown
+    unigrams are first mapped to <UNK>; n-grams absent from the vocabulary
+    are dropped."""
+    return find_ngrams([[line] for line in token_lines], vocab).lines
+
+
 class Featurized:
-    """Matrices vectorized once under one vocabulary, built at the largest
-    n-gram order any fit asks of it.  ``at(n)`` is the order-n vocabulary
-    and the matching columns of each matrix (``Vocabulary.restrict``),
-    which equal building and vectorizing at order n afresh.  Each order is
-    restricted once."""
+    """Parts featurized once under one vocabulary, built at the largest
+    n-gram order any fit asks of it: matrices, or the ``Hits`` of a batch.
+    ``at(n)`` is the order-n vocabulary and the matching columns of each
+    part (``Vocabulary.restrict``), which equal building and featurizing at
+    order n afresh.  Each order is restricted once."""
 
-    def __init__(self, vocab: Vocabulary, *matrices: sparse.csr_matrix) -> None:
+    def __init__(self, vocab: Vocabulary, *parts) -> None:
         self.max_n = vocab.max_n
-        self._orders = {vocab.max_n: (vocab, matrices)}
+        self._orders = {vocab.max_n: (vocab, parts)}
 
-    def at(self, max_n: int) -> tuple[Vocabulary, tuple[sparse.csr_matrix, ...]]:
+    def at(self, max_n: int) -> tuple[Vocabulary, tuple]:
         if max_n not in self._orders:
-            vocab, matrices = self._orders[self.max_n]
+            vocab, parts = self._orders[self.max_n]
             restricted, cols = vocab.restrict(max_n)
-            self._orders[max_n] = (restricted, tuple(m[:, cols] for m in matrices))
+            self._orders[max_n] = (
+                restricted,
+                tuple(p.restrict(cols) if isinstance(p, Hits) else p[:, cols] for p in parts),
+            )
         return self._orders[max_n]
+
+
+def _run_starts(flat: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of the sorted ``flat`` starts, as a
+    mask."""
+    first = np.empty(len(flat), dtype=bool)
+    first[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    return first
 
 
 def to_csr(
@@ -295,9 +371,7 @@ def to_csr(
     else:
         order = np.argsort(flat, kind="stable")  # keeps each entry's weights in order
         flat, weights = flat[order], weights[order]
-    first = np.empty(len(flat), dtype=bool)
-    first[:1] = True
-    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    first = _run_starts(flat)
     if weights is None:
         flat = flat[first]
         data = np.ones(len(flat))

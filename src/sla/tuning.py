@@ -9,10 +9,11 @@ independently derived stream.
 The search runs fold by fold.  Each annotated report is tokenized once per
 search.  Each fold builds one vocabulary from its training lines, at the
 largest n-gram order any trial asks, and featurizes its training and
-held-out documents once under it; every trial then reads its own order's
-columns of those matrices (``Vocabulary.restrict``), which equal building
-and vectorizing at that order afresh.  Folds can run in parallel without
-changing the result.
+held-out documents once under it (the n-grams of each report for a
+pipeline variant, each document's row for a baseline); every trial then
+reads its own order's columns of those (``Vocabulary.restrict``), which
+equal building and featurizing at that order afresh.  Folds can run in
+parallel without changing the result.
 """
 
 from __future__ import annotations
@@ -186,6 +187,9 @@ class FittedVariant:
         """Read a model bundle written from ``to_dict``."""
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            kind = type(payload).__name__
+            raise CorpusError(f"{path}: a model bundle must be a JSON object, got {kind}")
         kind = payload.get("kind")
         try:
             if kind == BUNDLE_KIND:
@@ -196,6 +200,8 @@ class FittedVariant:
                 return cls(method=model.kind, baseline=model)
         except KeyError as exc:
             raise CorpusError(f"{path}: {kind} model bundle has no key {exc}") from None
+        except ValueError as exc:
+            raise CorpusError(f"{path}: {exc}") from None
         raise CorpusError(f"{path}: unknown model bundle kind {kind!r}")
 
 
@@ -350,9 +356,9 @@ def _score_fold(
     method, attribute, docs, doc_lines, labels, configs, schemas, held, fit_seed
 ) -> list[float]:
     """Held-out micro-F1 of every configuration on the fold whose documents
-    ``held`` marks.  The fold's lines (or documents) are featurized once,
-    under one vocabulary of its training lines at the largest n-gram order
-    any configuration asks; each trial reads its own order's columns."""
+    ``held`` marks.  The fold's reports are featurized once, under one
+    vocabulary of its training lines at the largest n-gram order any
+    configuration asks; each trial reads its own order's columns."""
 
     def split(items):
         return [x for x, h in zip(items, held) if not h], [x for x, h in zip(items, held) if h]
@@ -368,11 +374,14 @@ def _score_fold(
             model = fit_sla(
                 features, train_docs, train_lines, attribute, variant=method, schemas=schemas, **p
             )
-            X_held = None
+            hyper = model.hyper
+            _, (_, final_hits) = features.at(hyper.final_ngram_n)
+            line_hits = None
             if model.line_scorer is not None:
-                _, (_, X_held) = features.at(model.hyper.line_ngram_n)
+                _, (_, line_hits) = features.at(hyper.line_ngram_n)
             gold = [oracle_gold_lines(model, d) for d in held_docs]
-            return [x.label for x in predict_featurized(model, held_lines, X_held, gold)]
+            predictions = predict_featurized(model, held_lines, line_hits, final_hits, gold)
+            return [x.label for x in predictions]
 
     else:
         max_n = max(p["ngram_n"] for p in params)

@@ -187,9 +187,10 @@ def test_predict_refuses_learner_params_with_unknown_or_missing_keys(workdir, ca
 
 @pytest.fixture(scope="module")
 def bundles(workdir, tmp_path_factory):
-    """An sla and a doc-logreg model bundle trained on the module's corpus."""
+    """An sla, a rules and a doc-logreg model bundle trained on the module's
+    corpus."""
     root = tmp_path_factory.mktemp("bundles")
-    paths = {method: root / f"{method}.json" for method in ("sla", "doc-logreg")}
+    paths = {method: root / f"{method}.json" for method in ("sla", "rules", "doc-logreg")}
     for method, path in paths.items():
         code = cli.main(["train", "--corpus", str(workdir / "corpus.jsonl"), "--attribute",
                          "grade", "--variant", method, "--out", str(path)])
@@ -221,6 +222,36 @@ def test_predict_names_a_key_missing_from_the_bundle(workdir, bundles, capsys, t
                        "--corpus", str(workdir / "corpus.jsonl"), "--out", str(preds))
     assert code == 2, err
     assert f"data error: {edited}: " in err and f"has no key '{key}'" in err
+    assert not preds.exists()
+
+
+@pytest.mark.parametrize("method, key, value, message", [
+    ("sla", None, [], "a model bundle must be a JSON object, got list"),
+    ("doc-logreg", None, "grade", "a model bundle must be a JSON object, got str"),
+    ("sla", "final_classifier", [], "key 'final_classifier' must be a JSON object, got list"),
+    ("sla", "line_vocab", ["grade"], "key 'line_vocab' must be a JSON object, got list"),
+    ("sla", "attribute", ["grade"], "key 'attribute' must be a string, got list"),
+    ("sla", "k", "3", "key 'k' must be an integer, got str"),
+    ("sla", "k", True, "key 'k' must be an integer, got bool"),
+    ("rules", "k", "3", "key 'k' must be an integer, got str"),
+    ("rules", "k", 0, "k must be >= 1, got 0"),
+    ("rules", "keyword_rules", "grade", "key 'keyword_rules' must be a JSON array, got str"),
+    ("doc-logreg", "vocab", [], "key 'vocab' must be a JSON object, got list"),
+    ("doc-logreg", "linear", [1.0], "key 'linear' must be a JSON object, got list"),
+])
+def test_predict_names_a_bundle_value_of_the_wrong_type(workdir, bundles, capsys, tmp_path,
+                                                      method, key, value, message):
+    bundle = json.loads(bundles[method].read_text())
+    if key is None:
+        bundle = value
+    else:
+        bundle[key] = value
+    edited, preds = tmp_path / "edited.json", tmp_path / "preds.jsonl"
+    edited.write_text(json.dumps(bundle), encoding="utf-8")
+    code, _, err = run(capsys, "predict", "--model", str(edited),
+                       "--corpus", str(workdir / "corpus.jsonl"), "--out", str(preds))
+    assert code == 2, err
+    assert f"data error: {edited}: " in err and message in err
     assert not preds.exists()
 
 

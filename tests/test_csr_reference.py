@@ -11,8 +11,16 @@ from hypothesis import strategies as st
 
 from sla.baselines import document_matrix, featurize_document
 from sla.corpus import Report
-from sla.pipeline import Segment, SelectedLines, compose_representation
-from sla.textproc import UNK, build_vocabulary, tokenize, tokenize_lines, vectorize
+from sla.pipeline import Segment, SelectedLines, _selected_lines, compose_representation
+from sla.textproc import (
+    UNK,
+    Featurized,
+    build_vocabulary,
+    find_ngrams,
+    tokenize,
+    tokenize_lines,
+    vectorize,
+)
 
 # ---------------------------------------------------------------------------
 # frozen reference: the single-vector path, as it was before the CSR rows
@@ -185,7 +193,7 @@ def test_csr_featurizers_match_the_single_vector_reference(case):
             _assert_row_equal(_ref_vectorize(tl, vocab), *_row(rows, r))
 
     # one call for the batch: a row per document
-    composed = compose_representation(selections, doc_lines, vocab)
+    composed = compose_representation(selections, find_ngrams(doc_lines, vocab))
     docs = document_matrix(doc_lines, vocab)
     assert composed.shape == docs.shape == (len(reports), vocab.dimension)
     for i, (report, selection) in enumerate(zip(reports, selections)):
@@ -196,10 +204,77 @@ def test_csr_featurizers_match_the_single_vector_reference(case):
         _assert_row_equal(_ref_featurize(report, vocab), doc.indices, doc.data)
 
 
+@st.composite
+def _orders_case(draw):
+    """A batch of one to three reports, the lines that train a vocabulary at
+    order 1-4 with a drawn ``min_count`` (so rare words map to <UNK>), a
+    selection per report, and a lower order to restrict to."""
+    reports = [
+        Report(id=f"r{i}", cancer="colon", lines=tuple(draw(_LINES)))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    lines = [tl for report in reports for tl in tokenize_lines(report)]
+    train = lines[: draw(st.integers(1, len(lines)))]
+    max_n = draw(st.integers(1, 4))
+    selections = [draw(_segments(len(r.lines))) for r in reports]
+    return reports, train, max_n, draw(st.integers(1, 3)), selections, draw(st.integers(1, max_n))
+
+
+def _orders_example(batch, max_n, min_count, lower):
+    """An ``_orders_case`` of (lines, segments) pairs, trained on every line."""
+    (lines, segments), *more = batch
+    reports, _, selections = _fixed_case(lines, 1, segments, *more)
+    train = [tl for r in reports for tl in tokenize_lines(r)]
+    return reports, train, max_n, min_count, selections, lower
+
+
+_SPANS = (_ACROSS[0], [(0, 3, 0.5), (4, 5, 0.2)])  # more than two lines, then two
+_ONE_TOKEN = (("mass", "2", "", "cecum", "mass"), [(0, 1, 1.0), (2, 4, 1.0)])
+
+
+@given(_orders_case())
+@example(_orders_example([_SPANS, _ONE_TOKEN], 4, 2, 2))
+@example(_orders_example([_ONE_TOKEN, (("", ""), [(0, 1, 0.3)]), (("grade",), [])], 3, 1, 1))
+@example(_orders_example([(("grade : 2", "mass"), [])], 2, 2, 1))  # no segment at all
+@settings(max_examples=300, deadline=None)
+def test_one_ngram_pass_gives_line_rows_segments_and_lower_orders(case):
+    reports, train, max_n, min_count, selections, lower = case
+    vocab = build_vocabulary(train, max_n=max_n, min_count=min_count)
+    doc_lines = [tokenize_lines(report) for report in reports]
+    lines = [tl for tls in doc_lines for tl in tls]
+    hits = find_ngrams(doc_lines, vocab)
+
+    # the hits inside one line are the line's vectorize row
+    rows = vectorize(lines, vocab)
+    assert hits.lines.shape == rows.shape
+    for r, tl in enumerate(lines):
+        assert _row(hits.lines, r)[0].tolist() == _row(rows, r)[0].tolist()
+        _assert_row_equal(_ref_vectorize(tl, vocab), *_row(hits.lines, r))
+
+    # the hits inside a segment are the n-grams of its lines joined, also
+    # when every line outside the segments is emptied first
+    selected = find_ngrams(_selected_lines(doc_lines, selections), vocab)
+    for composed in (compose_representation(selections, h) for h in (hits, selected)):
+        for i, (report, selection) in enumerate(zip(reports, selections)):
+            _assert_row_equal(_ref_compose(selection, report, vocab), *_row(composed, i))
+
+    # restricting the hits equals finding them under the lower-order vocabulary
+    fresh = build_vocabulary(train, max_n=lower, min_count=min_count)
+    restricted, (low,) = Featurized(vocab, hits).at(lower)
+    assert restricted.ngram_to_index == fresh.ngram_to_index
+    expect = find_ngrams(doc_lines, fresh)
+    for got, want in ((low.first, expect.first), (low.last, expect.last), (low.cols, expect.cols)):
+        assert got.tobytes() == want.tobytes()
+    assert (low.streams.tolist(), low.dimension) == (expect.streams.tolist(), fresh.dimension)
+    composed = compose_representation(selections, low)
+    for i, (report, selection) in enumerate(zip(reports, selections)):
+        _assert_row_equal(_ref_compose(selection, report, fresh), *_row(composed, i))
+
+
 def test_overlapping_weights_add_in_segment_order():
     reports, vocab, selections = _fixed_case(*_OVERLAP)
     column = vocab.ngram_to_index["grade"]
-    rep = compose_representation(selections, [tokenize_lines(reports[0])], vocab)
+    rep = compose_representation(selections, find_ngrams([tokenize_lines(reports[0])], vocab))
     got = rep.data[list(rep.indices).index(column)]
     assert got == (0.1 + 0.2) + 0.7 != 0.1 + (0.2 + 0.7)
 

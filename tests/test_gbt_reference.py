@@ -306,7 +306,7 @@ def _ref_margins(model, X_csr, num_trees):
     depth=st.integers(1, 7),
     num_trees=st.integers(0, 8),
     num_rows=st.sampled_from((0, 1, 2, 60)),
-    num_features=st.integers(1, 12),
+    num_features=st.integers(1, 40),  # packed patterns of up to five bytes
     learning_rate=st.sampled_from((0.1, 0.3, 1.0)),
 )
 def test_compiled_margins_equal_the_reference_walk(

@@ -38,7 +38,7 @@ from sla.pipeline import (
     train_sla,
 )
 from sla.learners import GbtParams, LinParams, train_l1_logreg
-from sla.textproc import build_vocabulary, tokenize, tokenize_lines, vectorize
+from sla.textproc import build_vocabulary, find_ngrams, tokenize, tokenize_lines
 
 
 def tiny_corpus(n=24, seed=0, **overrides):
@@ -152,7 +152,7 @@ def test_compose_representation_joins_segment_lines():
     report = Report(id="r", cancer="colon", lines=("alpha beta", "beta gamma", "x"))
     vocab = build_vocabulary([tokenize(l) for l in report.lines] * 2, max_n=2)
     sel = SelectedLines((Segment(0, 1, 0.5),), k=2)
-    rep = compose_representation([sel], [tokenize_lines(report)], vocab)
+    rep = compose_representation([sel], find_ngrams([tokenize_lines(report)], vocab))
     inv = {i: g for g, i in vocab.ngram_to_index.items()}
     grams = {inv[i] for i in rep.indices}
     # "beta beta" crosses the joined boundary; it is not in the vocabulary
@@ -167,16 +167,16 @@ def test_compose_representation_takes_weights_from_the_selection():
     vocab = build_vocabulary([tokenize(l) for l in report.lines] * 2, max_n=1)
     scored = SelectedLines((Segment(0, 0, 0.25), Segment(1, 1, 0.75)), k=2)
     flat = SelectedLines((Segment(0, 0, 1.0), Segment(1, 1, 1.0)), k=2)
-    token_lines = [tokenize_lines(report)]
-    assert set(compose_representation([scored], token_lines, vocab).data) == {0.25, 0.75}
-    assert set(compose_representation([flat], token_lines, vocab).data) == {1.0}
+    hits = find_ngrams([tokenize_lines(report)], vocab)
+    assert set(compose_representation([scored], hits).data) == {0.25, 0.75}
+    assert set(compose_representation([flat], hits).data) == {1.0}
 
 
 def test_overlapping_segment_sum_accumulates():
     report = Report(id="r", cancer="colon", lines=("alpha", "alpha"))
     vocab = build_vocabulary([tokenize(l) for l in report.lines], max_n=1)
     sel = SelectedLines((Segment(0, 0, 0.5), Segment(1, 1, 0.25)), k=2)
-    rep = compose_representation([sel], [tokenize_lines(report)], vocab)
+    rep = compose_representation([sel], find_ngrams([tokenize_lines(report)], vocab))
     assert rep.data.tolist() == [0.75]
 
 
@@ -185,7 +185,7 @@ def test_compose_representation_merges_and_drops_zeros():
     report = Report(id="r", cancer="colon", lines=("a c", "c d", "d", "b"))
     vocab = build_vocabulary([tokenize(l) for l in report.lines] * 2, max_n=1)
     sel = SelectedLines((Segment(0, 0, 1.0), Segment(1, 1, 2.0), Segment(2, 2, -2.0)), k=3)
-    rep = compose_representation([sel], [tokenize_lines(report)], vocab)
+    rep = compose_representation([sel], find_ngrams([tokenize_lines(report)], vocab))
     assert rep.shape == (1, 4)
     assert rep.indices.tolist() == [0, 2]
     assert rep.data.tolist() == [1.0, 3.0]
@@ -323,9 +323,8 @@ def test_train_sla_scores_training_lines_as_select_segments_does(variant):
     rows, labels = [], []
     for d in docs:
         selection = predict_sla(model, d.report).rationale
-        rows.append(
-            compose_representation([selection], [tokenize_lines(d.report)], model.final_vocab)
-        )
+        hits = find_ngrams([tokenize_lines(d.report)], model.final_vocab)
+        rows.append(compose_representation([selection], hits))
         ann = d.annotations["grade"]
         labels.append(compose_label(ann.values, schema_value_order(schemas, "colon", "grade")))
     refit = train_l1_logreg(sparse.vstack(rows, format="csr"), labels, model.hyper.lin)
