@@ -23,6 +23,7 @@ from .corpus import (
     bundle_value,
     check_bundle_version,
     gold_label,
+    json_list,
 )
 from .learners import (
     GbtModel,
@@ -175,17 +176,28 @@ def baseline_to_dict(model: DocBaselineModel) -> dict:
 def baseline_from_dict(payload: dict) -> DocBaselineModel:
     check_bundle_version(payload, "baseline")
 
-    def read(key: str, kind: type, optional: bool = False):
-        return bundle_value(payload, key, kind, f"{payload['kind']} bundle", optional)
+    what = f"{payload['kind']} bundle"
 
+    def read(key: str, kind: type, optional: bool = False):
+        return bundle_value(payload, key, kind, what, optional)
+
+    vocab = Vocabulary.from_dict(read("vocab", dict), f"{what} vocab")
     linear = read("linear", dict, optional=True)
     boost_classes = read("boost_classes", list, optional=True)
     boost_models = read("boost_models", list, optional=True)
+    if boost_classes:
+        json_list(boost_classes, str, f"{what} key 'boost_classes'")
+    if boost_models and len(boost_models) != len(boost_classes or ()):
+        raise ValueError(f"{what} key 'boost_models' must hold one model per boost class")
     return DocBaselineModel(
         attribute=read("attribute", str),
         kind=payload["kind"],
-        vocab=Vocabulary.from_dict(read("vocab", dict)),
-        linear=LinearModel.from_dict(linear) if linear else None,
+        vocab=vocab,
+        linear=(
+            LinearModel.from_dict(linear, vocab.dimension, f"{what} linear") if linear else None
+        ),
         boost_classes=tuple(boost_classes) if boost_classes else None,
-        boost_models=[GbtModel.from_dict(m) for m in boost_models] if boost_models else None,
+        boost_models=[
+            GbtModel.from_dict(m, f"{what} boost_models[{i}]") for i, m in enumerate(boost_models)
+        ] if boost_models else None,
     )

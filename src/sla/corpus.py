@@ -294,23 +294,49 @@ def dataclass_kwargs(cls, payload: Mapping, what: str, optional: Iterable[str] =
     return dict(payload)
 
 
-_JSON_KINDS = {dict: "a JSON object", list: "a JSON array", str: "a string", int: "an integer"}
+# per JSON kind: its name, and the Python types that json.load gives for it
+# (a bool is neither an integer nor a number)
+_JSON_KINDS = {
+    dict: ("a JSON object", (dict,)),
+    list: ("a JSON array", (list,)),
+    str: ("a string", (str,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+}
+
+
+def json_value(value, kind: type, what: str, key: str | None = None):
+    """``value``, which must be of the JSON ``kind`` (``dict``, ``list``,
+    ``str``, ``int`` or ``float``, which takes any number), or a ValueError
+    naming ``what`` and the ``key`` that holds the value, if given."""
+    name, types = _JSON_KINDS[kind]
+    if isinstance(value, types) and not isinstance(value, bool):
+        return value
+    where = what if key is None else f"{what} key {key!r}"
+    raise ValueError(f"{where} must be {name}, got {type(value).__name__}")
+
+
+def json_list(values, kind: type, what: str, length: int | None = None) -> list:
+    """``values``, which must be a JSON array of strings (``kind`` ``str``)
+    or of numbers (``float``), of ``length`` items when that is given, or a
+    ValueError naming ``what``."""
+    if not (isinstance(values, list) and set(map(type, values)).issubset(_JSON_KINDS[kind][1])
+            and length in (None, len(values))):
+        items = {str: "strings", float: "numbers"}[kind]
+        count = "" if length is None else f"{length} "
+        raise ValueError(f"{what} must be a JSON array of {count}{items}")
+    return values
 
 
 def bundle_value(payload: Mapping, key: str, kind: type, what: str, optional: bool = False):
-    """``payload[key]``, which must be of type ``kind`` (``dict``, ``list``,
-    ``str`` or ``int``, which takes no bool): a KeyError if the key is
-    absent, and a ValueError naming ``what`` and the key if the value has
-    another type.  An ``optional`` key may be absent or null; it reads
-    None."""
+    """``payload[key]``, which must be of the JSON ``kind`` that
+    ``json_value`` takes: a KeyError if the key is absent, and a ValueError
+    naming ``what`` and the key if the value has another type.  An
+    ``optional`` key may be absent or null; it reads None."""
     value = payload.get(key) if optional else payload[key]
     if value is None and optional:
         return None
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(
-            f"{what} key {key!r} must be {_JSON_KINDS[kind]}, got {type(value).__name__}"
-        )
-    return value
+    return json_value(value, kind, what, key)
 
 
 # the sla and the baseline model bundles share one format version

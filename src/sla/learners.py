@@ -38,7 +38,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import dataclass_kwargs
+from .corpus import bundle_value, dataclass_kwargs, json_list, json_value
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -122,13 +122,22 @@ class TreeNode:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "TreeNode":
+    def from_dict(cls, payload: dict, num_features: int, what: str = "tree node") -> "TreeNode":
+        """The tree ``payload`` holds, whose splits must fall on features in
+        [0, ``num_features``); any other payload is a ValueError naming
+        ``what``, the node's place in the tree."""
+        json_value(payload, dict, what)
         if "value" in payload:
-            return cls(value=float(payload["value"]))
+            return cls(value=float(bundle_value(payload, "value", float, what)))
+        feature = bundle_value(payload, "feature", int, what)
+        if not 0 <= feature < num_features:
+            raise ValueError(
+                f"{what} key 'feature' must be in [0, {num_features}), got {feature}"
+            )
         return cls(
-            feature=int(payload["feature"]),
-            left=cls.from_dict(payload["left"]),
-            right=cls.from_dict(payload["right"]),
+            feature=feature,
+            left=cls.from_dict(payload["left"], num_features, f"{what}.left"),
+            right=cls.from_dict(payload["right"], num_features, f"{what}.right"),
         )
 
 
@@ -154,12 +163,20 @@ class GbtModel:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "GbtModel":
+    def from_dict(cls, payload: dict, what: str = "gbt model") -> "GbtModel":
+        """The model ``payload`` holds; a value of the wrong JSON type is a
+        ValueError naming ``what`` and its key."""
+        json_value(payload, dict, what)
+        num_features = bundle_value(payload, "num_features", int, what)
+        trees = bundle_value(payload, "trees", list, what)
         return cls(
-            params=GbtParams(**dataclass_kwargs(GbtParams, payload["params"], "gbt model params")),
-            base_score=float(payload["base_score"]),
-            trees=[TreeNode.from_dict(t) for t in payload["trees"]],
-            num_features=int(payload["num_features"]),
+            params=GbtParams(**dataclass_kwargs(GbtParams, payload["params"], f"{what} params")),
+            base_score=float(bundle_value(payload, "base_score", float, what)),
+            trees=[
+                TreeNode.from_dict(t, num_features, f"{what} trees[{i}]")
+                for i, t in enumerate(trees)
+            ],
+            num_features=num_features,
         )
 
 
@@ -229,7 +246,8 @@ def _leaf_value(g_sum: float, h_sum: float, lam: float) -> float:
 
 
 def _grow_tree(
-    X_csc: sparse.csc_matrix,
+    XT: sparse.csr_matrix,
+    columns: np.ndarray,
     rows: np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
@@ -238,18 +256,20 @@ def _grow_tree(
 ) -> tuple[TreeNode, list[tuple[float, np.ndarray]]]:
     """Grow one tree level by level on the given row subset.
 
-    Split statistics for every (frontier node, feature) pair come from one
-    sparse-dense product per level: M holds each frontier node's gradients,
-    hessians and ones on its rows, and X.T @ M sums them per feature.  X is
-    binary and the product adds each cell in ascending row order, so every
-    sum has the bits of a per-node sparse product.  The ``out_of_bag``
-    rows take no part in the statistics but follow every split: a node
-    holds its rows with the first ``m`` of them in the bag, and a split
-    keeps that order.  The returned leaf partition, as (leaf value, rows at
-    that leaf), covers both ``rows`` and ``out_of_bag``.
+    ``XT`` holds the ``columns`` of the binary X as CSR rows, each row's
+    sample indices ascending; a split on row b of ``XT`` is recorded as
+    feature ``columns[b]``.  Split statistics for every (frontier node,
+    feature) pair come from one sparse-dense product per level: M holds
+    each frontier node's gradients, hessians and ones on its rows, and
+    XT @ M sums them per feature.  X is binary and the product adds each
+    cell in ascending row order, so every sum has the bits of a per-node
+    sparse product.  The ``out_of_bag`` rows take no part in the
+    statistics but follow every split: a node holds its rows with the
+    first ``m`` of them in the bag, and a split keeps that order.  The
+    returned leaf partition, as (leaf value, rows at that leaf), covers
+    both ``rows`` and ``out_of_bag``.
     """
-    n_total = X_csc.shape[0]
-    XT = X_csc.T  # CSR over features, each row's sample indices ascending
+    n_total = XT.shape[1]
     lam = params.l2_lambda
     gamma = params.min_split_loss
     root = TreeNode()
@@ -259,7 +279,7 @@ def _grow_tree(
         (root, np.concatenate((rows, out_of_bag)), len(rows))
     ]
     col_mark = np.zeros(n_total, dtype=bool)
-    indptr, col_indices = X_csc.indptr, X_csc.indices
+    indptr, col_indices = XT.indptr, XT.indices
 
     for depth in range(params.max_depth + 1):
         if not frontier:
@@ -304,18 +324,62 @@ def _grow_tree(
                 node.value = float(_leaf_value(Gt[i], Ht[i], lam))
                 leaves.append((node.value, nrows))
                 continue
-            j = int(best_j[i])
+            j = best_j[i]
             col_rows = col_indices[indptr[j] : indptr[j + 1]]
             col_mark[col_rows] = True
             right = col_mark[nrows]
             col_mark[col_rows] = False
             m_right = int(np.count_nonzero(right[:m]))
-            node.feature, node.left, node.right = j, TreeNode(), TreeNode()
+            node.feature, node.left, node.right = int(columns[j]), TreeNode(), TreeNode()
             next_frontier.append((node.left, nrows[~right], m - m_right))
             next_frontier.append((node.right, nrows[right], m_right))
         frontier = next_frontier
 
     return root, leaves
+
+
+def _column_hash(X_csc: sparse.csc_matrix) -> np.ndarray:
+    """A 64-bit hash of each column's set of rows: the wrapping sum of one
+    fixed random word per row."""
+    words = np.random.default_rng(0).integers(
+        0, np.iinfo(np.uint64).max, X_csc.shape[0], dtype=np.uint64, endpoint=True
+    )
+    sums = np.zeros(X_csc.nnz + 1, dtype=np.uint64)
+    np.cumsum(words[X_csc.indices], out=sums[1:])
+    return sums[X_csc.indptr[1:]] - sums[X_csc.indptr[:-1]]
+
+
+def _distinct_columns(X_csc: sparse.csc_matrix) -> np.ndarray:
+    """The indices, ascending, of the columns of ``X_csc`` that equal no
+    earlier column, row index for row index as stored.
+
+    Columns are grouped by ``_column_hash``.  Each round keeps the earliest
+    open column of every group and closes it and every open column of its
+    group whose rows are the very same; the columns of a group that only
+    share the hash stay open for the next round.  So a hash collision costs
+    a round and never drops a column."""
+    indptr, indices = X_csc.indptr, X_csc.indices
+    counts = np.diff(indptr)
+    key = _column_hash(X_csc)
+    kept = np.zeros(X_csc.shape[1], dtype=bool)
+    open_cols = np.arange(X_csc.shape[1])
+    while len(open_cols):
+        # by hash, then by index: each group's first column is its earliest
+        cols = open_cols[np.argsort(key[open_cols], kind="stable")]
+        first = np.flatnonzero(np.r_[True, key[cols[1:]] != key[cols[:-1]]])
+        lead = np.repeat(cols[first], np.diff(np.r_[first, len(cols)]))
+        kept[cols[first]] = True
+        # compare every other column's rows with its group's earliest column's
+        rest = cols != lead
+        cols, lead = cols[rest], lead[rest]
+        same = counts[cols] == counts[lead]
+        size = counts[cols[same]]
+        pair = np.repeat(np.arange(len(size)), size)
+        offset = np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size)
+        at, at_lead = indptr[cols[same]][pair] + offset, indptr[lead[same]][pair] + offset
+        same[same] = np.bincount(pair[indices[at] != indices[at_lead]], minlength=len(size)) == 0
+        open_cols = cols[~same]  # still by hash, then by index
+    return np.flatnonzero(kept)
 
 
 def _binary_csr(X) -> sparse.csr_matrix:
@@ -352,6 +416,9 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
     all_rows = np.arange(n)
     subsample_size = max(1, int(round(params.subsample * n)))
 
+    # identical columns score alike, and argmax keeps the earliest of them
+    columns = _distinct_columns(X_csc)
+    XT = X_csc.T[columns]
     trees: list[TreeNode] = []
     for _ in range(params.num_rounds):
         rows = all_rows
@@ -363,7 +430,7 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
         p = _sigmoid(margins)
         grad = p - y_arr
         hess = p * (1.0 - p)
-        tree, leaves = _grow_tree(X_csc, rows, grad, hess, params, out_of_bag)
+        tree, leaves = _grow_tree(XT, columns, rows, grad, hess, params, out_of_bag)
         for value, leaf_rows in leaves:
             margins[leaf_rows] += params.learning_rate * value
         trees.append(tree)
@@ -455,11 +522,28 @@ class LinearModel:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "LinearModel":
+    def from_dict(
+        cls, payload: dict, num_features: int, what: str = "linear model"
+    ) -> "LinearModel":
+        """The model ``payload`` holds, with a row of ``num_features``
+        weights per class; anything else is a ValueError naming ``what``
+        and its key."""
+        classes = json_list(payload["classes"], str, f"{what} key 'classes'")
+        rows = bundle_value(payload, "weights", list, what)
+        if len(rows) != len(classes):
+            raise ValueError(
+                f"{what} key 'weights' must hold one row per class ({len(classes)}),"
+                f" got {len(rows)}"
+            )
+        for c, row in enumerate(rows):
+            json_list(row, float, f"{what} key 'weights' row {c}", num_features)
+        intercepts = json_list(
+            payload["intercepts"], float, f"{what} key 'intercepts'", len(classes)
+        )
         return cls(
-            classes=tuple(payload["classes"]),
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            intercepts=np.asarray(payload["intercepts"], dtype=np.float64),
+            classes=tuple(classes),
+            weights=np.array(rows, dtype=np.float64).reshape(len(classes), num_features),
+            intercepts=np.array(intercepts, dtype=np.float64),
         )
 
 

@@ -537,8 +537,10 @@ def model_from_dict(payload: dict) -> SlaModel:
         raise ValueError(f"not an sla model bundle: kind={payload.get('kind')!r}")
     check_bundle_version(payload, "sla model")
 
+    what = "sla model bundle"
+
     def read(key: str, kind: type, optional: bool = False):
-        return bundle_value(payload, key, kind, "sla model bundle", optional)
+        return bundle_value(payload, key, kind, what, optional)
 
     hyper = None
     if payload.get("hyper"):
@@ -555,14 +557,16 @@ def model_from_dict(payload: dict) -> SlaModel:
         )
         hyper = SlaHyperParams(**{**h, "gbt": gbt, "lin": lin})
     final_payload = read("final_vocab", dict)
-    final_vocab = Vocabulary.from_dict(final_payload)
+    final_vocab = Vocabulary.from_dict(final_payload, f"{what} final_vocab")
     line_payload = read("line_vocab", dict, optional=True)
     line_vocab = None
     if line_payload:
         # one object when both stages read the same n-grams, so that serving
         # finds each report's n-grams once
         same = line_payload == final_payload
-        line_vocab = final_vocab if same else Vocabulary.from_dict(line_payload)
+        line_vocab = (
+            final_vocab if same else Vocabulary.from_dict(line_payload, f"{what} line_vocab")
+        )
     line_scorer = read("line_scorer", dict, optional=True)
     keyword_rules = read("keyword_rules", list, optional=True)
     return SlaModel(
@@ -570,9 +574,13 @@ def model_from_dict(payload: dict) -> SlaModel:
         variant=read("variant", str),
         k=read("k", int),
         final_vocab=final_vocab,
-        final_classifier=LinearModel.from_dict(read("final_classifier", dict)),
+        final_classifier=LinearModel.from_dict(
+            read("final_classifier", dict), final_vocab.dimension, f"{what} final_classifier"
+        ),
         line_vocab=line_vocab,
-        line_scorer=GbtModel.from_dict(line_scorer) if line_scorer else None,
+        line_scorer=(
+            GbtModel.from_dict(line_scorer, f"{what} line_scorer") if line_scorer else None
+        ),
         keyword_rules=tuple(keyword_rules) if keyword_rules else None,
         hyper=hyper,
     )

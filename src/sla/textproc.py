@@ -50,6 +50,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
+from .corpus import bundle_value, json_list
+
 UNK = "<UNK>"
 
 _REMOVE_CHARS = str.maketrans("", "", ",\\;~.")
@@ -194,13 +196,20 @@ class Vocabulary:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "Vocabulary":
-        mapping = {k: i for i, k in enumerate(payload["ngrams"])}
+    def from_dict(cls, payload: dict, what: str = "vocabulary") -> "Vocabulary":
+        """The vocabulary ``payload`` holds; a value of the wrong JSON type,
+        or an n-gram listed twice, is a ValueError naming ``what`` and its
+        key."""
+        ngrams = json_list(payload["ngrams"], str, f"{what} key 'ngrams'")
+        mapping = {k: i for i, k in enumerate(ngrams)}
+        if len(mapping) != len(ngrams):
+            raise ValueError(f"{what} key 'ngrams' lists an n-gram twice")
+        unk_token = bundle_value(payload, "unk_token", str, what, optional=True)
         return cls(
             ngram_to_index=mapping,
-            max_n=payload["max_n"],
-            min_count=payload["min_count"],
-            unk_token=payload.get("unk_token", UNK),
+            max_n=bundle_value(payload, "max_n", int, what),
+            min_count=bundle_value(payload, "min_count", int, what),
+            unk_token=UNK if unk_token is None else unk_token,
         )
 
 

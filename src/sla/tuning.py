@@ -358,7 +358,9 @@ def _score_fold(
     """Held-out micro-F1 of every configuration on the fold whose documents
     ``held`` marks.  The fold's reports are featurized once, under one
     vocabulary of its training lines at the largest n-gram order any
-    configuration asks; each trial reads its own order's columns."""
+    configuration asks; each trial reads its own order's columns.  The fit
+    seed is the fold's, so a configuration that repeats an earlier one
+    (equal as JSON, where 1 and 1.0 differ) takes its score unfitted."""
 
     def split(items):
         return [x for x, h in zip(items, held) if not h], [x for x, h in zip(items, held) if h]
@@ -366,9 +368,13 @@ def _score_fold(
     train_docs, held_docs = split(docs)
     train_lines, held_lines = split(doc_lines)
     train_labels, golds = split(labels)
-    params = [_learner_params(method, config, fit_seed) for config in configs]
+    keys = [json.dumps(config, sort_keys=True) for config in configs]
+    params = {
+        key: _learner_params(method, config, fit_seed) for key, config in zip(keys, configs)
+    }
     if method in VARIANTS:
-        features = sla_features(method, [p["hyper"] for p in params], train_lines, held_lines)
+        hypers = [p["hyper"] for p in params.values()]
+        features = sla_features(method, hypers, train_lines, held_lines)
 
         def predict(p):
             model = fit_sla(
@@ -384,7 +390,7 @@ def _score_fold(
             return [x.label for x in predictions]
 
     else:
-        max_n = max(p["ngram_n"] for p in params)
+        max_n = max(p["ngram_n"] for p in params.values())
         features = baseline_features(max_n, train_lines, held_lines)
 
         def predict(p):
@@ -392,7 +398,8 @@ def _score_fold(
             _, (_, X_held) = features.at(model.vocab.max_n)
             return [label for label, _ in predict_doc_rows(model, X_held)]
 
-    return [micro_f1(predict(p), golds) for p in params]
+    scores = {key: micro_f1(predict(p), golds) for key, p in params.items()}
+    return [scores[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 For one fixed synthetic corpus, runs ``tune`` (3 trials x 3 folds),
 ``train`` from the tuned configuration, ``predict`` and ``evaluate`` for
 every method, ``train`` and ``predict`` of ``sla`` and ``no_join`` at fixed
-stage orders that differ, and a small ``learning-curve`` for ``sla`` and
+stage orders that differ and of ``sla`` and ``doc-boost`` with fixed deep,
+subsampled trees, and a small ``learning-curve`` for ``sla`` and
 ``doc-boost`` through ``sla.cli.main``, then prints one ``sha256  path``
 line per output file, with paths relative to the output directory.
 Manifests are left out, since they record paths and timings.  Two
@@ -50,10 +51,14 @@ GEN_CONFIG = {
 
 # one scored pipeline variant and one baseline
 CURVE_METHODS = ("sla", "doc-boost")
-# a model whose stages read different vocabularies, which a tuned
-# configuration may never give, for a joined and an unjoined variant
-FIXED_ORDERS = {"line_ngram_n": 2, "final_ngram_n": 4}
-FIXED_METHODS = ("sla", "no_join")
+# fixed configurations, each with the methods trained on it, that a tuned
+# configuration may never give: stages that read different vocabularies,
+# for a joined and an unjoined variant, and deep, subsampled trees, for the
+# stage-1 line scorer and for doc-boost
+FIXED_RUNS = {
+    "fixed-orders": ({"line_ngram_n": 2, "final_ngram_n": 4}, ("sla", "no_join")),
+    "fixed-trees": ({"max_depth": 7, "subsample": 0.5}, ("sla", "doc-boost")),
+}
 
 
 def _run(*argv: str) -> None:
@@ -65,9 +70,8 @@ def _run(*argv: str) -> None:
 
 def replay(out: Path) -> None:
     """Write the corpus, every method's tune, train, predict and evaluate
-    outputs, the models and predictions of ``FIXED_METHODS`` at
-    ``FIXED_ORDERS``, and the learning curves of ``CURVE_METHODS`` under
-    ``out``."""
+    outputs, the models and predictions of each of ``FIXED_RUNS``, and the
+    learning curves of ``CURVE_METHODS`` under ``out``."""
     out.mkdir(parents=True, exist_ok=True)
     config = out / "gen.json"
     config.write_text(json.dumps(GEN_CONFIG), encoding="utf-8")
@@ -83,15 +87,14 @@ def replay(out: Path) -> None:
              "--params", str(Path(tuned) / "best.json"), "--out", model)
         _run("predict", "--model", model, "--corpus", corpus, "--out", preds)
         _run("evaluate", "--corpus", corpus, "--preds", preds, "--out", report)
-    fixed = out / "fixed-orders.json"
-    fixed.write_text(json.dumps(FIXED_ORDERS), encoding="utf-8")
-    for method in FIXED_METHODS:
-        model, preds = (
-            str(out / method / "fixed-orders" / n) for n in ("model.json", "preds.jsonl")
-        )
-        _run("train", "--corpus", corpus, "--attribute", "grade", "--variant", method,
-             "--params", str(fixed), "--out", model)
-        _run("predict", "--model", model, "--corpus", corpus, "--out", preds)
+    for name, (params, methods) in FIXED_RUNS.items():
+        fixed = out / f"{name}.json"
+        fixed.write_text(json.dumps(params), encoding="utf-8")
+        for method in methods:
+            model, preds = (str(out / method / name / n) for n in ("model.json", "preds.jsonl"))
+            _run("train", "--corpus", corpus, "--attribute", "grade", "--variant", method,
+                 "--params", str(fixed), "--out", model)
+            _run("predict", "--model", model, "--corpus", corpus, "--out", preds)
     for method in CURVE_METHODS:
         _run("learning-curve", "--corpus", corpus, "--attribute", "grade", "--variant", method,
              "--sizes", "12", "--runs", "1", "--trials", "2", "--folds", "2",

@@ -187,10 +187,12 @@ def test_predict_refuses_learner_params_with_unknown_or_missing_keys(workdir, ca
 
 @pytest.fixture(scope="module")
 def bundles(workdir, tmp_path_factory):
-    """An sla, a rules and a doc-logreg model bundle trained on the module's
-    corpus."""
+    """An sla, a rules, a doc-logreg and a doc-boost model bundle trained on
+    the module's corpus."""
     root = tmp_path_factory.mktemp("bundles")
-    paths = {method: root / f"{method}.json" for method in ("sla", "rules", "doc-logreg")}
+    paths = {
+        method: root / f"{method}.json" for method in ("sla", "rules", "doc-logreg", "doc-boost")
+    }
     for method, path in paths.items():
         code = cli.main(["train", "--corpus", str(workdir / "corpus.jsonl"), "--attribute",
                          "grade", "--variant", method, "--out", str(path)])
@@ -246,6 +248,56 @@ def test_predict_names_a_bundle_value_of_the_wrong_type(workdir, bundles, capsys
         bundle = value
     else:
         bundle[key] = value
+    edited, preds = tmp_path / "edited.json", tmp_path / "preds.jsonl"
+    edited.write_text(json.dumps(bundle), encoding="utf-8")
+    code, _, err = run(capsys, "predict", "--model", str(edited),
+                       "--corpus", str(workdir / "corpus.jsonl"), "--out", str(preds))
+    assert code == 2, err
+    assert f"data error: {edited}: " in err and message in err
+    assert not preds.exists()
+
+
+# a tree of one split on a feature that no vocabulary of the corpus holds
+_FAR_SPLIT = {"feature": 10**9, "left": {"value": 0.0}, "right": {"value": 0.0}}
+
+
+@pytest.mark.parametrize("method, dotted, value, message", [
+    ("sla", "line_scorer.trees.0", [], "line_scorer trees[0] must be a JSON object, got list"),
+    ("sla", "line_scorer.trees.0", _FAR_SPLIT,
+     "line_scorer trees[0] key 'feature' must be in [0, "),
+    ("sla", "line_scorer.trees.0", {**_FAR_SPLIT, "feature": -1},
+     "line_scorer trees[0] key 'feature' must be in [0, "),
+    ("sla", "line_scorer.trees.0", {**_FAR_SPLIT, "feature": 1.0},
+     "line_scorer trees[0] key 'feature' must be an integer, got float"),
+    ("sla", "line_scorer.trees.0", {**_FAR_SPLIT, "feature": 0, "right": {"value": "0.5"}},
+     "line_scorer trees[0].right key 'value' must be a number, got str"),
+    ("sla", "line_scorer.trees", {}, "line_scorer key 'trees' must be a JSON array, got dict"),
+    ("sla", "final_classifier.weights", {},
+     "final_classifier key 'weights' must be a JSON array, got dict"),
+    ("sla", "final_classifier.weights.0", [0.0],
+     "final_classifier key 'weights' row 0 must be a JSON array of "),
+    ("sla", "final_classifier.weights.1.0", None,
+     "final_classifier key 'weights' row 1 must be a JSON array of "),
+    ("sla", "final_classifier.intercepts", [0.0], "key 'intercepts' must be a JSON array of "),
+    ("sla", "final_classifier.classes", [["grade 1"]],
+     "key 'classes' must be a JSON array of strings"),
+    ("sla", "final_vocab.ngrams.0", 7, "final_vocab key 'ngrams' must be a JSON array of strings"),
+    ("sla", "line_vocab.max_n", "3", "line_vocab key 'max_n' must be an integer, got str"),
+    ("doc-logreg", "vocab.ngrams", "grade", "vocab key 'ngrams' must be a JSON array of strings"),
+    ("doc-logreg", "linear.weights.0", {}, "linear key 'weights' row 0 must be a JSON array of "),
+    ("doc-boost", "boost_models.0", [], "boost_models[0] must be a JSON object, got list"),
+    ("doc-boost", "boost_models.0.trees.0", _FAR_SPLIT,
+     "boost_models[0] trees[0] key 'feature' must be in [0, "),
+])
+def test_predict_names_a_nested_bundle_value_of_the_wrong_type(workdir, bundles, capsys,
+                                                             tmp_path, method, dotted, value,
+                                                             message):
+    bundle = json.loads(bundles[method].read_text())
+    *outer, key = (int(name) if name.isdigit() else name for name in dotted.split("."))
+    holder = bundle
+    for name in outer:
+        holder = holder[name]
+    holder[key] = value
     edited, preds = tmp_path / "edited.json", tmp_path / "preds.jsonl"
     edited.write_text(json.dumps(bundle), encoding="utf-8")
     code, _, err = run(capsys, "predict", "--model", str(edited),

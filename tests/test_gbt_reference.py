@@ -18,12 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from sla import synth
+from sla import learners, synth
 from sla.baselines import featurize_document
 from sla.learners import (
     GbtModel,
     GbtParams,
     TreeNode,
+    _distinct_columns,
     _sigmoid,
     predict_gbt_margin,
     train_gbt,
@@ -208,6 +209,31 @@ def stage1_problem(seed, ngram_n=2, flip=0.0):
     return X, np.where(flipped, 1.0 - y, y)
 
 
+def with_planted_duplicates(X, seed):
+    """X with planted columns: copies of some of its columns placed before
+    their originals and copies placed after them, several empty columns
+    and a column of every row.  Returns the matrix and the indices of its
+    planted copies and empty columns, none of which is the first of its
+    equals."""
+    n, d = X.shape
+    rng = np.random.default_rng(seed)
+    before, after = rng.choice(d, size=(2, max(1, d // 4)))
+    empty = sparse.csr_matrix((n, 1))
+    parts = [X[:, before], empty, X, empty, sparse.csr_matrix(np.ones((n, 1))), X[:, after],
+             empty, X[:, before]]
+    planted = sparse.hstack(parts, format="csr")
+    offset = len(before) + 1  # where X starts
+    tail = offset + d + 2  # where the copies after X start
+    later_copies = (
+        [offset + j for j in before]  # X's own columns, now behind their copies
+        + list(range(tail, tail + len(after)))
+        + [offset + d]  # the second empty column
+        + [tail + len(after)]  # the third
+        + list(range(tail + len(after) + 1, planted.shape[1]))
+    )
+    return planted, np.array(later_copies)
+
+
 def tree_depth(node):
     return 0 if node.is_leaf else 1 + max(tree_depth(node.left), tree_depth(node.right))
 
@@ -289,6 +315,52 @@ def test_random_small_problems_match_reference():
             seed=int(rng.integers(0, 9)),
         )
         assert_matches_reference(X, y, params)
+
+
+@pytest.mark.parametrize("max_depth", range(1, 8))
+@pytest.mark.parametrize("subsample, min_split_loss", [(1.0, 0.0), (0.5, 0.1)])
+def test_planted_duplicate_columns_match_reference(max_depth, subsample, min_split_loss):
+    X, y = stage1_problem(seed=20 + max_depth, flip=0.2)
+    planted, copies = with_planted_duplicates(X, seed=max_depth)
+    assert not np.isin(copies, _distinct_columns(planted.tocsc())).any()
+    params = GbtParams(max_depth=max_depth, subsample=subsample, min_split_loss=min_split_loss,
+                       num_rounds=8, seed=max_depth)
+    model = assert_matches_reference(planted, y, params)
+    assert max(tree_depth(tree) for tree in model.trees) == max_depth
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trees_match_reference_when_every_column_hash_collides(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(20, 120)), int(rng.integers(5, 40))
+    X = sparse.csr_matrix((rng.random((n, d)) < 0.3).astype(float))
+    planted, copies = with_planted_duplicates(X, seed)
+    y = (rng.random(n) < 0.4).astype(float)
+    kept = _distinct_columns(planted.tocsc())
+    monkeypatch.setattr(
+        learners, "_column_hash", lambda X_csc: np.zeros(X_csc.shape[1], dtype=np.uint64)
+    )
+    assert np.array_equal(_distinct_columns(planted.tocsc()), kept)
+    params = GbtParams(max_depth=int(rng.integers(1, 8)), subsample=float(rng.choice([0.5, 1.0])),
+                       min_split_loss=0.01, num_rounds=6, seed=seed)
+    assert_matches_reference(planted, y, params)
+
+
+def test_distinct_columns_keeps_the_first_column_of_each_row_set(monkeypatch):
+    dense = np.array([
+        # 0  1  2  3  4  5  6  7
+        [0, 1, 1, 0, 1, 1, 0, 1],
+        [0, 1, 0, 0, 1, 0, 0, 1],
+        [0, 0, 1, 0, 0, 1, 0, 1],
+    ])
+    X = sparse.csc_matrix(dense.astype(float))
+    # 3 and 6 are empty like 0, 4 holds the rows of 1 and 5 those of 2
+    assert _distinct_columns(X).tolist() == [0, 1, 2, 7]
+    assert _distinct_columns(sparse.csc_matrix((3, 0))).tolist() == []
+    # hashes where unequal columns collide cost rounds, not columns
+    for hashes in ([0] * 8, [5, 5, 9, 5, 5, 9, 5, 5], [1, 2, 1, 1, 2, 1, 1, 2]):
+        monkeypatch.setattr(learners, "_column_hash", lambda X_csc: np.array(hashes, np.uint64))
+        assert _distinct_columns(X).tolist() == [0, 1, 2, 7]
 
 
 def _ref_margins(model, X_csr, num_trees):

@@ -220,7 +220,7 @@ def test_linear_model_roundtrip():
     X, y_pm, _ = random_problem(rng)
     y = ["a" if v > 0 else "b" for v in y_pm]
     model = train_l1_logreg(X, y)
-    again = LinearModel.from_dict(model.to_dict())
+    again = LinearModel.from_dict(model.to_dict(), model.num_features)
     assert again.classes == model.classes
     assert np.array_equal(again.weights, model.weights)
     assert np.array_equal(again.intercepts, model.intercepts)

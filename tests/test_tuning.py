@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sla import pipeline
+from sla import pipeline, tuning
 from sla.corpus import CorpusError, gold_label, load_schemas
 from sla.evaluation import micro_f1
 from sla.learners import GbtParams, LinParams, predict_gbt_batch
@@ -181,6 +181,33 @@ def test_search_matches_the_trial_major_reference(method, jobs):
             docs, "grade", result.config, 3, method, 6, schemas=load_schemas()
         )
         assert result == reference
+
+
+@pytest.mark.parametrize("method, fit, config", [
+    ("doc-logreg", "fit_doc_baseline", {"ngram_n": 2, "C": 10.0}),
+    ("sla", "fit_sla", {"k": 2, "num_rounds": 10, "C": 10.0}),
+])
+def test_search_fits_each_distinct_configuration_once_per_fold(monkeypatch, method, fit, config):
+    docs = tiny_corpus(n=24, seed=47)
+    fits = []
+    real = getattr(tuning, fit)
+
+    def counting(*args, **kwargs):
+        fits.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tuning, fit, counting)
+    other = {**config, "C": 0.3}
+    as_int = {**config, "C": 10}  # equal to C = 10.0, yet another configuration
+    configs = [config, other, dict(reversed(config.items())), as_int, config]
+    results = tuning._search(docs, "grade", configs, 3, method, 6, load_schemas(), jobs=1)
+    assert len(fits) == 3 * 3  # config, other and as_int, on each of 3 folds
+    assert [r.config for r in results] == configs
+    assert results[0] == results[2] == results[4]
+    for result in results[:4]:
+        alone = cross_validate(docs, "grade", result.config, folds=3, variant=method, seed=6,
+                               schemas=load_schemas())
+        assert result == alone
 
 
 def test_cross_validate_needs_enough_docs():
