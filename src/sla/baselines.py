@@ -20,10 +20,9 @@ from .corpus import (
     Report,
     annotated_documents,
     bundle_header,
-    bundle_value,
     check_bundle_version,
     gold_label,
-    json_list,
+    read_json,
 )
 from .learners import (
     GbtModel,
@@ -178,15 +177,13 @@ def baseline_from_dict(payload: dict) -> DocBaselineModel:
 
     what = f"{payload['kind']} bundle"
 
-    def read(key: str, kind: type, optional: bool = False):
-        return bundle_value(payload, key, kind, what, optional)
+    def read(key: str, kind):
+        return read_json(payload[key], kind, f"{what} key {key!r}")
 
     vocab = Vocabulary.from_dict(read("vocab", dict), f"{what} vocab")
-    linear = read("linear", dict, optional=True)
-    boost_classes = read("boost_classes", list, optional=True)
-    boost_models = read("boost_models", list, optional=True)
-    if boost_classes:
-        json_list(boost_classes, str, f"{what} key 'boost_classes'")
+    linear = read("linear", dict | None)
+    boost_classes = read("boost_classes", tuple[str, ...] | None)
+    boost_models = read("boost_models", list | None)
     if boost_models and len(boost_models) != len(boost_classes or ()):
         raise ValueError(f"{what} key 'boost_models' must hold one model per boost class")
     return DocBaselineModel(
@@ -196,7 +193,7 @@ def baseline_from_dict(payload: dict) -> DocBaselineModel:
         linear=(
             LinearModel.from_dict(linear, vocab.dimension, f"{what} linear") if linear else None
         ),
-        boost_classes=tuple(boost_classes) if boost_classes else None,
+        boost_classes=boost_classes or None,
         boost_models=[
             GbtModel.from_dict(m, f"{what} boost_models[{i}]") for i, m in enumerate(boost_models)
         ] if boost_models else None,

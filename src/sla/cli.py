@@ -32,6 +32,7 @@ from .corpus import (
     gold_label,
     load_corpus,
     load_schemas,
+    read_json,
     validate_against_schema,
 )
 
@@ -174,10 +175,7 @@ def _load_params(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise CorpusError(f"{path}: params file must hold a JSON object")
-    return payload
+        return read_json(json.load(fh), dict, f"{path}: the params file")
 
 
 def _cmd_train(args) -> _Run:
@@ -236,11 +234,13 @@ def _load_labels(path: str) -> dict[tuple[str, str], str]:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                key = (record["id"], record["attribute"])
-                label = record["label"]
-            except (json.JSONDecodeError, KeyError) as exc:
+                record = read_json(json.loads(line), dict, "the record")
+                doc_id, attribute, label = (
+                    read_json(record[k], str, f"field {k!r}") for k in ("id", "attribute", "label")
+                )
+            except (KeyError, ValueError) as exc:
                 raise CorpusError(f"{path}: record {lineno}: {exc}") from exc
+            key = (doc_id, attribute)
             if key in labels:
                 raise CorpusError(f"{path}: record {lineno}: duplicate record {key}")
             labels[key] = label

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 CANCERS = ("colon", "kidney")
 SCHEMES = ("minimal", "full")
@@ -196,17 +198,16 @@ def load_schemas(path: str | None = None) -> dict[tuple[str, str], AttributeSche
     colon, perineural invasion for kidney) are simply absent from that
     cancer's mapping.
     """
-    if path is None:
-        raw = resources.files(__package__).joinpath(_SCHEMA_RESOURCE).read_text("utf-8")
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    payload = json.loads(raw)
-    schemas: dict[tuple[str, str], AttributeSchema] = {}
-    for cancer, attrs in payload["cancers"].items():
-        for attribute, values in attrs.items():
-            schemas[(cancer, attribute)] = AttributeSchema(cancer, attribute, tuple(values))
-    return schemas
+    what = path or _SCHEMA_RESOURCE
+    source = resources.files(__package__).joinpath(_SCHEMA_RESOURCE) if path is None else Path(path)
+    payload = read_json(json.loads(source.read_text("utf-8")), dict, what)
+    cancers = read_json(
+        payload.get("cancers"), dict[str, dict[str, tuple[str, ...]]], f"{what} key 'cancers'"
+    )
+    return {
+        (cancer, attribute): AttributeSchema(cancer, attribute, values)
+        for cancer, attrs in cancers.items() for attribute, values in attrs.items()
+    }
 
 
 def schema_value_order(
@@ -277,66 +278,74 @@ def validate_against_schema(
 # ---------------------------------------------------------------------------
 
 
-def dataclass_kwargs(cls, payload: Mapping, what: str, optional: Iterable[str] = ()) -> dict:
-    """``payload``, a JSON object of the dataclass ``cls``'s fields, as
-    keyword arguments of ``cls``.  A key that is not a field, or a field
-    without its key that ``optional`` does not name, is a ValueError
-    naming it and ``what``."""
-    if not isinstance(payload, Mapping):
-        raise ValueError(f"{what} must be a JSON object, got {type(payload).__name__}")
-    names = [f.name for f in fields(cls)]
-    unknown = sorted(set(payload) - set(names))
-    if unknown:
-        raise ValueError(f"{what}: unknown keys: {', '.join(unknown)}")
-    missing = sorted(set(names) - set(payload) - set(optional))
-    if missing:
-        raise ValueError(f"{what}: missing keys: {', '.join(missing)}")
-    return dict(payload)
-
-
-# per JSON kind: its name, and the Python types that json.load gives for it
-# (a bool is neither an integer nor a number)
+# per scalar kind: its name, and the exact Python types that json.load gives
+# for it (a bool is neither an integer nor a number)
 _JSON_KINDS = {
-    dict: ("a JSON object", (dict,)),
-    list: ("a JSON array", (list,)),
-    str: ("a string", (str,)),
-    int: ("an integer", (int,)),
-    float: ("a number", (int, float)),
+    dict: ("a JSON object", {dict}),
+    list: ("a JSON array", {list}),
+    str: ("a string", {str}),
+    int: ("an integer", {int}),
+    float: ("a number", {int, float}),
+    bool: ("true or false", {bool}),
 }
 
 
-def json_value(value, kind: type, what: str, key: str | None = None):
-    """``value``, which must be of the JSON ``kind`` (``dict``, ``list``,
-    ``str``, ``int`` or ``float``, which takes any number), or a ValueError
-    naming ``what`` and the ``key`` that holds the value, if given."""
-    name, types = _JSON_KINDS[kind]
-    if isinstance(value, types) and not isinstance(value, bool):
-        return value
-    where = what if key is None else f"{what} key {key!r}"
-    raise ValueError(f"{where} must be {name}, got {type(value).__name__}")
+@cache
+def _field_kinds(cls) -> dict:
+    """The type of each field of the dataclass ``cls`` that its constructor takes."""
+    return {f.name: get_type_hints(cls)[f.name] for f in fields(cls) if f.init}
 
 
-def json_list(values, kind: type, what: str, length: int | None = None) -> list:
-    """``values``, which must be a JSON array of strings (``kind`` ``str``)
-    or of numbers (``float``), of ``length`` items when that is given, or a
-    ValueError naming ``what``."""
-    if not (isinstance(values, list) and set(map(type, values)).issubset(_JSON_KINDS[kind][1])
-            and length in (None, len(values))):
-        items = {str: "strings", float: "numbers"}[kind]
-        count = "" if length is None else f"{length} "
-        raise ValueError(f"{what} must be a JSON array of {count}{items}")
-    return values
-
-
-def bundle_value(payload: Mapping, key: str, kind: type, what: str, optional: bool = False):
-    """``payload[key]``, which must be of the JSON ``kind`` that
-    ``json_value`` takes: a KeyError if the key is absent, and a ValueError
-    naming ``what`` and the key if the value has another type.  An
-    ``optional`` key may be absent or null; it reads None."""
-    value = payload.get(key) if optional else payload[key]
-    if value is None and optional:
+def read_json(value, kind, what: str, optional: Iterable[str] = ()):
+    """``value``, as ``json.load`` gives it, read as the type ``kind``:
+    ``dict``, ``list``, ``str``, ``int``, ``float`` (any number), ``bool``,
+    ``X | None``, ``tuple[X, ...]``, ``tuple[X, Y]``, ``dict[str, X]``, or
+    a dataclass, built from a JSON object of its fields, each read by its
+    annotation.  A key that is not a field, a field without its key that
+    ``optional`` does not name (at any depth), or a value of another type
+    is a ValueError naming ``what`` and the path to the value.  Numbers are
+    kept as given: an integer read as a float stays an integer."""
+    scalar = _JSON_KINDS.get(kind)
+    if scalar is not None:
+        if type(value) in scalar[1]:
+            return value
+        raise ValueError(f"{what} must be {scalar[0]}, got {type(value).__name__}")
+    if isinstance(kind, type) and is_dataclass(kind):
+        payload = read_json(value, dict, what)
+        kinds = _field_kinds(kind)
+        unknown = sorted(set(payload) - set(kinds))
+        if unknown:
+            raise ValueError(f"{what}: unknown keys: {', '.join(unknown)}")
+        missing = sorted(set(kinds) - set(payload) - set(optional))
+        if missing:
+            raise ValueError(f"{what}: missing keys: {', '.join(missing)}")
+        return kind(**{
+            key: read_json(item, kinds[key], f"{what} key {key!r}", optional)
+            for key, item in payload.items()
+        })
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is dict:
+        return {
+            key: read_json(item, args[1], f"{what} key {key!r}", optional)
+            for key, item in read_json(value, dict, what).items()
+        }
+    if origin is tuple:
+        items = read_json(value, list, what)
+        if args[1:] == (...,):
+            # an array of scalars is checked at C speed when it is right
+            if set(map(type, items)) <= _JSON_KINDS.get(args[0], ("", set()))[1]:
+                return tuple(items)
+            args = args[:1] * len(items)
+        elif len(items) != len(args):
+            raise ValueError(f"{what} must be a JSON array of {len(args)} items, got {len(items)}")
+        return tuple(
+            read_json(item, arg, f"{what}[{i}]", optional)
+            for i, (item, arg) in enumerate(zip(items, args))
+        )
+    if value is None and type(None) in args:
         return None
-    return json_value(value, kind, what, key)
+    (inner,) = set(args) - {type(None)}  # X | None
+    return read_json(value, inner, what, optional)
 
 
 # the sla and the baseline model bundles share one format version
@@ -376,17 +385,28 @@ def doc_to_record(doc: LabeledDocument) -> dict:
 
 
 def record_to_doc(record: Mapping) -> LabeledDocument:
+    """The document a corpus record holds; a missing field is a CorpusError
+    and a field of the wrong JSON type a ValueError, each naming it."""
+
+    def read(payload, key: str, kind, what: str = "field"):
+        return read_json(payload[key], kind, f"{what} {key!r}")
+
     try:
+        read_json(record, dict, "the record")
         report = Report(
-            id=record["id"], cancer=record["cancer"], lines=tuple(record["lines"])
+            read(record, "id", str), read(record, "cancer", str),
+            read(record, "lines", tuple[str, ...]),
         )
         annotations = {}
-        for raw in record.get("annotations", ()):
+        raws = read_json(record.get("annotations", []), list, "field 'annotations'")
+        for i, raw in enumerate(raws):
+            what = f"annotation {i} field"
+            read_json(raw, dict, f"annotation {i}")
             ann = EnrichedAnnotation(
-                attribute=raw["attribute"],
-                values=tuple(raw["values"]),
-                line_indices=tuple(raw["lines"]),
-                scheme=raw["scheme"],
+                attribute=read(raw, "attribute", str, what),
+                values=read(raw, "values", tuple[str, ...], what),
+                line_indices=read(raw, "lines", tuple[int, ...], what),
+                scheme=read(raw, "scheme", str, what),
             )
             if ann.attribute in annotations:
                 raise CorpusError(f"duplicate annotation for attribute {ann.attribute!r}")
@@ -410,7 +430,7 @@ def load_corpus(path: str) -> list[LabeledDocument]:
                 raise CorpusError(f"{path}: record {lineno}: invalid JSON ({exc})") from exc
             try:
                 doc = record_to_doc(record)
-            except CorpusError as exc:
+            except ValueError as exc:
                 raise CorpusError(f"{path}: record {lineno}: {exc}") from exc
             if doc.report.id in seen:
                 raise CorpusError(f"{path}: record {lineno}: duplicate id {doc.report.id!r}")

@@ -38,7 +38,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import bundle_value, dataclass_kwargs, json_list, json_value
+from .corpus import read_json
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -126,14 +126,12 @@ class TreeNode:
         """The tree ``payload`` holds, whose splits must fall on features in
         [0, ``num_features``); any other payload is a ValueError naming
         ``what``, the node's place in the tree."""
-        json_value(payload, dict, what)
+        read_json(payload, dict, what)
         if "value" in payload:
-            return cls(value=float(bundle_value(payload, "value", float, what)))
-        feature = bundle_value(payload, "feature", int, what)
+            return cls(value=float(read_json(payload["value"], float, f"{what} key 'value'")))
+        feature = read_json(payload["feature"], int, f"{what} key 'feature'")
         if not 0 <= feature < num_features:
-            raise ValueError(
-                f"{what} key 'feature' must be in [0, {num_features}), got {feature}"
-            )
+            raise ValueError(f"{what} key 'feature' must be in [0, {num_features}), got {feature}")
         return cls(
             feature=feature,
             left=cls.from_dict(payload["left"], num_features, f"{what}.left"),
@@ -166,12 +164,12 @@ class GbtModel:
     def from_dict(cls, payload: dict, what: str = "gbt model") -> "GbtModel":
         """The model ``payload`` holds; a value of the wrong JSON type is a
         ValueError naming ``what`` and its key."""
-        json_value(payload, dict, what)
-        num_features = bundle_value(payload, "num_features", int, what)
-        trees = bundle_value(payload, "trees", list, what)
+        read_json(payload, dict, what)
+        num_features = read_json(payload["num_features"], int, f"{what} key 'num_features'")
+        trees = read_json(payload["trees"], list, f"{what} key 'trees'")
         return cls(
-            params=GbtParams(**dataclass_kwargs(GbtParams, payload["params"], f"{what} params")),
-            base_score=float(bundle_value(payload, "base_score", float, what)),
+            params=read_json(payload["params"], GbtParams, f"{what} params"),
+            base_score=float(read_json(payload["base_score"], float, f"{what} key 'base_score'")),
             trees=[
                 TreeNode.from_dict(t, num_features, f"{what} trees[{i}]")
                 for i, t in enumerate(trees)
@@ -528,21 +526,19 @@ class LinearModel:
         """The model ``payload`` holds, with a row of ``num_features``
         weights per class; anything else is a ValueError naming ``what``
         and its key."""
-        classes = json_list(payload["classes"], str, f"{what} key 'classes'")
-        rows = bundle_value(payload, "weights", list, what)
-        if len(rows) != len(classes):
+        classes = read_json(payload["classes"], tuple[str, ...], f"{what} key 'classes'")
+        rows = read_json(payload["weights"], tuple[tuple[float, ...], ...], f"{what} key 'weights'")
+        intercepts = read_json(payload["intercepts"], tuple[float, ...], f"{what} key 'intercepts'")
+        n = len(classes)
+        if len(rows) != n or len(intercepts) != n or any(len(r) != num_features for r in rows):
             raise ValueError(
-                f"{what} key 'weights' must hold one row per class ({len(classes)}),"
-                f" got {len(rows)}"
+                f"{what} must hold one weight row of {num_features} numbers and one intercept"
+                f" per class ({n})"
             )
-        for c, row in enumerate(rows):
-            json_list(row, float, f"{what} key 'weights' row {c}", num_features)
-        intercepts = json_list(
-            payload["intercepts"], float, f"{what} key 'intercepts'", len(classes)
-        )
         return cls(
-            classes=tuple(classes),
-            weights=np.array(rows, dtype=np.float64).reshape(len(classes), num_features),
+            classes=classes,
+            # from the JSON lists, which numpy reads faster than the tuples
+            weights=np.array(payload["weights"], dtype=np.float64).reshape(n, num_features),
             intercepts=np.array(intercepts, dtype=np.float64),
         )
 

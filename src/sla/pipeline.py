@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from importlib import resources
+from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -46,10 +47,9 @@ from .corpus import (
     Report,
     annotated_documents,
     bundle_header,
-    bundle_value,
     check_bundle_version,
-    dataclass_kwargs,
     gold_label,
+    read_json,
 )
 from .learners import (
     GbtModel,
@@ -199,13 +199,10 @@ class SlaModel:
 def load_keyword_rules(path: str | None = None) -> dict[str, tuple[str, ...]]:
     """Per-attribute keyword phrases for the rule-based selector.  The
     packaged defaults are editable by pointing at another JSON file."""
-    if path is None:
-        raw = resources.files(__package__).joinpath(_RULES_RESOURCE).read_text("utf-8")
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    payload = json.loads(raw)
-    return {attr: tuple(phrases) for attr, phrases in payload["rules"].items()}
+    what = path or _RULES_RESOURCE
+    source = resources.files(__package__).joinpath(_RULES_RESOURCE) if path is None else Path(path)
+    payload = read_json(json.loads(source.read_text("utf-8")), dict, what)
+    return read_json(payload.get("rules"), dict[str, tuple[str, ...]], f"{what} key 'rules'")
 
 
 def _contains_subsequence(tokens: Sequence[str], phrase: Sequence[str]) -> bool:
@@ -539,26 +536,16 @@ def model_from_dict(payload: dict) -> SlaModel:
 
     what = "sla model bundle"
 
-    def read(key: str, kind: type, optional: bool = False):
-        return bundle_value(payload, key, kind, what, optional)
+    def read(key: str, kind):
+        return read_json(payload[key], kind, f"{what} key {key!r}")
 
-    hyper = None
-    if payload.get("hyper"):
-        # bundles written before gbt and lin were serialized get the defaults
-        h = dataclass_kwargs(
-            SlaHyperParams,
-            payload["hyper"],
-            "sla bundle hyper keys are not those of SlaHyperParams",
-            optional=("gbt", "lin"),
-        )
-        gbt, lin = (
-            cls(**dataclass_kwargs(cls, h[key], f"sla bundle hyper.{key}")) if key in h else cls()
-            for key, cls in (("gbt", GbtParams), ("lin", LinParams))
-        )
-        hyper = SlaHyperParams(**{**h, "gbt": gbt, "lin": lin})
+    # bundles written before gbt and lin were serialized get the defaults
+    hyper = read_json(
+        payload.get("hyper"), SlaHyperParams | None, f"{what} hyper", optional=("gbt", "lin")
+    )
     final_payload = read("final_vocab", dict)
     final_vocab = Vocabulary.from_dict(final_payload, f"{what} final_vocab")
-    line_payload = read("line_vocab", dict, optional=True)
+    line_payload = read("line_vocab", dict | None)
     line_vocab = None
     if line_payload:
         # one object when both stages read the same n-grams, so that serving
@@ -567,8 +554,8 @@ def model_from_dict(payload: dict) -> SlaModel:
         line_vocab = (
             final_vocab if same else Vocabulary.from_dict(line_payload, f"{what} line_vocab")
         )
-    line_scorer = read("line_scorer", dict, optional=True)
-    keyword_rules = read("keyword_rules", list, optional=True)
+    line_scorer = read("line_scorer", dict | None)
+    keyword_rules = read("keyword_rules", tuple[str, ...] | None)
     return SlaModel(
         attribute=read("attribute", str),
         variant=read("variant", str),
@@ -581,7 +568,7 @@ def model_from_dict(payload: dict) -> SlaModel:
         line_scorer=(
             GbtModel.from_dict(line_scorer, f"{what} line_scorer") if line_scorer else None
         ),
-        keyword_rules=tuple(keyword_rules) if keyword_rules else None,
+        keyword_rules=keyword_rules or None,
         hyper=hyper,
     )
 

@@ -33,7 +33,7 @@ from .corpus import (
     EnrichedAnnotation,
     LabeledDocument,
     Report,
-    dataclass_kwargs,
+    read_json,
 )
 
 DEFAULT_CUES = {
@@ -314,22 +314,16 @@ def config_to_dict(config: GenConfig) -> dict:
     return json.loads(json.dumps(asdict(config)))
 
 
-def _kwargs(cls, payload: dict, what: str) -> dict:
-    """``payload`` as keyword arguments of ``cls``, in which a field with a
-    default may be absent."""
-    optional = [f.name for f in fields(cls) if f.default is not MISSING]
-    return dataclass_kwargs(cls, payload, what, optional)
+# the keys of a config and of its attributes that may be absent
+_DEFAULTED = tuple(
+    f.name for cls in (GenConfig, SynthAttribute) for f in fields(cls) if f.default is not MISSING
+)
 
 
 def config_from_dict(payload: dict) -> GenConfig:
     """A ``GenConfig`` from the keys that are present; an absent key takes
     its field's default."""
-    kwargs = _kwargs(GenConfig, payload, "generator config")
-    kwargs["attributes"] = tuple(
-        SynthAttribute(**_kwargs(SynthAttribute, a, f"generator attribute {i}"))
-        for i, a in enumerate(payload.get("attributes", ()))
-    )
-    return GenConfig(**kwargs)
+    return read_json(payload, GenConfig, "generator config", _DEFAULTED)
 
 
 def load_gen_config(path: str) -> GenConfig:

@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import bundle_value, json_list
+from .corpus import read_json
 
 UNK = "<UNK>"
 
@@ -200,16 +200,15 @@ class Vocabulary:
         """The vocabulary ``payload`` holds; a value of the wrong JSON type,
         or an n-gram listed twice, is a ValueError naming ``what`` and its
         key."""
-        ngrams = json_list(payload["ngrams"], str, f"{what} key 'ngrams'")
+        ngrams = read_json(payload["ngrams"], tuple[str, ...], f"{what} key 'ngrams'")
         mapping = {k: i for i, k in enumerate(ngrams)}
         if len(mapping) != len(ngrams):
             raise ValueError(f"{what} key 'ngrams' lists an n-gram twice")
-        unk_token = bundle_value(payload, "unk_token", str, what, optional=True)
         return cls(
             ngram_to_index=mapping,
-            max_n=bundle_value(payload, "max_n", int, what),
-            min_count=bundle_value(payload, "min_count", int, what),
-            unk_token=UNK if unk_token is None else unk_token,
+            max_n=read_json(payload["max_n"], int, f"{what} key 'max_n'"),
+            min_count=read_json(payload["min_count"], int, f"{what} key 'min_count'"),
+            unk_token=read_json(payload.get("unk_token", UNK), str, f"{what} key 'unk_token'"),
         )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .baselines import (
     predict_doc_rows,
     train_doc_baseline,
 )
-from .corpus import CorpusError, LabeledDocument, annotated_documents, gold_label
+from .corpus import CorpusError, LabeledDocument, annotated_documents, gold_label, read_json
 from .evaluation import micro_f1, parallel_map
 from .learners import GbtParams, LinParams
 from .pipeline import (
@@ -187,11 +187,8 @@ class FittedVariant:
         """Read a model bundle written from ``to_dict``."""
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        if not isinstance(payload, dict):
-            kind = type(payload).__name__
-            raise CorpusError(f"{path}: a model bundle must be a JSON object, got {kind}")
-        kind = payload.get("kind")
         try:
+            kind = read_json(payload, dict, "a model bundle").get("kind")
             if kind == BUNDLE_KIND:
                 model = model_from_dict(payload)
                 return cls(method=model.variant, sla_model=model)
@@ -215,6 +212,8 @@ _METHOD_KEYS = {
     "doc-logreg": ("ngram_n", "C"),
     "doc-boost": ("ngram_n",) + _GBT_KEYS,
 }
+# the type of each config key: that of the field it sets
+_KEY_KINDS = dict(get_type_hints(SlaHyperParams), **get_type_hints(GbtParams), C=float, ngram_n=int)
 
 
 def _present(cfg: Mapping, keys: Sequence[str]) -> dict:
@@ -225,13 +224,16 @@ def _learner_params(method: str, config: Mapping | None, seed: int) -> dict:
     """The keyword arguments that train ``method`` from a flat config dict
     of its ``_METHOD_KEYS``: ``hyper`` for a pipeline variant, ``lin``,
     ``gbt`` and ``ngram_n`` for a baseline.  A key that is absent takes the
-    default of the parameter it sets; any other key is a ValueError."""
+    default of the parameter it sets; any other key, or a value of another
+    JSON type than that parameter's, is a ValueError."""
     if method not in _METHOD_KEYS:
         raise ValueError(f"unknown method {method!r}")
     cfg = dict(config or {})
     unknown = sorted(set(cfg) - set(_METHOD_KEYS[method]))
     if unknown:
         raise ValueError(f"unknown {method} config keys: {', '.join(unknown)}")
+    for key, value in cfg.items():
+        read_json(value, _KEY_KINDS[key], f"{method} config key {key!r}")
     gbt = GbtParams(seed=seed, **_present(cfg, _GBT_KEYS))
     lin = LinParams(**({"l1_strength": cfg["C"]} if "C" in cfg else {}))
     if method in VARIANTS:

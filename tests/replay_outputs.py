@@ -3,8 +3,9 @@
 For one fixed synthetic corpus, runs ``tune`` (3 trials x 3 folds),
 ``train`` from the tuned configuration, ``predict`` and ``evaluate`` for
 every method, ``train`` and ``predict`` of ``sla`` and ``no_join`` at fixed
-stage orders that differ and of ``sla`` and ``doc-boost`` with fixed deep,
-subsampled trees, and a small ``learning-curve`` for ``sla`` and
+stage orders that differ, of ``sla`` and ``doc-boost`` with fixed deep,
+subsampled trees and of ``sla`` with integers for float parameters, and a
+small ``learning-curve`` for ``sla`` and
 ``doc-boost`` through ``sla.cli.main``, then prints one ``sha256  path``
 line per output file, with paths relative to the output directory.
 Manifests are left out, since they record paths and timings.  Two
@@ -53,11 +54,13 @@ GEN_CONFIG = {
 CURVE_METHODS = ("sla", "doc-boost")
 # fixed configurations, each with the methods trained on it, that a tuned
 # configuration may never give: stages that read different vocabularies,
-# for a joined and an unjoined variant, and deep, subsampled trees, for the
-# stage-1 line scorer and for doc-boost
+# for a joined and an unjoined variant, deep, subsampled trees, for the
+# stage-1 line scorer and for doc-boost, and integers where the parameters
+# are floats, which the model bundle must keep as written
 FIXED_RUNS = {
     "fixed-orders": ({"line_ngram_n": 2, "final_ngram_n": 4}, ("sla", "no_join")),
     "fixed-trees": ({"max_depth": 7, "subsample": 0.5}, ("sla", "doc-boost")),
+    "integer-params": ({"C": 1, "subsample": 1, "l2_lambda": 2}, ("sla",)),
 }
 
 

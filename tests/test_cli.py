@@ -275,19 +275,36 @@ _FAR_SPLIT = {"feature": 10**9, "left": {"value": 0.0}, "right": {"value": 0.0}}
     ("sla", "final_classifier.weights", {},
      "final_classifier key 'weights' must be a JSON array, got dict"),
     ("sla", "final_classifier.weights.0", [0.0],
-     "final_classifier key 'weights' row 0 must be a JSON array of "),
+     "final_classifier must hold one weight row of "),
     ("sla", "final_classifier.weights.1.0", None,
-     "final_classifier key 'weights' row 1 must be a JSON array of "),
-    ("sla", "final_classifier.intercepts", [0.0], "key 'intercepts' must be a JSON array of "),
+     "final_classifier key 'weights'[1][0] must be a number, got NoneType"),
+    ("sla", "final_classifier.intercepts", [0.0],
+     "final_classifier must hold one weight row of "),
     ("sla", "final_classifier.classes", [["grade 1"]],
-     "key 'classes' must be a JSON array of strings"),
-    ("sla", "final_vocab.ngrams.0", 7, "final_vocab key 'ngrams' must be a JSON array of strings"),
+     "key 'classes'[0] must be a string, got list"),
+    ("sla", "final_vocab.ngrams.0", 7, "final_vocab key 'ngrams'[0] must be a string, got int"),
     ("sla", "line_vocab.max_n", "3", "line_vocab key 'max_n' must be an integer, got str"),
-    ("doc-logreg", "vocab.ngrams", "grade", "vocab key 'ngrams' must be a JSON array of strings"),
-    ("doc-logreg", "linear.weights.0", {}, "linear key 'weights' row 0 must be a JSON array of "),
+    ("doc-logreg", "vocab.ngrams", "grade", "vocab key 'ngrams' must be a JSON array, got str"),
+    ("doc-logreg", "linear.weights.0", {},
+     "linear key 'weights'[0] must be a JSON array, got dict"),
     ("doc-boost", "boost_models.0", [], "boost_models[0] must be a JSON object, got list"),
     ("doc-boost", "boost_models.0.trees.0", _FAR_SPLIT,
      "boost_models[0] trees[0] key 'feature' must be in [0, "),
+    # learner parameters, stored twice in an sla bundle: in hyper, and with
+    # the line scorer
+    ("sla", "hyper.gbt.max_depth", "3",
+     "sla model bundle hyper key 'gbt' key 'max_depth' must be an integer, got str"),
+    ("sla", "line_scorer.params.learning_rate", "0.1",
+     "sla model bundle line_scorer params key 'learning_rate' must be a number, got str"),
+    ("sla", "hyper.k", "3", "sla model bundle hyper key 'k' must be an integer, got str"),
+    ("sla", "hyper.lin.l1_strength", "1",
+     "sla model bundle hyper key 'lin' key 'l1_strength' must be a number, got str"),
+    ("sla", "hyper.lin.balanced", "yes",
+     "sla model bundle hyper key 'lin' key 'balanced' must be true or false, got str"),
+    ("sla", "hyper.gbt.num_rounds", 2.5,
+     "sla model bundle hyper key 'gbt' key 'num_rounds' must be an integer, got float"),
+    ("sla", "hyper.gbt.seed", True,
+     "sla model bundle hyper key 'gbt' key 'seed' must be an integer, got bool"),
 ])
 def test_predict_names_a_nested_bundle_value_of_the_wrong_type(workdir, bundles, capsys,
                                                              tmp_path, method, dotted, value,
@@ -416,6 +433,107 @@ def test_train_rejects_unknown_params_keys(workdir, capsys, tmp_path):
     assert code == 2
     assert "unknown sla config keys: max_dpth" in err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"max_depth": "3"}, "sla config key 'max_depth' must be an integer, got str"),
+    ({"C": "1"}, "sla config key 'C' must be a number, got str"),
+    ({"k": True}, "sla config key 'k' must be an integer, got bool"),
+    ({"k": 2.0}, "sla config key 'k' must be an integer, got float"),
+    ({"line_ngram_n": "2"}, "sla config key 'line_ngram_n' must be an integer, got str"),
+    ({"num_rounds": 1.5, "k": 1}, "sla config key 'num_rounds' must be an integer, got float"),
+])
+def test_train_refuses_a_params_value_of_the_wrong_type(workdir, capsys, tmp_path, params,
+                                                         message):
+    path, model = tmp_path / "params.json", tmp_path / "model.json"
+    path.write_text(json.dumps(params), encoding="utf-8")
+    code, _, err = run(capsys, "train", "--corpus", str(workdir / "corpus.jsonl"),
+                       "--attribute", "grade", "--params", str(path), "--out", str(model))
+    assert code == 2, err
+    assert f"data error: {message}" in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("option, payload, message", [
+    ("--rules", {"rules": {"grade": "histologic grade"}},
+     "key 'rules' key 'grade' must be a JSON array, got str"),
+    ("--rules", {"rules": []}, "key 'rules' must be a JSON object, got list"),
+    ("--rules", {"rules": {"grade": [3]}}, "key 'rules' key 'grade'[0] must be a string, got int"),
+    ("--schema", {"cancers": {"colon": {"grade": "grade 1"}}},
+     "key 'cancers' key 'colon' key 'grade' must be a JSON array, got str"),
+])
+def test_train_refuses_rules_or_a_schema_of_the_wrong_type(workdir, capsys, tmp_path, option,
+                                                           payload, message):
+    path, model = tmp_path / "input.json", tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, "train", "--corpus", str(workdir / "corpus.jsonl"),
+                       "--attribute", "grade", "--variant", "rules", option, str(path),
+                       "--out", str(model))
+    assert code == 2, err
+    assert f"data error: {path} {message}" in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"num_docs": "40"}, "generator config key 'num_docs' must be an integer, got str"),
+    ({"num_docs": 40.0}, "generator config key 'num_docs' must be an integer, got float"),
+    ({"synoptic_probability": "0.8"},
+     "generator config key 'synoptic_probability' must be a number, got str"),
+    ({"seed": True}, "generator config key 'seed' must be an integer, got bool"),
+    ({"attributes": [{"attribute": "grade", "values": ["grade 1", "grade 2"],
+                      "weights": ["1", "2"]}]},
+     "generator config key 'attributes'[0] key 'weights'[0] must be a number, got str"),
+])
+def test_synth_refuses_a_config_value_of_the_wrong_type(capsys, tmp_path, edit, message):
+    gen, corpus = tmp_path / "gen.json", tmp_path / "corpus.jsonl"
+    gen.write_text(json.dumps({**GEN_CONFIG, **edit}), encoding="utf-8")
+    code, _, err = run(capsys, "synth", "--config", str(gen), "--out", str(corpus))
+    assert code == 2, err
+    assert f"data error: {message}" in err
+    assert not corpus.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda record: [], "the record must be a JSON object, got list"),
+    (lambda record: {**record, "lines": "abc", "annotations": []},
+     "field 'lines' must be a JSON array, got str"),
+    (lambda record: {**record, "id": 7}, "field 'id' must be a string, got int"),
+    (lambda record: {**record, "annotations": [{**record["annotations"][0], "values": "grade 1"}]},
+     "annotation 0 field 'values' must be a JSON array, got str"),
+])
+def test_validate_refuses_a_record_field_of_the_wrong_type(workdir, capsys, tmp_path, edit,
+                                                           message):
+    first, *rest = (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    edited = tmp_path / "corpus.jsonl"
+    edited.write_text(json.dumps(edit(json.loads(first))) + "\n" + "".join(rest),
+                      encoding="utf-8")
+    code, _, err = run(capsys, "validate", "--corpus", str(edited))
+    assert code == 2, err
+    assert f"data error: {edited}: record 1: {message}" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "agreement"])
+@pytest.mark.parametrize("label, message", [
+    (None, "the record must be a JSON object, got list"),
+    (3, "field 'label' must be a string, got int"),
+])
+def test_label_files_refuse_a_record_of_the_wrong_type(workdir, capsys, tmp_path, command,
+                                                       label, message):
+    corpus = workdir / "corpus.jsonl"
+    doc_id = load_corpus(str(corpus))[0].report.id
+    record = {"id": doc_id, "attribute": "grade", "label": "grade 1"}
+    bad, good, out = tmp_path / "bad.jsonl", tmp_path / "good.jsonl", tmp_path / "out.json"
+    bad.write_text(json.dumps([doc_id] if label is None else {**record, "label": label}) + "\n",
+                   encoding="utf-8")
+    good.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    if command == "evaluate":
+        argv = ["evaluate", "--corpus", str(corpus), "--preds", str(bad)]
+    else:
+        argv = ["agreement", "--a", str(bad), "--b", str(good)]
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2, err
+    assert f"data error: {bad}: record 1: {message}" in err
+    assert not out.exists()
 
 
 def test_tune_outputs_best_and_trials(workdir, capsys, tmp_path):

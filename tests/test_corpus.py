@@ -1,9 +1,13 @@
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sla.corpus import (
+    CANCERS,
+    SCHEMES,
     CorpusError,
     EnrichedAnnotation,
     LabeledDocument,
@@ -11,10 +15,10 @@ from sla.corpus import (
     annotated_documents,
     compose_label,
     corpus_to_jsonl,
-    dataclass_kwargs,
     doc_to_record,
     load_corpus,
     load_schemas,
+    read_json,
     record_to_doc,
     save_corpus,
     schema_value_order,
@@ -22,6 +26,9 @@ from sla.corpus import (
     split_corpus,
     validate_against_schema,
 )
+from sla.learners import GbtParams, LinParams
+from sla.pipeline import SlaHyperParams
+from sla.synth import DEFAULT_CUES, GenConfig, SynthAttribute
 
 
 def make_doc(doc_id="d1", cancer="colon", lines=("a", "grade: grade 2", "c"),
@@ -221,12 +228,85 @@ class _Pair:
     right: int = 0
 
 
-def test_dataclass_kwargs_names_unknown_and_missing_keys():
-    assert dataclass_kwargs(_Pair, {"left": 1, "right": 2}, "pair") == {"left": 1, "right": 2}
-    assert dataclass_kwargs(_Pair, {"left": 1}, "pair", optional=("right",)) == {"left": 1}
+def test_read_json_names_unknown_and_missing_keys():
+    assert read_json({"left": 1, "right": 2}, _Pair, "pair") == _Pair(1, 2)
+    assert read_json({"left": 1}, _Pair, "pair", optional=("right",)) == _Pair(1)
     with pytest.raises(ValueError, match="pair: missing keys: right"):
-        dataclass_kwargs(_Pair, {"left": 1}, "pair")
+        read_json({"left": 1}, _Pair, "pair")
     with pytest.raises(ValueError, match="pair: unknown keys: middle, top"):
-        dataclass_kwargs(_Pair, {"left": 1, "right": 2, "top": 3, "middle": 4}, "pair")
+        read_json({"left": 1, "right": 2, "top": 3, "middle": 4}, _Pair, "pair")
     with pytest.raises(ValueError, match="pair must be a JSON object, got list"):
-        dataclass_kwargs(_Pair, [1, 2], "pair")
+        read_json([1, 2], _Pair, "pair")
+
+
+# a float field may also be written as an integer, which the reader keeps
+def _number(lo, hi):
+    return st.floats(lo, hi) | st.integers(max(1, int(lo)), int(hi))
+
+
+_GBT = st.builds(
+    GbtParams,
+    learning_rate=_number(1e-3, 10),
+    max_depth=st.integers(1, 10),
+    min_split_loss=_number(0, 10),
+    subsample=st.floats(0, 1, exclude_min=True),
+    l2_lambda=_number(0, 10),
+    num_rounds=st.integers(0, 500),
+    seed=st.integers(0, 2**32),
+)
+_LIN = st.builds(
+    LinParams,
+    l1_strength=_number(1e-6, 1e6),
+    balanced=st.booleans(),
+    max_iter=st.integers(1, 5000),
+    tol=_number(0, 1),
+)
+_HYPER = st.builds(
+    SlaHyperParams,
+    line_ngram_n=st.integers(1, 4),
+    final_ngram_n=st.integers(1, 4),
+    k=st.integers(1, 10),
+    gbt=_GBT,
+    lin=_LIN,
+)
+_WORDS = st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def _synth_attributes(draw, name):
+    values = draw(_WORDS)
+    weights = st.lists(st.floats(0.1, 5), min_size=len(values), max_size=len(values))
+    return SynthAttribute(
+        name, tuple(values), draw(st.none() | weights.map(tuple)), draw(st.none() | st.text())
+    )
+
+
+@st.composite
+def _gen_configs(draw):
+    names = draw(st.lists(st.sampled_from(sorted(DEFAULT_CUES)), min_size=1, max_size=3,
+                          unique=True))
+    echo_hi = draw(st.integers(0, 2))
+    # the fewest lines a report of these attributes and echoes needs
+    lines_lo = draw(st.integers(8 + len(names) * (2 + echo_hi), 40))
+    return GenConfig(
+        cancer=draw(st.sampled_from(CANCERS)),
+        num_docs=draw(st.integers(1, 1000)),
+        lines_per_doc=(lines_lo, draw(st.integers(lines_lo, 50))),
+        attributes=tuple(draw(_synth_attributes(name)) for name in names),
+        synoptic_probability=draw(_number(0, 1)),
+        distractor_lexicon=tuple(draw(st.lists(st.text(), min_size=4, max_size=6))),
+        rare_phrasing_rate=draw(_number(0, 1)),
+        multi_label_rate=draw(_number(0, 1)),
+        echo_lines=(draw(st.integers(0, echo_hi)), echo_hi),
+        scheme=draw(st.sampled_from(SCHEMES)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(_GBT, _LIN, _HYPER, _gen_configs()))
+def test_read_json_round_trips_what_json_dumps_writes(value):
+    text = json.dumps(asdict(value))
+    read = read_json(json.loads(text), type(value), "value")
+    assert read == value
+    assert json.dumps(asdict(read)) == text  # an integer stays an integer

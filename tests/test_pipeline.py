@@ -423,10 +423,10 @@ def test_model_bundle_rejects_hyper_keys_that_are_not_fields():
     docs = tiny_corpus(n=30, seed=17)
     payload = model_to_dict(fit(docs, "sla", k=2))
     payload["hyper"]["beam_width"] = 3
-    with pytest.raises(ValueError, match="beam_width"):
+    with pytest.raises(ValueError, match="sla model bundle hyper: unknown keys: beam_width"):
         model_from_dict(payload)
     del payload["hyper"]["beam_width"], payload["hyper"]["k"]
-    with pytest.raises(ValueError, match="hyper keys"):
+    with pytest.raises(ValueError, match="sla model bundle hyper: missing keys: k"):
         model_from_dict(payload)
 
 

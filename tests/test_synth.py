@@ -188,10 +188,10 @@ def test_config_dict_refuses_unknown_and_missing_keys():
     with pytest.raises(ValueError, match="generator config: unknown keys: num_doc"):
         synth.config_from_dict(typo)
     typo = {**good, "attributes": [{**good["attributes"][0], "weight": [0.9, 0.1]}]}
-    with pytest.raises(ValueError, match="generator attribute 0: unknown keys: weight"):
+    with pytest.raises(ValueError, match=r"config key 'attributes'\[0\]: unknown keys: weight"):
         synth.config_from_dict(typo)
     missing = {**good, "attributes": [{"attribute": "grade"}]}
-    with pytest.raises(ValueError, match="generator attribute 0: missing keys: values"):
+    with pytest.raises(ValueError, match=r"config key 'attributes'\[0\]: missing keys: values"):
         synth.config_from_dict(missing)
 
 
