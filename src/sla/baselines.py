@@ -35,43 +35,15 @@ from .learners import (
     train_gbt,
     train_l1_logreg,
 )
-from .textproc import (
-    Featurized,
-    Vocabulary,
-    build_vocabulary,
-    find_ngrams,
-    to_csr,
-    tokenize_lines,
-)
+from .textproc import Featurized, Vocabulary, featurize, find_ngrams, tokenize_lines
 
 BASELINE_KINDS = ("doc-logreg", "doc-boost")
 DEFAULT_NGRAM_N = 1  # the n-gram order of a baseline whose order is not given
 
 
-def document_matrix(
-    doc_lines: Sequence[Sequence[Sequence[str]]], vocab: Vocabulary
-) -> sparse.csr_matrix:
-    """One binary row per document, given as its token lines: the union of
-    its lines' n-gram features, from one ``find_ngrams`` call with each
-    line as its own stream."""
-    hits = find_ngrams([[tl] for tls in doc_lines for tl in tls], vocab)
-    docs = np.repeat(np.arange(len(doc_lines)), [len(tls) for tls in doc_lines])
-    return to_csr(docs[hits.first], hits.cols, (len(doc_lines), vocab.dimension))
-
-
 def featurize_document(report: Report, vocab: Vocabulary) -> sparse.csr_matrix:
     """Union of the report's per-line n-gram features, as one binary CSR row."""
-    return document_matrix([tokenize_lines(report)], vocab)
-
-
-def baseline_features(
-    max_n: int, train_lines: Sequence[Sequence[Sequence[str]]], *held_lines
-) -> Featurized:
-    """The vocabulary of the training documents' lines at order ``max_n``,
-    with the document matrix of the training documents and of each of
-    ``held_lines`` under it."""
-    vocab = build_vocabulary([tl for tls in train_lines for tl in tls], max_n)
-    return Featurized(vocab, *(document_matrix(d, vocab) for d in (train_lines, *held_lines)))
+    return find_ngrams([tokenize_lines(report)], vocab).documents
 
 
 @dataclass
@@ -100,7 +72,7 @@ def train_doc_baseline(
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
     docs = annotated_documents(train_docs, attribute, 2, "training")
-    features = baseline_features(ngram_n, [tokenize_lines(d.report) for d in docs])
+    (features,) = featurize(ngram_n, [tokenize_lines(d.report) for d in docs])
     labels = [gold_label(d, attribute, schemas) for d in docs]
     return fit_doc_baseline(features, labels, attribute, kind, ngram_n, lin, gbt)
 
@@ -114,9 +86,10 @@ def fit_doc_baseline(
     lin: LinParams | None = None,
     gbt: GbtParams | None = None,
 ) -> DocBaselineModel:
-    """Fit a baseline at order ``ngram_n`` on the first matrix of
-    ``features``, one row per training document."""
-    vocab, (X, *_) = features.at(ngram_n)
+    """Fit a baseline at order ``ngram_n`` on the training documents'
+    ``features``, one row per document."""
+    vocab, hits = features.at(ngram_n)
+    X = hits.documents
     model = DocBaselineModel(attribute=attribute, kind=kind, vocab=vocab)
     if kind == "doc-logreg":
         model.linear = train_l1_logreg(X, labels, lin or LinParams())
@@ -137,7 +110,7 @@ def predict_doc_baseline(
     whole batch with one call per class model."""
     if not reports:
         return []
-    X = document_matrix([tokenize_lines(r) for r in reports], model.vocab)
+    X = find_ngrams([tokenize_lines(r) for r in reports], model.vocab).documents
     return predict_doc_rows(model, X)
 
 

@@ -33,7 +33,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -684,13 +684,10 @@ def train_l1_logreg(
     X,
     y: Sequence[Hashable],
     params: LinParams | None = None,
-    class_order: Sequence[Hashable] | None = None,
-    sample_weights: Mapping[Hashable, float] | None = None,
 ) -> LinearModel:
     """One-vs-rest L1 logistic regression over arbitrary hashable labels.
 
-    Classes are ordered by ``class_order`` when given, otherwise sorted;
-    prediction ties resolve to the earliest class in that order.
+    Classes are sorted; prediction ties resolve to the earliest class.
     """
     params = params or LinParams()
     X_csr = _as_csr(X)
@@ -700,19 +697,8 @@ def train_l1_logreg(
     if not labels:
         raise ValueError("cannot train on an empty dataset")
 
-    if class_order is not None:
-        classes = tuple(class_order)
-        if set(labels) - set(classes):
-            raise ValueError("labels outside the supplied class order")
-    else:
-        classes = tuple(sorted(set(labels)))
-
-    if sample_weights is not None:
-        per_class = dict(sample_weights)
-    elif params.balanced:
-        per_class = balanced_class_weights(labels)
-    else:
-        per_class = {c: 1.0 for c in classes}
+    classes = tuple(sorted(set(labels)))
+    per_class = balanced_class_weights(labels) if params.balanced else {}
     sw = np.array([per_class.get(lab, 1.0) for lab in labels], dtype=np.float64)
 
     d = X_csr.shape[1]

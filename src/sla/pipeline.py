@@ -65,7 +65,7 @@ from .textproc import (
     Featurized,
     Hits,
     Vocabulary,
-    build_vocabulary,
+    featurize,
     find_ngrams,
     to_csr,
     tokenize,
@@ -169,7 +169,9 @@ class Prediction:
 @dataclass
 class SlaModel:
     """Everything needed to reproduce a prediction: both stages' vocabularies
-    and learners, the variant, and the selection hyperparameters."""
+    and learners, the variant, and the selection hyperparameters.  The
+    smaller stage vocabulary is the restriction of the larger, ``vocab``,
+    which serving finds each report's n-grams under."""
 
     attribute: str
     variant: str
@@ -187,8 +189,18 @@ class SlaModel:
             raise ValueError(f"variant {self.variant} requires a line scorer")
         if selector == "rules" and not self.keyword_rules:
             raise ValueError("rules variant requires keyword rules")
+        for rule in self.keyword_rules or ():
+            if not tokenize(rule):
+                raise ValueError(f"keyword rule {rule!r} has no tokens, so it matches no line")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+
+    @property
+    def vocab(self) -> Vocabulary:
+        """The larger of the two stage vocabularies."""
+        if self.line_vocab is not None and self.line_vocab.max_n > self.final_vocab.max_n:
+            return self.line_vocab
+        return self.final_vocab
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +218,7 @@ def load_keyword_rules(path: str | None = None) -> dict[str, tuple[str, ...]]:
 
 
 def _contains_subsequence(tokens: Sequence[str], phrase: Sequence[str]) -> bool:
-    if not phrase or len(phrase) > len(tokens):
+    if len(phrase) > len(tokens):
         return False
     for i in range(len(tokens) - len(phrase) + 1):
         if tuple(tokens[i : i + len(phrase)]) == tuple(phrase):
@@ -328,21 +340,6 @@ def _select(
     return selections
 
 
-def _selected_lines(
-    doc_lines: Sequence[Sequence[Sequence[str]]], selections: Sequence[SelectedLines]
-) -> list[list[Sequence[str]]]:
-    """Each document's token lines with the lines outside its segments
-    emptied.  Read as one stream, a document then has the same hits inside
-    each segment as the whole document, from fewer tokens."""
-    kept = []
-    for lines, selection in zip(doc_lines, selections, strict=True):
-        doc = [()] * len(lines)
-        for seg in selection.segments:
-            doc[seg.start : seg.end + 1] = lines[seg.start : seg.end + 1]
-        kept.append(doc)
-    return kept
-
-
 # ---------------------------------------------------------------------------
 # training and prediction
 # ---------------------------------------------------------------------------
@@ -368,25 +365,16 @@ def train_sla(
     variant_row(variant)  # refuse an unknown variant before reading documents
     docs = annotated_documents(train_docs, attribute, 2, "training")
     doc_lines = [tokenize_lines(d.report) for d in docs]
-    features = sla_features(variant, [hyper], doc_lines)
+    (features,) = featurize(fit_order(variant, hyper), doc_lines)
     return fit_sla(features, docs, doc_lines, attribute, hyper, variant, keyword_rules, schemas)
 
 
-def sla_features(
-    variant: str,
-    hypers: Sequence[SlaHyperParams],
-    train_lines: Sequence[Sequence[Sequence[str]]],
-    *held_lines,
-) -> Featurized:
-    """The vocabulary of the training documents' lines at the largest
-    n-gram order that a fit with any of ``hypers`` reads (the final order,
-    and the line order when stage 1 scores lines), with the ``Hits`` of the
-    training documents and of each of ``held_lines`` under it, each
-    document one stream: both stages read them."""
-    scored = VARIANTS[variant].selector == "scored"
-    max_n = max(max(h.final_ngram_n, h.line_ngram_n if scored else 1) for h in hypers)
-    vocab = build_vocabulary([tl for tls in train_lines for tl in tls], max_n)
-    return Featurized(vocab, *(find_ngrams(docs, vocab) for docs in (train_lines, *held_lines)))
+def fit_order(variant: str, hyper: SlaHyperParams) -> int:
+    """The largest n-gram order a fit of ``variant`` with ``hyper`` reads:
+    the final order, and the line order when stage 1 scores lines."""
+    if VARIANTS[variant].selector == "scored":
+        return max(hyper.line_ngram_n, hyper.final_ngram_n)
+    return hyper.final_ngram_n
 
 
 def fit_sla(
@@ -399,14 +387,14 @@ def fit_sla(
     keyword_rules: Sequence[str] | None = None,
     schemas: Mapping[tuple[str, str], AttributeSchema] | None = None,
 ) -> SlaModel:
-    """Train a pipeline variant on annotated ``docs`` whose token lines and
-    ``sla_features`` are given; the first ``Hits`` of ``features`` are the
-    training documents'."""
+    """Train a pipeline variant on annotated ``docs`` given their token
+    lines and their ``features``, at an order no lower than
+    ``fit_order``."""
     selector = VARIANTS[variant].selector
     line_vocab = line_scorer = line_scores = None
     rules = None
     if selector == "scored":
-        line_vocab, (line_hits, *_) = features.at(hyper.line_ngram_n)
+        line_vocab, line_hits = features.at(hyper.line_ngram_n)
         y_lines = np.concatenate([build_line_labels(d, attribute) for d in docs])
         line_scorer = train_gbt(line_hits.lines, y_lines, hyper.gbt)
         # rows score independently, so one call gives each document's scores
@@ -420,7 +408,7 @@ def fit_sla(
         else:
             rules = tuple(keyword_rules)
 
-    final_vocab, (final_hits, *_) = features.at(hyper.final_ngram_n)
+    final_vocab, final_hits = features.at(hyper.final_ngram_n)
 
     gold = [d.annotations[attribute].line_indices for d in docs]
     selections = _select(variant, hyper.k, rules, doc_lines, gold, line_scores)
@@ -461,37 +449,32 @@ def predict_sla_batch(
     """Predict the attribute label of each report, scoring all their lines
     with one stage-1 call; only an oracle reads ``gold_lines``.  Each
     rationale is the exact selection used, so a prediction can be
-    recomputed from (rationale, report, model).  Stage 2 reads its n-grams
-    from stage 1's pass when both stages read the same vocabulary."""
+    recomputed from (rationale, report, model).  One ``find_ngrams`` call
+    under ``model.vocab`` gives both stages their n-grams."""
     doc_lines = [tokenize_lines(r) for r in reports]
-    line_hits = None
-    if VARIANTS[model.variant].selector == "scored":
-        line_hits = find_ngrams(doc_lines, model.line_vocab)
-    final_hits = line_hits if model.final_vocab is model.line_vocab else None
-    return predict_featurized(model, doc_lines, line_hits, final_hits, gold_lines)
+    features = Featurized(model.vocab, find_ngrams(doc_lines, model.vocab))
+    return predict_featurized(model, doc_lines, features, gold_lines)
 
 
 def predict_featurized(
     model: SlaModel,
     doc_lines: Sequence[Sequence[Sequence[str]]],
-    line_hits: Hits | None,
-    final_hits: Hits | None,
+    features: Featurized,
     gold_lines: Sequence[Sequence[int] | None] | None = None,
 ) -> list[Prediction]:
     """``predict_sla_batch`` given the reports' token lines and their
-    ``Hits`` (each report one stream) under ``model.line_vocab`` when
-    scored, and under ``model.final_vocab``.  Without ``final_hits``, one
-    ``find_ngrams`` call finds them in the selected lines only."""
+    ``features`` (each report one stream), under a vocabulary whose
+    restrictions are the model's stage vocabularies."""
     if gold_lines is None:
         gold_lines = [None] * len(doc_lines)
     line_scores = None
-    if line_hits is not None:
+    if VARIANTS[model.variant].selector == "scored":
+        _, line_hits = features.at(model.line_vocab.max_n)
         line_scores = predict_gbt_batch(model.line_scorer, line_hits.lines)
     selections = _select(
         model.variant, model.k, model.keyword_rules, doc_lines, gold_lines, line_scores
     )
-    if final_hits is None:
-        final_hits = find_ngrams(_selected_lines(doc_lines, selections), model.final_vocab)
+    _, final_hits = features.at(model.final_vocab.max_n)
     X = compose_representation(selections, final_hits)
     outputs = predict_logreg(model.final_classifier, X)
     return [
@@ -543,20 +526,11 @@ def model_from_dict(payload: dict) -> SlaModel:
     hyper = read_json(
         payload.get("hyper"), SlaHyperParams | None, f"{what} hyper", optional=("gbt", "lin")
     )
-    final_payload = read("final_vocab", dict)
-    final_vocab = Vocabulary.from_dict(final_payload, f"{what} final_vocab")
-    line_payload = read("line_vocab", dict | None)
-    line_vocab = None
-    if line_payload:
-        # one object when both stages read the same n-grams, so that serving
-        # finds each report's n-grams once
-        same = line_payload == final_payload
-        line_vocab = (
-            final_vocab if same else Vocabulary.from_dict(line_payload, f"{what} line_vocab")
-        )
+    final_vocab = Vocabulary.from_dict(read("final_vocab", dict), f"{what} final_vocab")
+    line_vocab = read("line_vocab", dict | None)
     line_scorer = read("line_scorer", dict | None)
     keyword_rules = read("keyword_rules", tuple[str, ...] | None)
-    return SlaModel(
+    model = SlaModel(
         attribute=read("attribute", str),
         variant=read("variant", str),
         k=read("k", int),
@@ -564,13 +538,21 @@ def model_from_dict(payload: dict) -> SlaModel:
         final_classifier=LinearModel.from_dict(
             read("final_classifier", dict), final_vocab.dimension, f"{what} final_classifier"
         ),
-        line_vocab=line_vocab,
+        line_vocab=Vocabulary.from_dict(line_vocab, f"{what} line_vocab") if line_vocab else None,
         line_scorer=(
             GbtModel.from_dict(line_scorer, f"{what} line_scorer") if line_scorer else None
         ),
         keyword_rules=keyword_rules or None,
         hyper=hyper,
     )
+    # serving reads both stages' columns from the larger vocabulary
+    line, final = model.line_vocab, model.final_vocab
+    if line is not None and any(model.vocab.restrict(v.max_n)[0] != v for v in (line, final)):
+        raise ValueError(
+            f"{what} keys 'line_vocab' (order {line.max_n}) and 'final_vocab' (order "
+            f"{final.max_n}) disagree: the smaller must be the larger restricted to its order"
+        )
+    return model
 
 
 def save_model(model: SlaModel, path: str) -> None:

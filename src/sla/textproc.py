@@ -33,7 +33,8 @@ do not depend on the keys.
 
 The finder reads a stream of lines as one run of tokens and tags each hit
 with the lines of its first and last token.  The hits inside one line are
-that line's n-grams (``vectorize``).  The hits inside a run of lines are
+that line's n-grams (``vectorize``), and their union over a stream's lines
+is the stream's document row (``Hits.documents``).  The hits inside a run of lines are
 the n-grams of the run's tokens read in order: each window of the run is a
 window of the stream, and its prefix is one too.  So one pass over a
 report gives both its line rows and the n-grams of any of its segments.
@@ -122,6 +123,7 @@ class Vocabulary:
     min_count: int = 2
     unk_token: str = UNK
     known_words: frozenset[str] = field(init=False)
+    _restricted: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_n <= 4:
@@ -165,7 +167,8 @@ class Vocabulary:
 
     def restrict(self, max_n: int) -> tuple["Vocabulary", np.ndarray]:
         """The vocabulary of the grams of at most ``max_n`` tokens, and the
-        columns of this one that it keeps, in order.
+        columns of this one that it keeps, in order; at its own order, this
+        vocabulary itself.  Each order is restricted once.
 
         For a vocabulary from ``build_vocabulary(lines, n)`` and ``max_n``
         <= n, this is exactly ``build_vocabulary(lines, max_n)``: the known
@@ -175,16 +178,20 @@ class Vocabulary:
         """
         if not 1 <= max_n <= self.max_n:
             raise ValueError(f"max_n must be in [1, {self.max_n}], got {max_n}")
-        kept = sorted(
-            (i, gram) for gram, i in self.ngram_to_index.items() if gram.count(" ") < max_n
-        )
-        vocab = Vocabulary(
-            ngram_to_index={gram: j for j, (_, gram) in enumerate(kept)},
-            max_n=max_n,
-            min_count=self.min_count,
-            unk_token=self.unk_token,
-        )
-        return vocab, np.array([i for i, _ in kept], dtype=np.int64)
+        if max_n == self.max_n:
+            return self, np.arange(self.dimension)
+        if max_n not in self._restricted:
+            kept = sorted(
+                (i, gram) for gram, i in self.ngram_to_index.items() if gram.count(" ") < max_n
+            )
+            vocab = Vocabulary(
+                ngram_to_index={gram: j for j, (_, gram) in enumerate(kept)},
+                max_n=max_n,
+                min_count=self.min_count,
+                unk_token=self.unk_token,
+            )
+            self._restricted[max_n] = vocab, np.array([i for i, _ in kept], dtype=np.int64)
+        return self._restricted[max_n]
 
     def to_dict(self) -> dict:
         items = sorted(self.ngram_to_index.items(), key=lambda kv: kv[1])
@@ -257,6 +264,16 @@ class Hits:
         shape = (int(self.streams[-1]), self.dimension)
         return to_csr(self.first[inside], self.cols[inside], shape)
 
+    @cached_property
+    def documents(self) -> sparse.csr_matrix:
+        """One binary row per stream: the union of its lines' rows, the
+        n-grams inside each of its lines.  An n-gram that crosses lines is
+        not in it."""
+        inside = self.first == self.last
+        # a line's stream is the last one to start at or before it
+        stream = np.searchsorted(self.streams, self.first[inside], side="right") - 1
+        return to_csr(stream, self.cols[inside], (len(self.streams) - 1, self.dimension))
+
     def within(self, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each distinct (span, column) of the hits whose first and last
         lines lie in a span of lines [starts[i], ends[i]], ordered by span,
@@ -328,25 +345,29 @@ def vectorize(token_lines: Iterable[Sequence[str]], vocab: Vocabulary) -> sparse
 
 
 class Featurized:
-    """Parts featurized once under one vocabulary, built at the largest
-    n-gram order any fit asks of it: matrices, or the ``Hits`` of a batch.
-    ``at(n)`` is the order-n vocabulary and the matching columns of each
-    part (``Vocabulary.restrict``), which equal building and featurizing at
-    order n afresh.  Each order is restricted once."""
+    """The ``Hits`` of a batch under one vocabulary.  ``at(n)`` is the
+    order-n vocabulary and the hits of its columns (``Vocabulary.restrict``
+    and ``Hits.restrict``), which equal building and finding at order n
+    afresh.  Each order is restricted once."""
 
-    def __init__(self, vocab: Vocabulary, *parts) -> None:
-        self.max_n = vocab.max_n
-        self._orders = {vocab.max_n: (vocab, parts)}
+    def __init__(self, vocab: Vocabulary, hits: Hits) -> None:
+        self.vocab = vocab
+        self._orders = {vocab.max_n: (vocab, hits)}
 
-    def at(self, max_n: int) -> tuple[Vocabulary, tuple]:
+    def at(self, max_n: int) -> tuple[Vocabulary, Hits]:
         if max_n not in self._orders:
-            vocab, parts = self._orders[self.max_n]
-            restricted, cols = vocab.restrict(max_n)
-            self._orders[max_n] = (
-                restricted,
-                tuple(p.restrict(cols) if isinstance(p, Hits) else p[:, cols] for p in parts),
-            )
+            vocab, cols = self.vocab.restrict(max_n)
+            self._orders[max_n] = (vocab, self._orders[self.vocab.max_n][1].restrict(cols))
         return self._orders[max_n]
+
+
+def featurize(max_n: int, train_lines, *held_lines) -> list[Featurized]:
+    """One vocabulary of the training documents' lines at order ``max_n``,
+    and the ``Featurized`` hits under it of the training documents and of
+    each batch of ``held_lines``.  A document is given as its token lines
+    and read as one stream."""
+    vocab = build_vocabulary([tl for doc in train_lines for tl in doc], max_n)
+    return [Featurized(vocab, find_ngrams(docs, vocab)) for docs in (train_lines, *held_lines)]
 
 
 def _run_starts(flat: np.ndarray) -> np.ndarray:

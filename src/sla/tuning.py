@@ -8,11 +8,11 @@ independently derived stream.
 
 The search runs fold by fold.  Each annotated report is tokenized once per
 search.  Each fold builds one vocabulary from its training lines, at the
-largest n-gram order any trial asks, and featurizes its training and
-held-out documents once under it (the n-grams of each report for a
-pipeline variant, each document's row for a baseline); every trial then
-reads its own order's columns of those (``Vocabulary.restrict``), which
-equal building and featurizing at that order afresh.  Folds can run in
+largest n-gram order any trial asks, and finds the n-grams of its training
+and held-out reports once under it (``textproc.featurize``): both stages
+of a pipeline variant and a baseline's document rows read them.  Every
+trial then reads its own order's columns of those (``Vocabulary.restrict``),
+which equal building and featurizing at that order afresh.  Folds can run in
 parallel without changing the result.
 """
 
@@ -29,7 +29,6 @@ from .baselines import (
     BASELINE_KINDS,
     DEFAULT_NGRAM_N,
     DocBaselineModel,
-    baseline_features,
     baseline_from_dict,
     baseline_to_dict,
     fit_doc_baseline,
@@ -53,10 +52,10 @@ from .pipeline import (
     oracle_gold_lines,
     predict_featurized,
     predict_sla_batch,
-    sla_features,
+    fit_order,
     train_sla,
 )
-from .textproc import tokenize_lines
+from .textproc import featurize, tokenize_lines
 
 METHODS = tuple(VARIANTS) + BASELINE_KINDS
 
@@ -374,31 +373,26 @@ def _score_fold(
     params = {
         key: _learner_params(method, config, fit_seed) for key, config in zip(keys, configs)
     }
+    max_n = max(
+        fit_order(method, p["hyper"]) if method in VARIANTS else p["ngram_n"]
+        for p in params.values()
+    )
+    train_features, held_features = featurize(max_n, train_lines, held_lines)
     if method in VARIANTS:
-        hypers = [p["hyper"] for p in params.values()]
-        features = sla_features(method, hypers, train_lines, held_lines)
-
         def predict(p):
             model = fit_sla(
-                features, train_docs, train_lines, attribute, variant=method, schemas=schemas, **p
+                train_features, train_docs, train_lines, attribute, variant=method,
+                schemas=schemas, **p,
             )
-            hyper = model.hyper
-            _, (_, final_hits) = features.at(hyper.final_ngram_n)
-            line_hits = None
-            if model.line_scorer is not None:
-                _, (_, line_hits) = features.at(hyper.line_ngram_n)
             gold = [oracle_gold_lines(model, d) for d in held_docs]
-            predictions = predict_featurized(model, held_lines, line_hits, final_hits, gold)
+            predictions = predict_featurized(model, held_lines, held_features, gold)
             return [x.label for x in predictions]
 
     else:
-        max_n = max(p["ngram_n"] for p in params.values())
-        features = baseline_features(max_n, train_lines, held_lines)
-
         def predict(p):
-            model = fit_doc_baseline(features, train_labels, attribute, method, **p)
-            _, (_, X_held) = features.at(model.vocab.max_n)
-            return [label for label, _ in predict_doc_rows(model, X_held)]
+            model = fit_doc_baseline(train_features, train_labels, attribute, method, **p)
+            _, held_hits = held_features.at(model.vocab.max_n)
+            return [label for label, _ in predict_doc_rows(model, held_hits.documents)]
 
     scores = {key: micro_f1(predict(p), golds) for key, p in params.items()}
     return [scores[key] for key in keys]

@@ -7,7 +7,11 @@ stage orders that differ, of ``sla`` and ``doc-boost`` with fixed deep,
 subsampled trees and of ``sla`` with integers for float parameters, and a
 small ``learning-curve`` for ``sla`` and
 ``doc-boost`` through ``sla.cli.main``, then prints one ``sha256  path``
-line per output file, with paths relative to the output directory.
+line per output file, with paths relative to the output directory.  Each
+bundle that ``train`` writes is loaded and saved again, as
+``model.resaved.json`` next to it; the replay stops if those bytes differ
+from the bundle's, so a bundle reader that changes a value (an integer
+read back as a float, say) cannot pass.
 Manifests are left out, since they record paths and timings.  Two
 checkouts whose listings are equal wrote the same bytes.  ``--against
 LISTING`` also diffs the listing with one saved from another checkout, and
@@ -32,7 +36,7 @@ import sys
 from pathlib import Path
 
 from sla import cli
-from sla.tuning import METHODS
+from sla.tuning import METHODS, FittedVariant
 
 GEN_CONFIG = {
     "cancer": "colon",
@@ -71,6 +75,18 @@ def _run(*argv: str) -> None:
         raise SystemExit(f"sla {' '.join(argv)} exited {code}")
 
 
+def _train(*argv: str) -> None:
+    """``sla train`` with ``argv``, whose last item is the bundle path, then
+    the bundle loaded and saved again next to it as ``model.resaved.json``;
+    SystemExit if the bytes differ."""
+    _run("train", *argv)
+    bundle = Path(argv[-1])
+    text = json.dumps(FittedVariant.load(str(bundle)).to_dict()) + "\n"
+    bundle.with_name("model.resaved.json").write_text(text, encoding="utf-8")
+    if text.encode("utf-8") != bundle.read_bytes():
+        raise SystemExit(f"{bundle}: loading and saving the bundle changed its bytes")
+
+
 def replay(out: Path) -> None:
     """Write the corpus, every method's tune, train, predict and evaluate
     outputs, the models and predictions of each of ``FIXED_RUNS``, and the
@@ -86,8 +102,8 @@ def replay(out: Path) -> None:
         )
         _run("tune", "--corpus", corpus, "--attribute", "grade", "--variant", method,
              "--trials", "3", "--folds", "3", "--seed", "0", "--out", tuned)
-        _run("train", "--corpus", corpus, "--attribute", "grade", "--variant", method,
-             "--params", str(Path(tuned) / "best.json"), "--out", model)
+        _train("--corpus", corpus, "--attribute", "grade", "--variant", method,
+               "--params", str(Path(tuned) / "best.json"), "--out", model)
         _run("predict", "--model", model, "--corpus", corpus, "--out", preds)
         _run("evaluate", "--corpus", corpus, "--preds", preds, "--out", report)
     for name, (params, methods) in FIXED_RUNS.items():
@@ -95,8 +111,8 @@ def replay(out: Path) -> None:
         fixed.write_text(json.dumps(params), encoding="utf-8")
         for method in methods:
             model, preds = (str(out / method / name / n) for n in ("model.json", "preds.jsonl"))
-            _run("train", "--corpus", corpus, "--attribute", "grade", "--variant", method,
-                 "--params", str(fixed), "--out", model)
+            _train("--corpus", corpus, "--attribute", "grade", "--variant", method,
+                   "--params", str(fixed), "--out", model)
             _run("predict", "--model", model, "--corpus", corpus, "--out", preds)
     for method in CURVE_METHODS:
         _run("learning-curve", "--corpus", corpus, "--attribute", "grade", "--variant", method,

@@ -188,14 +188,26 @@ def test_predict_refuses_learner_params_with_unknown_or_missing_keys(workdir, ca
 @pytest.fixture(scope="module")
 def bundles(workdir, tmp_path_factory):
     """An sla, a rules, a doc-logreg and a doc-boost model bundle trained on
-    the module's corpus."""
+    the module's corpus, and as "sla-orders" an sla bundle whose stages read
+    n-grams of different orders (2 and 4)."""
     root = tmp_path_factory.mktemp("bundles")
-    paths = {
-        method: root / f"{method}.json" for method in ("sla", "rules", "doc-logreg", "doc-boost")
+    orders = root / "orders.json"
+    orders.write_text(json.dumps({"line_ngram_n": 2, "final_ngram_n": 4}), encoding="utf-8")
+    runs = {
+        name: (method, params)
+        for name, method, params in (
+            ("sla", "sla", ()),
+            ("rules", "rules", ()),
+            ("doc-logreg", "doc-logreg", ()),
+            ("doc-boost", "doc-boost", ()),
+            ("sla-orders", "sla", ("--params", str(orders))),
+        )
     }
-    for method, path in paths.items():
+    paths = {}
+    for name, (method, params) in runs.items():
+        paths[name] = root / f"{name}.json"
         code = cli.main(["train", "--corpus", str(workdir / "corpus.jsonl"), "--attribute",
-                         "grade", "--variant", method, "--out", str(path)])
+                         "grade", "--variant", method, *params, "--out", str(paths[name])])
         assert code == 0
     return paths
 
@@ -240,6 +252,8 @@ def test_predict_names_a_key_missing_from_the_bundle(workdir, bundles, capsys, t
     ("rules", "keyword_rules", "grade", "key 'keyword_rules' must be a JSON array, got str"),
     ("doc-logreg", "vocab", [], "key 'vocab' must be a JSON object, got list"),
     ("doc-logreg", "linear", [1.0], "key 'linear' must be a JSON object, got list"),
+    ("rules", "keyword_rules", ["grade", ""], "keyword rule '' has no tokens"),
+    ("rules", "keyword_rules", [".;~ null"], "keyword rule '.;~ null' has no tokens"),
 ])
 def test_predict_names_a_bundle_value_of_the_wrong_type(workdir, bundles, capsys, tmp_path,
                                                       method, key, value, message):
@@ -322,6 +336,45 @@ def test_predict_names_a_nested_bundle_value_of_the_wrong_type(workdir, bundles,
     assert code == 2, err
     assert f"data error: {edited}: " in err and message in err
     assert not preds.exists()
+
+
+@pytest.mark.parametrize("name, key", [
+    ("sla", "line_vocab"),
+    ("sla-orders", "line_vocab"),
+    ("sla-orders", "final_vocab"),
+])
+def test_predict_refuses_stage_vocabularies_that_disagree(workdir, bundles, capsys, tmp_path,
+                                                          name, key):
+    """Serving reads both stages' columns from the larger stage vocabulary,
+    so the smaller must be its restriction: two unigrams swapped in either
+    is a data error, not a model served with the wrong columns."""
+    bundle = json.loads(bundles[name].read_text())
+    ngrams = bundle[key]["ngrams"]
+    i, j = [n for n, gram in enumerate(ngrams) if " " not in gram][:2]
+    ngrams[i], ngrams[j] = ngrams[j], ngrams[i]
+    edited, preds = tmp_path / "edited.json", tmp_path / "preds.jsonl"
+    edited.write_text(json.dumps(bundle), encoding="utf-8")
+    code, _, err = run(capsys, "predict", "--model", str(edited),
+                       "--corpus", str(workdir / "corpus.jsonl"), "--out", str(preds))
+    assert code == 2, err
+    line_n, final_n = (bundle[k]["max_n"] for k in ("line_vocab", "final_vocab"))
+    assert f"data error: {edited}: sla model bundle keys 'line_vocab' (order {line_n}) and " \
+        f"'final_vocab' (order {final_n}) disagree" in err
+    assert not preds.exists()
+
+
+@pytest.mark.parametrize("rule", ["", "  ", ".;~", "null"])
+def test_train_refuses_a_keyword_rule_with_no_tokens(workdir, capsys, tmp_path, rule):
+    """A rule that normalization leaves empty matches no line."""
+    rules, model = tmp_path / "rules.json", tmp_path / "model.json"
+    rules.write_text(json.dumps({"rules": {"grade": ["histologic grade", rule]}}),
+                     encoding="utf-8")
+    code, _, err = run(capsys, "train", "--corpus", str(workdir / "corpus.jsonl"),
+                       "--attribute", "grade", "--variant", "rules", "--rules", str(rules),
+                       "--out", str(model))
+    assert code == 2, err
+    assert f"data error: keyword rule {rule!r} has no tokens" in err
+    assert not model.exists()
 
 
 def test_train_baseline_and_predict(workdir, capsys, tmp_path):

@@ -9,9 +9,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sla.baselines import document_matrix, featurize_document
+from sla.baselines import featurize_document
 from sla.corpus import Report
-from sla.pipeline import Segment, SelectedLines, _selected_lines, compose_representation
+from sla.pipeline import Segment, SelectedLines, compose_representation
 from sla.textproc import (
     UNK,
     Featurized,
@@ -193,8 +193,9 @@ def test_csr_featurizers_match_the_single_vector_reference(case):
             _assert_row_equal(_ref_vectorize(tl, vocab), *_row(rows, r))
 
     # one call for the batch: a row per document
-    composed = compose_representation(selections, find_ngrams(doc_lines, vocab))
-    docs = document_matrix(doc_lines, vocab)
+    hits = find_ngrams(doc_lines, vocab)
+    composed = compose_representation(selections, hits)
+    docs = hits.documents
     assert composed.shape == docs.shape == (len(reports), vocab.dimension)
     for i, (report, selection) in enumerate(zip(reports, selections)):
         _assert_row_equal(_ref_compose(selection, report, vocab), *_row(composed, i))
@@ -251,16 +252,14 @@ def test_one_ngram_pass_gives_line_rows_segments_and_lower_orders(case):
         assert _row(hits.lines, r)[0].tolist() == _row(rows, r)[0].tolist()
         _assert_row_equal(_ref_vectorize(tl, vocab), *_row(hits.lines, r))
 
-    # the hits inside a segment are the n-grams of its lines joined, also
-    # when every line outside the segments is emptied first
-    selected = find_ngrams(_selected_lines(doc_lines, selections), vocab)
-    for composed in (compose_representation(selections, h) for h in (hits, selected)):
-        for i, (report, selection) in enumerate(zip(reports, selections)):
-            _assert_row_equal(_ref_compose(selection, report, vocab), *_row(composed, i))
+    # the hits inside a segment are the n-grams of its lines joined
+    composed = compose_representation(selections, hits)
+    for i, (report, selection) in enumerate(zip(reports, selections)):
+        _assert_row_equal(_ref_compose(selection, report, vocab), *_row(composed, i))
 
     # restricting the hits equals finding them under the lower-order vocabulary
     fresh = build_vocabulary(train, max_n=lower, min_count=min_count)
-    restricted, (low,) = Featurized(vocab, hits).at(lower)
+    restricted, low = Featurized(vocab, hits).at(lower)
     assert restricted.ngram_to_index == fresh.ngram_to_index
     expect = find_ngrams(doc_lines, fresh)
     for got, want in ((low.first, expect.first), (low.last, expect.last), (low.cols, expect.cols)):

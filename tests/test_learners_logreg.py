@@ -158,14 +158,6 @@ def test_prediction_tie_breaks_to_earliest_class():
     assert rows[0][1] == {"a": 0.2, "b": 0.7, "c": 0.7}
 
 
-def test_class_order_overrides_sorting():
-    X = sparse.csr_matrix(np.eye(2))
-    model = train_l1_logreg(X, ["b", "a"], class_order=("b", "a"))
-    assert model.classes == ("b", "a")
-    with pytest.raises(ValueError):
-        train_l1_logreg(X, ["b", "z"], class_order=("b", "a"))
-
-
 def test_single_class_degenerates_to_constant():
     X = sparse.csr_matrix(np.eye(3))
     model = train_l1_logreg(X, ["only"] * 3)
@@ -331,13 +323,13 @@ def _oracle_problem(kind, n_classes, seed):
     return sparse.csr_matrix(dense), labels
 
 
-def _fit_both(monkeypatch, X, y, params, sample_weights=None):
+def _fit_both(monkeypatch, X, y, params):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # max_iter=1 stops unconverged
-        fast = train_l1_logreg(X, y, params, sample_weights=sample_weights)
+        fast = train_l1_logreg(X, y, params)
         with monkeypatch.context() as m:
             m.setattr(learners, "_fit_l1_binary", _ref_fit_l1_binary)
-            ref = train_l1_logreg(X, y, params, sample_weights=sample_weights)
+            ref = train_l1_logreg(X, y, params)
     return fast, ref
 
 
@@ -348,18 +340,14 @@ def _fit_both(monkeypatch, X, y, params, sample_weights=None):
         ("binary", 2, "balanced"),
         ("binary", 5, "unbalanced"),
         ("stage2", 5, "balanced"),
-        ("stage2", 2, "explicit"),
     ],
 )
 def test_solver_matches_reference_bit_for_bit(monkeypatch, C, kind, n_classes, weighting):
     """The first iteration is a plain proximal-gradient step from zero: the
     same gradient, backtracking and soft-thresholding as the reference."""
     X, y = _oracle_problem(kind, n_classes, seed=n_classes * 100 + len(kind))
-    params = LinParams(l1_strength=C, balanced=weighting != "unbalanced", max_iter=1)
-    explicit = None
-    if weighting == "explicit":
-        explicit = {f"c{k}": 0.5 + 0.75 * k for k in range(n_classes)}
-    fast, ref = _fit_both(monkeypatch, X, y, params, explicit)
+    params = LinParams(l1_strength=C, balanced=weighting == "balanced", max_iter=1)
+    fast, ref = _fit_both(monkeypatch, X, y, params)
     assert fast.classes == ref.classes
     assert fast.weights.tobytes() == ref.weights.tobytes()
     assert fast.intercepts.tobytes() == ref.intercepts.tobytes()

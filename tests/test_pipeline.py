@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from sla import synth
+from sla import pipeline, synth
 from sla.corpus import (
     EnrichedAnnotation,
     LabeledDocument,
@@ -33,12 +33,13 @@ from sla.pipeline import (
     predict_sla,
     predict_sla_batch,
     _rule_hits,
+    _select,
     save_model,
     select_top_k,
     train_sla,
 )
-from sla.learners import GbtParams, LinParams, train_l1_logreg
-from sla.textproc import build_vocabulary, find_ngrams, tokenize, tokenize_lines
+from sla.learners import GbtParams, LinParams, predict_gbt_batch, predict_logreg, train_l1_logreg
+from sla.textproc import build_vocabulary, find_ngrams, tokenize, tokenize_lines, vectorize
 
 
 def tiny_corpus(n=24, seed=0, **overrides):
@@ -387,17 +388,79 @@ def test_model_bundle_roundtrip(tmp_path):
     assert predict_sla(loaded, docs[0].report).label == predict_sla(model, docs[0].report).label
 
 
-def test_bundle_whose_stages_read_the_same_ngrams_loads_one_vocabulary():
+def _count_finds(monkeypatch) -> list:
+    """The vocabulary of each ``pipeline.find_ngrams`` call from now on."""
+    calls = []
+    real = pipeline.find_ngrams
+
+    def counting(streams, vocab):
+        calls.append(vocab)
+        return real(streams, vocab)
+
+    monkeypatch.setattr(pipeline, "find_ngrams", counting)
+    return calls
+
+
+def test_bundle_whose_stages_read_the_same_ngrams_loads_one_vocabulary(monkeypatch):
     docs = tiny_corpus(n=30, seed=17)
     reports = [d.report for d in docs]
     for line_n, final_n in ((3, 3), (2, 3)):
         hyper = SlaHyperParams(line_ngram_n=line_n, final_ngram_n=final_n, k=2)
         model = train_sla(docs, "grade", hyper=hyper)
         again = model_from_dict(model_to_dict(model))
-        assert (again.line_vocab is again.final_vocab) == (line_n == final_n)
+        assert again.vocab.to_dict() == model.vocab.to_dict()
         assert again.line_vocab.to_dict() == model.line_vocab.to_dict()
-        batch = predict_sla_batch(again, reports)
-        assert [_bits(p) for p in batch] == [_bits(p) for p in predict_sla_batch(model, reports)]
+        expect = [_bits(p) for p in predict_sla_batch(model, reports)]
+        with monkeypatch.context() as m:
+            calls = _count_finds(m)
+            batch = predict_sla_batch(again, reports)
+        assert calls == [again.vocab]
+        assert [_bits(p) for p in batch] == expect
+
+
+def _two_pass_reference(model, reports, gold):
+    """Each report's prediction with each stage's n-grams found afresh under
+    its own vocabulary, as serving did before it made one finder call."""
+    doc_lines = [tokenize_lines(r) for r in reports]
+    line_scores = None
+    if model.line_scorer is not None:
+        rows = vectorize([tl for lines in doc_lines for tl in lines], model.line_vocab)
+        line_scores = predict_gbt_batch(model.line_scorer, rows)
+    selections = _select(model.variant, model.k, model.keyword_rules, doc_lines, gold,
+                         line_scores)
+    X = compose_representation(selections, find_ngrams(doc_lines, model.final_vocab))
+    outputs = predict_logreg(model.final_classifier, X)
+    return [
+        _bits(pipeline.Prediction(str(label), scores, selection))
+        for (label, scores), selection in zip(outputs, selections)
+    ]
+
+
+@pytest.mark.parametrize("variant, line_n, final_n", [
+    ("sla", 3, 3),
+    ("sla", 2, 3),
+    ("sla", 3, 2),
+    ("no_join", 1, 4),
+    ("rules", 2, 2),
+    ("oracle", 2, 3),
+])
+def test_every_served_batch_makes_one_finder_call(monkeypatch, variant, line_n, final_n):
+    docs = tiny_corpus(n=30, seed=23)
+    hyper = SlaHyperParams(line_ngram_n=line_n, final_ngram_n=final_n, k=2,
+                           gbt=GbtParams(num_rounds=10, seed=0))
+    model = train_sla(docs[:20], "grade", hyper=hyper, variant=variant)
+    held = docs[20:]
+    reports = [d.report for d in held]
+    gold = [pipeline.oracle_gold_lines(model, d) for d in held]
+    expect = _two_pass_reference(model, reports, gold)
+    for served in (model, model_from_dict(model_to_dict(model))):
+        with monkeypatch.context() as m:
+            calls = _count_finds(m)
+            batch = predict_sla_batch(served, reports, gold)
+        # the order of the larger stage vocabulary; rules and oracle have one
+        scored = variant in SCORED_VARIANTS
+        assert [v.max_n for v in calls] == [max(line_n, final_n) if scored else final_n]
+        assert [_bits(p) for p in batch] == expect
 
 
 def test_model_bundle_keeps_learner_hyperparameters():

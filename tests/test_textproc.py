@@ -12,6 +12,7 @@ from sla.textproc import (
     Featurized,
     Vocabulary,
     build_vocabulary,
+    find_ngrams,
     normalize,
     to_csr,
     tokenize,
@@ -270,7 +271,8 @@ def test_restricting_a_vocabulary_equals_building_at_the_lower_order(
     assert restricted.known_words == fresh.known_words
     # the training lines, and lines with n-grams the vocabulary never saw
     for lines in (train, other):
-        vocab, (sliced,) = Featurized(full, vectorize(lines, full)).at(m)
+        vocab, hits = Featurized(full, find_ngrams([[tl] for tl in lines], full)).at(m)
+        sliced = hits.lines
         assert vocab.ngram_to_index == fresh.ngram_to_index
         expect = vectorize(lines, fresh)
         assert sliced.shape == expect.shape
