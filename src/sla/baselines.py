@@ -35,7 +35,7 @@ from .learners import (
     train_gbt,
     train_l1_logreg,
 )
-from .textproc import Featurized, Vocabulary, featurize, find_ngrams, tokenize_lines
+from .textproc import Hits, Vocabulary, featurize, find_ngrams, tokenize_lines
 
 BASELINE_KINDS = ("doc-logreg", "doc-boost")
 DEFAULT_NGRAM_N = 1  # the n-gram order of a baseline whose order is not given
@@ -58,6 +58,16 @@ class DocBaselineModel:
     def __post_init__(self) -> None:
         if self.kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
+        if self.kind == "doc-logreg" and self.linear is None:
+            raise ValueError("a doc-logreg model requires its linear model, 'linear'")
+        if self.kind == "doc-boost":
+            classes, models = len(self.boost_classes or ()), len(self.boost_models or ())
+            # one class is a constant predictor, which needs no model
+            if not classes or (models != classes and (models, classes) != (0, 1)):
+                raise ValueError(
+                    "a doc-boost model requires its 'boost_classes' and one of its"
+                    " 'boost_models' per class"
+                )
 
 
 def train_doc_baseline(
@@ -78,7 +88,7 @@ def train_doc_baseline(
 
 
 def fit_doc_baseline(
-    features: Featurized,
+    features: Hits,
     labels: Sequence[str],
     attribute: str,
     kind: str,
@@ -87,20 +97,19 @@ def fit_doc_baseline(
     gbt: GbtParams | None = None,
 ) -> DocBaselineModel:
     """Fit a baseline at order ``ngram_n`` on the training documents'
-    ``features``, one row per document."""
-    vocab, hits = features.at(ngram_n)
+    ``features``, their hits at an order no lower."""
+    hits = features.at(ngram_n)
     X = hits.documents
-    model = DocBaselineModel(attribute=attribute, kind=kind, vocab=vocab)
     if kind == "doc-logreg":
-        model.linear = train_l1_logreg(X, labels, lin or LinParams())
-    else:
-        model.boost_classes = tuple(sorted(set(labels)))
-        if len(model.boost_classes) > 1:  # one class is a constant predictor
-            model.boost_models = [
-                train_gbt(X, [1.0 if lab == c else 0.0 for lab in labels], gbt or GbtParams())
-                for c in model.boost_classes
-            ]
-    return model
+        linear = train_l1_logreg(X, labels, lin or LinParams())
+        return DocBaselineModel(attribute, kind, hits.vocab, linear=linear)
+    classes, models = tuple(sorted(set(labels))), None
+    if len(classes) > 1:  # one class is a constant predictor
+        models = [
+            train_gbt(X, [1.0 if lab == c else 0.0 for lab in labels], gbt or GbtParams())
+            for c in classes
+        ]
+    return DocBaselineModel(attribute, kind, hits.vocab, boost_classes=classes, boost_models=models)
 
 
 def predict_doc_baseline(
@@ -157,8 +166,6 @@ def baseline_from_dict(payload: dict) -> DocBaselineModel:
     linear = read("linear", dict | None)
     boost_classes = read("boost_classes", tuple[str, ...] | None)
     boost_models = read("boost_models", list | None)
-    if boost_models and len(boost_models) != len(boost_classes or ()):
-        raise ValueError(f"{what} key 'boost_models' must hold one model per boost class")
     return DocBaselineModel(
         attribute=read("attribute", str),
         kind=payload["kind"],
@@ -168,6 +175,7 @@ def baseline_from_dict(payload: dict) -> DocBaselineModel:
         ),
         boost_classes=boost_classes or None,
         boost_models=[
-            GbtModel.from_dict(m, f"{what} boost_models[{i}]") for i, m in enumerate(boost_models)
+            GbtModel.from_dict(m, vocab.dimension, f"{what} boost_models[{i}]")
+            for i, m in enumerate(boost_models)
         ] if boost_models else None,
     )

@@ -161,11 +161,14 @@ class GbtModel:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict, what: str = "gbt model") -> "GbtModel":
-        """The model ``payload`` holds; a value of the wrong JSON type is a
-        ValueError naming ``what`` and its key."""
+    def from_dict(cls, payload: dict, num_features: int, what: str = "gbt model") -> "GbtModel":
+        """The model ``payload`` holds, over ``num_features`` features; a
+        value of the wrong JSON type or another width is a ValueError
+        naming ``what`` and its key."""
         read_json(payload, dict, what)
-        num_features = read_json(payload["num_features"], int, f"{what} key 'num_features'")
+        width = read_json(payload["num_features"], int, f"{what} key 'num_features'")
+        if width != num_features:
+            raise ValueError(f"{what} key 'num_features' must be {num_features}, got {width}")
         trees = read_json(payload["trees"], list, f"{what} key 'trees'")
         return cls(
             params=read_json(payload["params"], GbtParams, f"{what} params"),

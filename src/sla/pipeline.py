@@ -32,7 +32,7 @@ keyword-matched line (no cap), "oracle" the annotator's gold lines.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -62,7 +62,6 @@ from .learners import (
     train_l1_logreg,
 )
 from .textproc import (
-    Featurized,
     Hits,
     Vocabulary,
     featurize,
@@ -168,39 +167,47 @@ class Prediction:
 
 @dataclass
 class SlaModel:
-    """Everything needed to reproduce a prediction: both stages' vocabularies
-    and learners, the variant, and the selection hyperparameters.  The
-    smaller stage vocabulary is the restriction of the larger, ``vocab``,
-    which serving finds each report's n-grams under."""
+    """Everything needed to reproduce a prediction: the variant, its
+    hyperparameters, both stages' learners, and one vocabulary at the
+    largest order the variant reads (``fit_order``).  Each stage's
+    vocabulary is its restriction to the stage's order in ``hyper``."""
 
     attribute: str
     variant: str
-    k: int
-    final_vocab: Vocabulary
+    hyper: SlaHyperParams
+    vocab: Vocabulary
     final_classifier: LinearModel
-    line_vocab: Vocabulary | None = None
     line_scorer: GbtModel | None = None
     keyword_rules: tuple[str, ...] | None = None
-    hyper: SlaHyperParams | None = None
 
     def __post_init__(self) -> None:
         selector = variant_row(self.variant).selector
-        if selector == "scored" and (self.line_scorer is None or self.line_vocab is None):
-            raise ValueError(f"variant {self.variant} requires a line scorer")
+        if (selector == "scored") != (self.line_scorer is not None):
+            need = "requires a" if selector == "scored" else "takes no"
+            raise ValueError(f"variant {self.variant} {need} line scorer")
         if selector == "rules" and not self.keyword_rules:
             raise ValueError("rules variant requires keyword rules")
         for rule in self.keyword_rules or ():
             if not tokenize(rule):
                 raise ValueError(f"keyword rule {rule!r} has no tokens, so it matches no line")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        order = fit_order(self.variant, self.hyper)
+        if self.vocab.max_n != order:
+            raise ValueError(
+                f"variant {self.variant} with these n-gram orders reads a vocabulary of order"
+                f" {order}, got {self.vocab.max_n}"
+            )
 
     @property
-    def vocab(self) -> Vocabulary:
-        """The larger of the two stage vocabularies."""
-        if self.line_vocab is not None and self.line_vocab.max_n > self.final_vocab.max_n:
-            return self.line_vocab
-        return self.final_vocab
+    def k(self) -> int:
+        return self.hyper.k
+
+    @property
+    def final_vocab(self) -> Vocabulary:
+        return self.vocab.restrict(self.hyper.final_ngram_n)[0]
+
+    @property
+    def line_vocab(self) -> Vocabulary | None:
+        return self.vocab.restrict(self.hyper.line_ngram_n)[0] if self.line_scorer else None
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +225,8 @@ def load_keyword_rules(path: str | None = None) -> dict[str, tuple[str, ...]]:
 
 
 def _contains_subsequence(tokens: Sequence[str], phrase: Sequence[str]) -> bool:
-    if len(phrase) > len(tokens):
-        return False
-    for i in range(len(tokens) - len(phrase) + 1):
-        if tuple(tokens[i : i + len(phrase)]) == tuple(phrase):
-            return True
-    return False
+    n = len(phrase)
+    return any(tuple(tokens[i : i + n]) == tuple(phrase) for i in range(len(tokens) - n + 1))
 
 
 def _rule_hits(token_lines: Sequence[Sequence[str]], phrases) -> tuple[int, ...]:
@@ -267,19 +270,15 @@ def join_adjacent(
     """Merge runs of adjacent selected lines into segments.  A joined
     segment's weight is the maximum of its member scores."""
     idx = sorted(set(selected))
-
-    def score_of(i: int) -> float:
-        return float(line_scores[i])
-
     segments: list[Segment] = []
     pos = 0
     while pos < len(idx):
         start = end = idx[pos]
-        weight = score_of(start)
+        weight = float(line_scores[start])
         while pos + 1 < len(idx) and idx[pos + 1] == end + 1:
             pos += 1
             end = idx[pos]
-            weight = max(weight, score_of(end))
+            weight = max(weight, float(line_scores[end]))
         segments.append(Segment(start, end, weight))
         pos += 1
     return SelectedLines(tuple(segments), k=len(idx) if k is None else k)
@@ -360,8 +359,7 @@ def train_sla(
     Labels are the composed annotation values; the final classifier uses
     balanced class weights.
     """
-    if hyper is None:
-        hyper = SlaHyperParams()
+    hyper = hyper or SlaHyperParams()
     variant_row(variant)  # refuse an unknown variant before reading documents
     docs = annotated_documents(train_docs, attribute, 2, "training")
     doc_lines = [tokenize_lines(d.report) for d in docs]
@@ -378,7 +376,7 @@ def fit_order(variant: str, hyper: SlaHyperParams) -> int:
 
 
 def fit_sla(
-    features: Featurized,
+    features: Hits,
     docs: Sequence[LabeledDocument],
     doc_lines: Sequence[Sequence[Sequence[str]]],
     attribute: str,
@@ -388,13 +386,12 @@ def fit_sla(
     schemas: Mapping[tuple[str, str], AttributeSchema] | None = None,
 ) -> SlaModel:
     """Train a pipeline variant on annotated ``docs`` given their token
-    lines and their ``features``, at an order no lower than
+    lines and their ``features``, the hits at an order no lower than
     ``fit_order``."""
     selector = VARIANTS[variant].selector
-    line_vocab = line_scorer = line_scores = None
-    rules = None
+    line_scorer = line_scores = rules = None
     if selector == "scored":
-        line_vocab, line_hits = features.at(hyper.line_ngram_n)
+        line_hits = features.at(hyper.line_ngram_n)
         y_lines = np.concatenate([build_line_labels(d, attribute) for d in docs])
         line_scorer = train_gbt(line_hits.lines, y_lines, hyper.gbt)
         # rows score independently, so one call gives each document's scores
@@ -408,23 +405,19 @@ def fit_sla(
         else:
             rules = tuple(keyword_rules)
 
-    final_vocab, final_hits = features.at(hyper.final_ngram_n)
-
     gold = [d.annotations[attribute].line_indices for d in docs]
     selections = _select(variant, hyper.k, rules, doc_lines, gold, line_scores)
-    X = compose_representation(selections, final_hits)
+    X = compose_representation(selections, features.at(hyper.final_ngram_n))
     labels = [gold_label(d, attribute, schemas) for d in docs]
     classifier = train_l1_logreg(X, labels, hyper.lin)
     return SlaModel(
         attribute=attribute,
         variant=variant,
-        k=hyper.k,
-        final_vocab=final_vocab,
+        hyper=hyper,
+        vocab=features.at(fit_order(variant, hyper)).vocab,
         final_classifier=classifier,
-        line_vocab=line_vocab,
         line_scorer=line_scorer,
         keyword_rules=rules,
-        hyper=hyper,
     )
 
 
@@ -452,30 +445,27 @@ def predict_sla_batch(
     recomputed from (rationale, report, model).  One ``find_ngrams`` call
     under ``model.vocab`` gives both stages their n-grams."""
     doc_lines = [tokenize_lines(r) for r in reports]
-    features = Featurized(model.vocab, find_ngrams(doc_lines, model.vocab))
-    return predict_featurized(model, doc_lines, features, gold_lines)
+    return predict_featurized(model, doc_lines, find_ngrams(doc_lines, model.vocab), gold_lines)
 
 
 def predict_featurized(
     model: SlaModel,
     doc_lines: Sequence[Sequence[Sequence[str]]],
-    features: Featurized,
+    features: Hits,
     gold_lines: Sequence[Sequence[int] | None] | None = None,
 ) -> list[Prediction]:
     """``predict_sla_batch`` given the reports' token lines and their
-    ``features`` (each report one stream), under a vocabulary whose
-    restrictions are the model's stage vocabularies."""
+    ``features`` (each report one stream), the hits under a vocabulary
+    whose restrictions are the model's stage vocabularies."""
     if gold_lines is None:
         gold_lines = [None] * len(doc_lines)
-    line_scores = None
-    if VARIANTS[model.variant].selector == "scored":
-        _, line_hits = features.at(model.line_vocab.max_n)
-        line_scores = predict_gbt_batch(model.line_scorer, line_hits.lines)
+    hyper, line_scores = model.hyper, None
+    if model.line_scorer is not None:
+        line_scores = predict_gbt_batch(model.line_scorer, features.at(hyper.line_ngram_n).lines)
     selections = _select(
-        model.variant, model.k, model.keyword_rules, doc_lines, gold_lines, line_scores
+        model.variant, hyper.k, model.keyword_rules, doc_lines, gold_lines, line_scores
     )
-    _, final_hits = features.at(model.final_vocab.max_n)
-    X = compose_representation(selections, final_hits)
+    X = compose_representation(selections, features.at(hyper.final_ngram_n))
     outputs = predict_logreg(model.final_classifier, X)
     return [
         Prediction(str(label), scores, selection)
@@ -505,14 +495,18 @@ def model_to_dict(model: SlaModel) -> dict:
         "k": model.k,
         "final_vocab": model.final_vocab.to_dict(),
         "final_classifier": model.final_classifier.to_dict(),
-        "line_vocab": model.line_vocab.to_dict() if model.line_vocab else None,
+        "line_vocab": model.line_vocab.to_dict() if model.line_scorer else None,
         "line_scorer": model.line_scorer.to_dict() if model.line_scorer else None,
         "keyword_rules": list(model.keyword_rules) if model.keyword_rules else None,
-        "hyper": None if model.hyper is None else asdict(model.hyper),
+        "hyper": asdict(model.hyper),
     }
 
 
 def model_from_dict(payload: dict) -> SlaModel:
+    """The model ``payload`` holds.  The bundle repeats what ``hyper``
+    holds (``k``, each stage's order and vocabulary, the line scorer's
+    parameters), and a copy that disagrees with it is a ValueError naming
+    the key."""
     if payload.get("kind") != BUNDLE_KIND:
         raise ValueError(f"not an sla model bundle: kind={payload.get('kind')!r}")
     check_bundle_version(payload, "sla model")
@@ -522,37 +516,48 @@ def model_from_dict(payload: dict) -> SlaModel:
     def read(key: str, kind):
         return read_json(payload[key], kind, f"{what} key {key!r}")
 
-    # bundles written before gbt and lin were serialized get the defaults
-    hyper = read_json(
-        payload.get("hyper"), SlaHyperParams | None, f"{what} hyper", optional=("gbt", "lin")
-    )
-    final_vocab = Vocabulary.from_dict(read("final_vocab", dict), f"{what} final_vocab")
-    line_vocab = read("line_vocab", dict | None)
+    # bundles written before gbt and lin were serialized get the defaults,
+    # and for gbt the line scorer's parameters
+    hyper = read_json(payload["hyper"], SlaHyperParams, f"{what} hyper", optional=("gbt", "lin"))
+    if read("k", int) != hyper.k:
+        raise ValueError(f"{what} key 'k' is {payload['k']}, but hyper key 'k' is {hyper.k}")
     line_scorer = read("line_scorer", dict | None)
-    keyword_rules = read("keyword_rules", tuple[str, ...] | None)
-    model = SlaModel(
+    vocabs = {}  # a line vocabulary only with a line scorer
+    for key in ("final_vocab", "line_vocab") if line_scorer else ("final_vocab",):
+        vocabs[key] = Vocabulary.from_dict(read(key, dict), f"{what} {key}")
+        order = key.replace("vocab", "ngram_n")
+        if vocabs[key].max_n != getattr(hyper, order):
+            raise ValueError(
+                f"{what} key {key!r} has order {vocabs[key].max_n}, but hyper key {order!r} is"
+                f" {getattr(hyper, order)}"
+            )
+    # serving reads both stages' columns from the larger vocabulary
+    vocab = max(vocabs.values(), key=lambda v: v.max_n)
+    if any(vocab.restrict(v.max_n)[0] != v for v in vocabs.values()):
+        raise ValueError(
+            f"{what} keys 'line_vocab' (order {hyper.line_ngram_n}) and 'final_vocab' (order "
+            f"{hyper.final_ngram_n}) disagree: the smaller must be the larger restricted to its"
+            " order"
+        )
+    if line_scorer is not None:
+        line_scorer = GbtModel.from_dict(
+            line_scorer, vocabs["line_vocab"].dimension, f"{what} line_scorer"
+        )
+        hyper = hyper if "gbt" in payload["hyper"] else replace(hyper, gbt=line_scorer.params)
+        if line_scorer.params != hyper.gbt:
+            raise ValueError(f"{what} line_scorer params disagree with hyper key 'gbt'")
+    return SlaModel(
         attribute=read("attribute", str),
         variant=read("variant", str),
-        k=read("k", int),
-        final_vocab=final_vocab,
-        final_classifier=LinearModel.from_dict(
-            read("final_classifier", dict), final_vocab.dimension, f"{what} final_classifier"
-        ),
-        line_vocab=Vocabulary.from_dict(line_vocab, f"{what} line_vocab") if line_vocab else None,
-        line_scorer=(
-            GbtModel.from_dict(line_scorer, f"{what} line_scorer") if line_scorer else None
-        ),
-        keyword_rules=keyword_rules or None,
         hyper=hyper,
+        vocab=vocab,
+        final_classifier=LinearModel.from_dict(
+            read("final_classifier", dict), vocabs["final_vocab"].dimension,
+            f"{what} final_classifier",
+        ),
+        line_scorer=line_scorer,
+        keyword_rules=read("keyword_rules", tuple[str, ...] | None) or None,
     )
-    # serving reads both stages' columns from the larger vocabulary
-    line, final = model.line_vocab, model.final_vocab
-    if line is not None and any(model.vocab.restrict(v.max_n)[0] != v for v in (line, final)):
-        raise ValueError(
-            f"{what} keys 'line_vocab' (order {line.max_n}) and 'final_vocab' (order "
-            f"{final.max_n}) disagree: the smaller must be the larger restricted to its order"
-        )
-    return model
 
 
 def save_model(model: SlaModel, path: str) -> None:

@@ -71,11 +71,6 @@ def _clean(text: str) -> str:
     return _NULL_RE.sub(" ", text)
 
 
-def normalize(raw: str) -> str:
-    """The normalized text: its tokens joined with single spaces.  Idempotent."""
-    return " ".join(_clean(raw).split())
-
-
 def tokenize(raw: str) -> tuple[str, ...]:
     """Normalize then split on whitespace."""
     return tuple(_clean(raw).split())
@@ -112,32 +107,25 @@ class Vocabulary:
     """An n-gram feature index built from training lines.
 
     ``ngram_to_index`` maps space-joined n-grams to column indices assigned
-    in lexicographic order.  ``known_words`` holds the unigrams that
-    survived the frequency cutoff; all other unigrams map to ``<UNK>``.
-    Every n-gram's (n-1)-gram prefix and last word are in the index too,
-    as ``build_vocabulary`` makes them.
+    in lexicographic order.  Its unigrams are the words that survived the
+    frequency cutoff; all other words map to ``<UNK>``.  Every n-gram's
+    (n-1)-gram prefix and last word are in the index too, as
+    ``build_vocabulary`` makes them.
     """
 
     ngram_to_index: dict[str, int]
     max_n: int
     min_count: int = 2
     unk_token: str = UNK
-    known_words: frozenset[str] = field(init=False)
     _restricted: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_n <= 4:
             raise ValueError(f"max_n must be in [1, 4], got {self.max_n}")
-        self.known_words = frozenset(
-            k for k in self.ngram_to_index if " " not in k and k != self.unk_token
-        )
 
     @property
     def dimension(self) -> int:
         return len(self.ngram_to_index)
-
-    def map_token(self, token: str) -> str:
-        return token if token in self.known_words else self.unk_token
 
     @cached_property
     def gram_keys(self) -> GramKeys:
@@ -229,8 +217,6 @@ def build_vocabulary(
     are assigned by sorting the surviving n-grams lexicographically, which
     makes vocabulary construction order-independent and deterministic.
     """
-    if not 1 <= max_n <= 4:
-        raise ValueError(f"max_n must be in [1, 4], got {max_n}")
     lines = list(token_lines)
     if not lines:
         raise ValueError("cannot build a vocabulary from an empty training set")
@@ -246,7 +232,7 @@ def build_vocabulary(
 
 @dataclass(frozen=True, eq=False)
 class Hits:
-    """Every vocabulary n-gram that ``find_ngrams`` found in a batch of
+    """Every n-gram of ``vocab`` that ``find_ngrams`` found in a batch of
     streams, one entry per occurrence.  Lines are counted across the
     batch."""
 
@@ -254,7 +240,12 @@ class Hits:
     last: np.ndarray  # the line of its last token
     cols: np.ndarray  # its column
     streams: np.ndarray  # the first line of each stream, then the number of lines
-    dimension: int
+    vocab: Vocabulary
+    _orders: dict = field(init=False, default_factory=dict, repr=False)
+
+    @property
+    def dimension(self) -> int:
+        return self.vocab.dimension
 
     @cached_property
     def lines(self) -> sparse.csr_matrix:
@@ -285,15 +276,23 @@ class Hits:
         flat = np.sort(span[inside] * max(self.dimension, 1) + self.cols[inside])
         return np.divmod(flat[_run_starts(flat)], max(self.dimension, 1))
 
-    def restrict(self, kept: np.ndarray) -> "Hits":
-        """The hits of the columns ``kept``, numbered in that order: with the
-        columns of ``Vocabulary.restrict``, the hits under the restricted
-        vocabulary."""
-        column = np.full(self.dimension, -1)
-        column[kept] = np.arange(len(kept))
-        cols = column[self.cols]
-        found = cols >= 0
-        return Hits(self.first[found], self.last[found], cols[found], self.streams, len(kept))
+    def at(self, max_n: int) -> "Hits":
+        """The hits under ``vocab.restrict(max_n)``: those of the columns it
+        keeps, numbered in its order, which equal finding them under it
+        afresh.  At its own order, these hits themselves; each lower order
+        is restricted once."""
+        if max_n == self.vocab.max_n:
+            return self
+        if max_n not in self._orders:
+            vocab, kept = self.vocab.restrict(max_n)
+            column = np.full(self.dimension, -1)
+            column[kept] = np.arange(len(kept))
+            cols = column[self.cols]
+            found = cols >= 0
+            self._orders[max_n] = Hits(
+                self.first[found], self.last[found], cols[found], self.streams, vocab
+            )
+        return self._orders[max_n]
 
 
 def find_ngrams(streams: Iterable[Sequence[Sequence[str]]], vocab: Vocabulary) -> Hits:
@@ -332,7 +331,7 @@ def find_ngrams(streams: Iterable[Sequence[Sequence[str]]], vocab: Vocabulary) -
         np.concatenate(lasts),
         np.concatenate(found),
         first_line,
-        vocab.dimension,
+        vocab,
     )
 
 
@@ -344,30 +343,13 @@ def vectorize(token_lines: Iterable[Sequence[str]], vocab: Vocabulary) -> sparse
     return find_ngrams([[line] for line in token_lines], vocab).lines
 
 
-class Featurized:
-    """The ``Hits`` of a batch under one vocabulary.  ``at(n)`` is the
-    order-n vocabulary and the hits of its columns (``Vocabulary.restrict``
-    and ``Hits.restrict``), which equal building and finding at order n
-    afresh.  Each order is restricted once."""
-
-    def __init__(self, vocab: Vocabulary, hits: Hits) -> None:
-        self.vocab = vocab
-        self._orders = {vocab.max_n: (vocab, hits)}
-
-    def at(self, max_n: int) -> tuple[Vocabulary, Hits]:
-        if max_n not in self._orders:
-            vocab, cols = self.vocab.restrict(max_n)
-            self._orders[max_n] = (vocab, self._orders[self.vocab.max_n][1].restrict(cols))
-        return self._orders[max_n]
-
-
-def featurize(max_n: int, train_lines, *held_lines) -> list[Featurized]:
+def featurize(max_n: int, train_lines, *held_lines) -> list[Hits]:
     """One vocabulary of the training documents' lines at order ``max_n``,
-    and the ``Featurized`` hits under it of the training documents and of
-    each batch of ``held_lines``.  A document is given as its token lines
-    and read as one stream."""
+    and the hits under it of the training documents and of each batch of
+    ``held_lines``; a lower order's are ``Hits.at(n)``.  A document is
+    given as its token lines and read as one stream."""
     vocab = build_vocabulary([tl for doc in train_lines for tl in doc], max_n)
-    return [Featurized(vocab, find_ngrams(docs, vocab)) for docs in (train_lines, *held_lines)]
+    return [find_ngrams(docs, vocab) for docs in (train_lines, *held_lines)]
 
 
 def _run_starts(flat: np.ndarray) -> np.ndarray:

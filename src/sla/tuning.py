@@ -11,8 +11,8 @@ search.  Each fold builds one vocabulary from its training lines, at the
 largest n-gram order any trial asks, and finds the n-grams of its training
 and held-out reports once under it (``textproc.featurize``): both stages
 of a pipeline variant and a baseline's document rows read them.  Every
-trial then reads its own order's columns of those (``Vocabulary.restrict``),
-which equal building and featurizing at that order afresh.  Folds can run in
+trial then reads its own order's columns of those (``Hits.at``), which
+equal building and featurizing at that order afresh.  Folds can run in
 parallel without changing the result.
 """
 
@@ -391,8 +391,8 @@ def _score_fold(
     else:
         def predict(p):
             model = fit_doc_baseline(train_features, train_labels, attribute, method, **p)
-            _, held_hits = held_features.at(model.vocab.max_n)
-            return [label for label, _ in predict_doc_rows(model, held_hits.documents)]
+            rows = held_features.at(model.vocab.max_n).documents
+            return [label for label, _ in predict_doc_rows(model, rows)]
 
     scores = {key: micro_f1(predict(p), golds) for key, p in params.items()}
     return [scores[key] for key in keys]

@@ -13,15 +13,24 @@ bundle that ``train`` writes is loaded and saved again, as
 from the bundle's, so a bundle reader that changes a value (an integer
 read back as a float, say) cannot pass.
 Manifests are left out, since they record paths and timings.  Two
-checkouts whose listings are equal wrote the same bytes.  ``--against
-LISTING`` also diffs the listing with one saved from another checkout, and
-exits 1 if they differ:
+checkouts whose listings are equal wrote the same bytes.  The listing
+starts with ``#`` lines that name the Python, numpy and scipy versions and
+the CPU model, since numpy's kernels may round differently elsewhere;
+comparisons skip them.  ``--against LISTING`` also diffs the listing with
+one saved from another checkout, and exits 1 if they differ:
 
     PYTHONPATH=../other/src python tests/replay_outputs.py /tmp/old > old.txt
     PYTHONPATH=src python tests/replay_outputs.py /tmp/new --against old.txt
 
+``--check`` diffs it with the checked-in listing, ``tests/replay.sha256``;
+a change that means to change an output regenerates that file in the same
+commit:
+
+    PYTHONPATH=src python tests/replay_outputs.py /tmp/new --check
+    PYTHONPATH=src python tests/replay_outputs.py /tmp/new > tests/replay.sha256
+
 The ``sla`` that runs is the one on ``PYTHONPATH``.  pytest does not
-collect this file.
+collect this file; ``test_replay.py`` runs the check.
 """
 
 from __future__ import annotations
@@ -32,11 +41,17 @@ import difflib
 import hashlib
 import io
 import json
+import platform
 import sys
 from pathlib import Path
 
+import numpy
+import scipy
+
 from sla import cli
 from sla.tuning import METHODS, FittedVariant
+
+LISTING = Path(__file__).with_name("replay.sha256")
 
 GEN_CONFIG = {
     "cancer": "colon",
@@ -120,11 +135,43 @@ def replay(out: Path) -> None:
              "--out", str(out / method / "curve"))
 
 
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def environment() -> list[str]:
+    """The ``#`` lines that open a listing made here."""
+    return [
+        f"# python {platform.python_version()}\n",
+        f"# numpy {numpy.__version__}\n",
+        f"# scipy {scipy.__version__}\n",
+        f"# cpu {_cpu_model()}\n",
+    ]
+
+
+def read_listing(path: Path) -> tuple[list[str], list[str]]:
+    """The ``#`` lines of a saved listing, and its other lines."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    return [x for x in lines if x.startswith("#")], [x for x in lines if not x.startswith("#")]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="Replay a fixed CLI chain and hash its outputs.")
     parser.add_argument("out", type=Path, help="directory to write the outputs under")
-    parser.add_argument(
+    compare = parser.add_mutually_exclusive_group()
+    compare.add_argument(
         "--against", type=Path, metavar="LISTING", help="a saved listing to diff this one with"
+    )
+    compare.add_argument(
+        "--check", action="store_const", const=LISTING, dest="against",
+        help=f"diff this listing with the checked-in one, {LISTING.name}",
     )
     args = parser.parse_args(argv)
     replay(args.out)
@@ -134,10 +181,12 @@ def main(argv: list[str]) -> int:
             continue
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         listing.append(f"{digest}  {path.relative_to(args.out).as_posix()}\n")
-    sys.stdout.writelines(listing)
+    sys.stdout.writelines(environment() + listing)
     if args.against is None:
         return 0
-    saved = args.against.read_text(encoding="utf-8").splitlines(keepends=True)
+    header, saved = read_listing(args.against)
+    if header and header != environment():
+        sys.stderr.write(f"{args.against} was made on another machine:\n" + "".join(header))
     diff = list(difflib.unified_diff(saved, listing, str(args.against), "this checkout"))
     sys.stderr.writelines(diff)
     verdict = "differ from" if diff else "identical to"

@@ -218,6 +218,7 @@ def bundles(workdir, tmp_path_factory):
     ("sla", "final_classifier"),
     ("sla", "final_classifier.weights"),
     ("sla", "line_vocab.ngrams"),
+    ("sla", "hyper"),
     ("doc-logreg", "vocab"),
     ("doc-logreg", "attribute"),
     ("doc-logreg", "linear.intercepts"),
@@ -248,12 +249,13 @@ def test_predict_names_a_key_missing_from_the_bundle(workdir, bundles, capsys, t
     ("sla", "k", "3", "key 'k' must be an integer, got str"),
     ("sla", "k", True, "key 'k' must be an integer, got bool"),
     ("rules", "k", "3", "key 'k' must be an integer, got str"),
-    ("rules", "k", 0, "k must be >= 1, got 0"),
+    ("rules", "k", 0, "sla model bundle key 'k' is 0, but hyper key 'k' is 3"),
     ("rules", "keyword_rules", "grade", "key 'keyword_rules' must be a JSON array, got str"),
     ("doc-logreg", "vocab", [], "key 'vocab' must be a JSON object, got list"),
     ("doc-logreg", "linear", [1.0], "key 'linear' must be a JSON object, got list"),
     ("rules", "keyword_rules", ["grade", ""], "keyword rule '' has no tokens"),
     ("rules", "keyword_rules", [".;~ null"], "keyword rule '.;~ null' has no tokens"),
+    ("sla", "line_vocab", None, "key 'line_vocab' must be a JSON object, got NoneType"),
 ])
 def test_predict_names_a_bundle_value_of_the_wrong_type(workdir, bundles, capsys, tmp_path,
                                                       method, key, value, message):
@@ -269,6 +271,16 @@ def test_predict_names_a_bundle_value_of_the_wrong_type(workdir, bundles, capsys
     assert code == 2, err
     assert f"data error: {edited}: " in err and message in err
     assert not preds.exists()
+
+
+def _set_dotted(bundle, dotted, value):
+    """Set the value at a dotted key path (digits index arrays) of a
+    bundle; a callable ``value`` maps the value that is there."""
+    *outer, key = (int(name) if name.isdigit() else name for name in dotted.split("."))
+    holder = bundle
+    for name in outer:
+        holder = holder[name]
+    holder[key] = value(holder[key]) if callable(value) else value
 
 
 # a tree of one split on a feature that no vocabulary of the corpus holds
@@ -324,11 +336,7 @@ def test_predict_names_a_nested_bundle_value_of_the_wrong_type(workdir, bundles,
                                                              tmp_path, method, dotted, value,
                                                              message):
     bundle = json.loads(bundles[method].read_text())
-    *outer, key = (int(name) if name.isdigit() else name for name in dotted.split("."))
-    holder = bundle
-    for name in outer:
-        holder = holder[name]
-    holder[key] = value
+    _set_dotted(bundle, dotted, value)
     edited, preds = tmp_path / "edited.json", tmp_path / "preds.jsonl"
     edited.write_text(json.dumps(bundle), encoding="utf-8")
     code, _, err = run(capsys, "predict", "--model", str(edited),
@@ -360,6 +368,52 @@ def test_predict_refuses_stage_vocabularies_that_disagree(workdir, bundles, caps
     line_n, final_n = (bundle[k]["max_n"] for k in ("line_vocab", "final_vocab"))
     assert f"data error: {edited}: sla model bundle keys 'line_vocab' (order {line_n}) and " \
         f"'final_vocab' (order {final_n}) disagree" in err
+    assert not preds.exists()
+
+
+def _widen(width):
+    return width + 7
+
+
+@pytest.mark.parametrize("method, edits, message", [
+    # every copy of a fact that hyper holds must agree with it
+    ("sla", {"k": 5}, "sla model bundle key 'k' is 5, but hyper key 'k' is 3"),
+    ("sla", {"hyper.k": 2}, "sla model bundle key 'k' is 3, but hyper key 'k' is 2"),
+    ("sla", {"hyper.final_ngram_n": 3},
+     "sla model bundle key 'final_vocab' has order 2, but hyper key 'final_ngram_n' is 3"),
+    ("sla", {"hyper.line_ngram_n": 1},
+     "sla model bundle key 'line_vocab' has order 2, but hyper key 'line_ngram_n' is 1"),
+    ("sla-orders", {"hyper.line_ngram_n": 4, "hyper.final_ngram_n": 1},
+     "sla model bundle key 'final_vocab' has order 4, but hyper key 'final_ngram_n' is 1"),
+    ("sla", {"line_scorer.params.learning_rate": 0.9},
+     "sla model bundle line_scorer params disagree with hyper key 'gbt'"),
+    ("sla", {"hyper.gbt.learning_rate": 0.9},
+     "sla model bundle line_scorer params disagree with hyper key 'gbt'"),
+    # a learner whose width is not its vocabulary's dimension
+    ("sla", {"line_scorer.num_features": _widen},
+     "sla model bundle line_scorer key 'num_features' must be "),
+    ("doc-boost", {"boost_models.0.num_features": _widen},
+     "doc-boost bundle boost_models[0] key 'num_features' must be "),
+    # a baseline without the learner its kind needs
+    ("doc-logreg", {"linear": None}, "a doc-logreg model requires its linear model, 'linear'"),
+    ("doc-boost", {"boost_classes": None, "boost_models": None},
+     "a doc-boost model requires its 'boost_classes' and one of its 'boost_models' per class"),
+    ("doc-boost", {"boost_models": None},
+     "a doc-boost model requires its 'boost_classes' and one of its 'boost_models' per class"),
+])
+def test_predict_refuses_a_bundle_whose_copies_disagree(workdir, bundles, capsys, tmp_path,
+                                                        method, edits, message):
+    """A data error naming the bundle and the key, where serving would
+    otherwise read one copy and ignore the other, or fail later."""
+    bundle = json.loads(bundles[method].read_text())
+    for dotted, value in edits.items():
+        _set_dotted(bundle, dotted, value)
+    edited, preds = tmp_path / "edited.json", tmp_path / "preds.jsonl"
+    edited.write_text(json.dumps(bundle), encoding="utf-8")
+    code, _, err = run(capsys, "predict", "--model", str(edited),
+                       "--corpus", str(workdir / "corpus.jsonl"), "--out", str(preds))
+    assert code == 2, err
+    assert f"data error: {edited}: {message}" in err
     assert not preds.exists()
 
 

@@ -14,7 +14,6 @@ from sla.corpus import Report
 from sla.pipeline import Segment, SelectedLines, compose_representation
 from sla.textproc import (
     UNK,
-    Featurized,
     build_vocabulary,
     find_ngrams,
     tokenize,
@@ -59,7 +58,8 @@ def _ref_ngrams(tokens, max_n):
 
 
 def _ref_vectorize(tokens, vocab) -> _RefVector:
-    mapped = tuple(vocab.map_token(t) for t in tokens)
+    known = {g for g in vocab.ngram_to_index if " " not in g and g != vocab.unk_token}
+    mapped = tuple(t if t in known else vocab.unk_token for t in tokens)
     idx = {
         vocab.ngram_to_index[g]
         for g in _ref_ngrams(mapped, vocab.max_n)
@@ -259,7 +259,8 @@ def test_one_ngram_pass_gives_line_rows_segments_and_lower_orders(case):
 
     # restricting the hits equals finding them under the lower-order vocabulary
     fresh = build_vocabulary(train, max_n=lower, min_count=min_count)
-    restricted, low = Featurized(vocab, hits).at(lower)
+    low = hits.at(lower)
+    restricted = low.vocab
     assert restricted.ngram_to_index == fresh.ngram_to_index
     expect = find_ngrams(doc_lines, fresh)
     for got, want in ((low.first, expect.first), (low.last, expect.last), (low.cols, expect.cols)):

@@ -416,7 +416,7 @@ def test_round_tripped_model_scores_the_same_bits():
     X, y = stage1_problem(seed=6, flip=0.2)
     model = train_gbt(X, y, GbtParams(max_depth=6, subsample=0.75, num_rounds=20, seed=5))
     margins = predict_gbt_margin(model, X)
-    again = GbtModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    again = GbtModel.from_dict(json.loads(json.dumps(model.to_dict())), model.num_features)
     assert again.to_dict() == model.to_dict()
     assert predict_gbt_margin(again, X).tobytes() == margins.tobytes()
     assert margins.tobytes() == _ref_margins(model, X, len(model.trees)).tobytes()

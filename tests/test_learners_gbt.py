@@ -193,7 +193,7 @@ def test_gbt_model_roundtrip():
     X = (rng.random((30, 6)) < 0.4).astype(np.float64)
     y = rng.integers(0, 2, size=30).tolist()
     model = train_gbt(dense_to_csr(X), y, GbtParams(num_rounds=6, max_depth=2))
-    again = GbtModel.from_dict(model.to_dict())
+    again = GbtModel.from_dict(model.to_dict(), model.num_features)
     probs_a = predict_gbt_batch(model, dense_to_csr(X))
     probs_b = predict_gbt_batch(again, dense_to_csr(X))
     assert np.array_equal(probs_a, probs_b)

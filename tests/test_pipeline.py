@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -302,6 +303,26 @@ def test_no_weight_and_no_join_selection_shapes():
     assert all(s.start == s.end and s.weight == 1.0 for s in sel.segments)
 
 
+@pytest.mark.parametrize("variant", ["sla", "no_join"])
+def test_segments_weigh_their_lines_largest_stage_one_score(variant):
+    """The paper's segment weighting: each kept segment carries the largest
+    stage-1 score of its lines, the line scorer's output on each line's
+    row under the line vocabulary."""
+    docs = tiny_corpus(n=36, seed=29, lines_per_doc=(10, 24))
+    model = fit(docs[:24], variant, k=4)
+    joined = 0
+    for d in docs[24:]:
+        rows = vectorize(tokenize_lines(d.report), model.line_vocab)
+        scores = predict_gbt_batch(model.line_scorer, rows)
+        segments = predict_sla(model, d.report).rationale.segments
+        assert segments
+        for seg in segments:
+            assert seg.weight == max(scores[seg.start : seg.end + 1])
+        joined += sum(seg.end > seg.start for seg in segments)
+    # a joined variant joins some lines here, so its maximum is exercised
+    assert (joined > 0) == (variant == "sla")
+
+
 def test_scored_variants_share_selection_until_weighting():
     docs = tiny_corpus(n=30, seed=13)
     sla = fit(docs, "sla", k=3)
@@ -475,11 +496,14 @@ def test_model_bundle_keeps_learner_hyperparameters():
     assert again.hyper == hyper
     assert again.hyper.lin.l1_strength == 37
 
-    # a version-1 bundle written before gbt and lin were serialized
+    # a version-1 bundle written before gbt and lin were serialized: lin
+    # takes the defaults, gbt the line scorer's parameters, so the model
+    # saves a bundle that loads again
     payload = model_to_dict(model)
     del payload["hyper"]["gbt"], payload["hyper"]["lin"]
     old = model_from_dict(payload)
-    assert old.hyper == SlaHyperParams(k=2)
+    assert old.hyper == SlaHyperParams(k=2, gbt=hyper.gbt)
+    assert model_from_dict(model_to_dict(old)).hyper == old.hyper
 
 
 def test_model_bundle_rejects_hyper_keys_that_are_not_fields():
@@ -491,6 +515,17 @@ def test_model_bundle_rejects_hyper_keys_that_are_not_fields():
     del payload["hyper"]["beam_width"], payload["hyper"]["k"]
     with pytest.raises(ValueError, match="sla model bundle hyper: missing keys: k"):
         model_from_dict(payload)
+
+
+def test_model_refuses_a_learner_or_vocabulary_its_variant_does_not_read():
+    docs = tiny_corpus(n=30, seed=17)
+    sla, rules = fit(docs, "sla"), fit(docs, "rules")
+    with pytest.raises(ValueError, match="variant rules takes no line scorer"):
+        dataclasses.replace(rules, line_scorer=sla.line_scorer)
+    with pytest.raises(ValueError, match="variant sla requires a line scorer"):
+        dataclasses.replace(sla, line_scorer=None)
+    with pytest.raises(ValueError, match="reads a vocabulary of order 3, got 2"):
+        dataclasses.replace(sla, hyper=dataclasses.replace(sla.hyper, line_ngram_n=3))
 
 
 def test_model_bundle_rejects_unknown_version():

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from sla.corpus import Report
 from sla.textproc import (
     UNK,
-    Featurized,
     Vocabulary,
     build_vocabulary,
     find_ngrams,
-    normalize,
     to_csr,
     tokenize,
     tokenize_lines,
@@ -24,6 +22,17 @@ from sla.textproc import (
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
+
+
+def normalize(raw):
+    """The normalized text: its tokens joined with single spaces."""
+    return " ".join(tokenize(raw))
+
+
+def _known_words(vocab):
+    """The words that survived the frequency cutoff: every other word
+    maps to <UNK>."""
+    return {g for g in vocab.ngram_to_index if " " not in g and g != vocab.unk_token}
 
 
 def test_normalize_lowercases_and_strips_punctuation():
@@ -135,9 +144,11 @@ def test_build_vocabulary_rare_words_become_unk():
     assert "found" in vocab.ngram_to_index
     assert "rare" not in vocab.ngram_to_index
     assert UNK in vocab.ngram_to_index
-    assert vocab.map_token("rare") == UNK
-    assert vocab.map_token("never-seen") == UNK
-    assert vocab.map_token("cecum") == "cecum"
+    rows = vectorize([("rare",), ("never-seen",), ("cecum",)], vocab)
+    columns = [vocab.ngram_to_index[w] for w in (UNK, UNK, "cecum")]
+    assert [rows.indices[rows.indptr[r] : rows.indptr[r + 1]].tolist() for r in range(3)] == [
+        [c] for c in columns
+    ]
 
 
 def test_build_vocabulary_no_unk_when_nothing_is_rare():
@@ -181,7 +192,7 @@ def test_vocabulary_roundtrip():
     again = Vocabulary.from_dict(vocab.to_dict())
     assert again.ngram_to_index == vocab.ngram_to_index
     assert again.max_n == vocab.max_n
-    assert again.known_words == vocab.known_words
+    assert _known_words(again) == _known_words(vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +244,8 @@ def test_vectorize_matches_manual_ngram_membership(token_lines):
     inv = {i: g for g, i in vocab.ngram_to_index.items()}
     rows = vectorize([tuple(toks) for toks in token_lines], vocab)
     for r, toks in enumerate(token_lines):
-        mapped = [vocab.map_token(t) for t in toks]
+        known = _known_words(vocab)
+        mapped = [t if t in known else UNK for t in toks]
         expect = set()
         for n in (1, 2):
             for i in range(len(mapped) - n + 1):
@@ -268,11 +280,11 @@ def test_restricting_a_vocabulary_equals_building_at_the_lower_order(
     restricted, cols = full.restrict(m)
     assert restricted.ngram_to_index == fresh.ngram_to_index
     assert (restricted.max_n, restricted.min_count) == (fresh.max_n, fresh.min_count)
-    assert restricted.known_words == fresh.known_words
+    assert _known_words(restricted) == _known_words(fresh)
     # the training lines, and lines with n-grams the vocabulary never saw
     for lines in (train, other):
-        vocab, hits = Featurized(full, find_ngrams([[tl] for tl in lines], full)).at(m)
-        sliced = hits.lines
+        hits = find_ngrams([[tl] for tl in lines], full).at(m)
+        vocab, sliced = hits.vocab, hits.lines
         assert vocab.ngram_to_index == fresh.ngram_to_index
         expect = vectorize(lines, fresh)
         assert sliced.shape == expect.shape
