@@ -442,17 +442,30 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
 def predict_gbt_margin(model: GbtModel, X, num_trees: int | None = None) -> np.ndarray:
     """Raw margins (pre-sigmoid) for a batch, optionally truncated to a
     prefix of the tree sequence; useful for inspecting the boosting path.
+    X must be binary with the model's feature count."""
+    X_csr = _binary_csr(X)
+    row = np.repeat(np.arange(X_csr.shape[0]), np.diff(X_csr.indptr))
+    return _forest_margins(model, row, X_csr.indices, X_csr.shape, num_trees)
 
-    X must be binary with the model's feature count.  Rows that hold the
-    same pattern of the features the forest splits on share one margin, so
-    each distinct pattern walks every tree at once, a level at a time, and
-    its leaf steps are summed in tree order.  A pattern's margin depends on
-    no other pattern, so the order in which patterns are found is free."""
+
+def predict_gbt_pairs(model: GbtModel, rows, columns, shape: tuple[int, int]) -> np.ndarray:
+    """``predict_gbt_batch`` of ``textproc.to_csr(rows, columns, shape)``,
+    without building that matrix."""
+    return _sigmoid(_forest_margins(model, rows, columns, shape, None))
+
+
+def _forest_margins(model: GbtModel, rows, columns, shape, num_trees: int | None) -> np.ndarray:
+    """The margins of the rows of a binary X of ``shape`` given as the
+    (row, column) pairs of its ones, which may repeat, in any order.  Rows
+    that hold the same pattern of the features the forest splits on share
+    one margin, so each distinct pattern walks every tree at once, a level
+    at a time, and its leaf steps are summed in tree order.  A pattern's
+    margin depends on no other pattern, so the order in which patterns are
+    found is free."""
     k = len(model.trees) if num_trees is None else num_trees
     if not 0 <= k <= len(model.trees):
         raise ValueError(f"num_trees must be in [0, {len(model.trees)}], got {k}")
-    X_csr = _binary_csr(X)
-    n, width = X_csr.shape
+    n, width = shape
     if width != model.num_features:
         raise ValueError(f"X has {width} features, the model {model.num_features}")
     forest = model._forest
@@ -460,10 +473,9 @@ def predict_gbt_margin(model: GbtModel, X, num_trees: int | None = None) -> np.n
     # row packs into at least one byte; its walk reads none
     used = max(len(forest.used), 1)
     present = np.zeros((n, used), dtype=bool)
-    column = forest.column[X_csr.indices]
-    row = np.repeat(np.arange(n), np.diff(X_csr.indptr))
+    column = forest.column[columns]
     kept = column >= 0
-    present[row[kept], column[kept]] = True
+    present[rows[kept], column[kept]] = True
     packed = np.packbits(present, axis=1)
     _, first, inverse = np.unique(
         packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True

@@ -57,6 +57,7 @@ from .learners import (
     LinearModel,
     LinParams,
     predict_gbt_batch,
+    predict_gbt_pairs,
     predict_logreg,
     train_gbt,
     train_l1_logreg,
@@ -394,7 +395,8 @@ def fit_sla(
         line_hits = features.at(hyper.line_ngram_n)
         y_lines = np.concatenate([build_line_labels(d, attribute) for d in docs])
         line_scorer = train_gbt(line_hits.lines, y_lines, hyper.gbt)
-        # rows score independently, so one call gives each document's scores
+        # rows score independently, so one call gives each document's scores;
+        # the line matrix is built for training anyway
         line_scores = predict_gbt_batch(line_scorer, line_hits.lines)
     elif selector == "rules":
         if keyword_rules is None:
@@ -461,7 +463,9 @@ def predict_featurized(
         gold_lines = [None] * len(doc_lines)
     hyper, line_scores = model.hyper, None
     if model.line_scorer is not None:
-        line_scores = predict_gbt_batch(model.line_scorer, features.at(hyper.line_ngram_n).lines)
+        # scored from the hits, so serving never builds the line matrix
+        entries = features.at(hyper.line_ngram_n).line_entries
+        line_scores = predict_gbt_pairs(model.line_scorer, *entries)
     selections = _select(
         model.variant, hyper.k, model.keyword_rules, doc_lines, gold_lines, line_scores
     )

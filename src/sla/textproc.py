@@ -68,7 +68,8 @@ def _clean(text: str) -> str:
     """Every normalization rule but the split into tokens.  None reaches
     across a "\\n", so ``text`` may hold several lines."""
     text = _PAD_RE.sub(r" \1 ", text.lower().translate(_REMOVE_CHARS))
-    return _NULL_RE.sub(" ", text)
+    # the word rule matches nowhere that the substring does not occur
+    return _NULL_RE.sub(" ", text) if "null" in text else text
 
 
 def tokenize(raw: str) -> tuple[str, ...]:
@@ -247,23 +248,29 @@ class Hits:
     def dimension(self) -> int:
         return self.vocab.dimension
 
+    @property
+    def line_entries(self) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+        """The (line, column) of each hit inside one line, and the shape of
+        one row per line: ``lines`` as ``to_csr`` arguments, which stage 1
+        scores without building it."""
+        inside = self.first == self.last
+        return self.first[inside], self.cols[inside], (int(self.streams[-1]), self.dimension)
+
     @cached_property
     def lines(self) -> sparse.csr_matrix:
         """One binary row per line: the n-grams inside it, which are its
         ``vectorize`` row."""
-        inside = self.first == self.last
-        shape = (int(self.streams[-1]), self.dimension)
-        return to_csr(self.first[inside], self.cols[inside], shape)
+        return to_csr(*self.line_entries)
 
     @cached_property
     def documents(self) -> sparse.csr_matrix:
         """One binary row per stream: the union of its lines' rows, the
         n-grams inside each of its lines.  An n-gram that crosses lines is
         not in it."""
-        inside = self.first == self.last
+        line, cols, _ = self.line_entries
         # a line's stream is the last one to start at or before it
-        stream = np.searchsorted(self.streams, self.first[inside], side="right") - 1
-        return to_csr(stream, self.cols[inside], (len(self.streams) - 1, self.dimension))
+        stream = np.searchsorted(self.streams, line, side="right") - 1
+        return to_csr(stream, cols, (len(self.streams) - 1, self.dimension))
 
     def within(self, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each distinct (span, column) of the hits whose first and last

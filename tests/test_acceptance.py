@@ -1,9 +1,11 @@
 """End-to-end acceptance checks for the whole package.
 
 Each test prints exactly one "criterion N: PASS/FAIL" line (run pytest
-with -s to see them all).  The comparative checks 1-4 train real models
-on synthetic corpora with five seeds each, so this module takes a few
-minutes; everything is deterministic.
+with -s to see them all), and where ``criteria.txt`` was made, fails if
+the line is not the one listed there (see ``criterion_lines.py``).  The
+comparative checks 1-4 train real models on synthetic corpora with five
+seeds each, so this module takes a few minutes; everything is
+deterministic.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import criterion_lines
 from sla import cli, evaluation, stage, synth, tuning
 from sla.corpus import (
     compose_label,
@@ -39,8 +42,12 @@ SEEDS = range(5)
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
-    print(f"\ncriterion {number}: {'PASS' if ok else 'FAIL'} ({detail})")
+    line = f"criterion {number}: {'PASS' if ok else 'FAIL'} ({detail})"
+    print("\n" + line)
     assert ok, f"criterion {number}: {detail}"
+    # the checked-in line, where it was made: a bit-for-bit change keeps it
+    mismatch = criterion_lines.check(line)
+    assert mismatch is None, mismatch
 
 
 def gold(doc, attribute):

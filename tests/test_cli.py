@@ -518,13 +518,13 @@ def test_predict_scores_every_line_with_one_stage1_call(workdir, capsys, tmp_pat
                        "--out", str(model))
     assert code == 0, err
     rows = []
-    real = pipeline.predict_gbt_batch
+    real = pipeline.predict_gbt_pairs
 
-    def counting(model, X):
-        rows.append(X.shape[0])
-        return real(model, X)
+    def counting(model, line, column, shape):
+        rows.append(shape[0])
+        return real(model, line, column, shape)
 
-    monkeypatch.setattr(pipeline, "predict_gbt_batch", counting)
+    monkeypatch.setattr(pipeline, "predict_gbt_pairs", counting)
     code, _, err = run(capsys, "predict", "--model", str(model),
                        "--corpus", str(corpus), "--out", str(preds))
     assert code == 0, err

@@ -9,6 +9,7 @@ from sla.learners import (
     GbtParams,
     predict_gbt_batch,
     predict_gbt_margin,
+    predict_gbt_pairs,
     train_gbt,
 )
 
@@ -257,3 +258,18 @@ def test_predict_margin_refuses_what_it_cannot_score():
         predict_gbt_margin(model, stored_zero)
     with pytest.raises(ValueError, match="binary"):
         predict_gbt_batch(model, dense_to_csr([(2.0, 0, 0)]))
+
+
+def test_predict_pairs_scores_the_matrix_the_pairs_build():
+    X = dense_to_csr(STUMP_X)
+    model = train_gbt(X, STUMP_Y, GbtParams(num_rounds=4, max_depth=2))
+    rows, cols = X.nonzero()
+    # every pair twice, in reverse order: presence, as to_csr reads them
+    rows, cols = np.r_[rows, rows][::-1], np.r_[cols, cols][::-1]
+    got = predict_gbt_pairs(model, rows, cols, X.shape)
+    assert got.tobytes() == predict_gbt_batch(model, X).tobytes()
+    # rows without a pair are all-absent rows, the last row included
+    empty = predict_gbt_pairs(model, np.array([], int), np.array([], int), (2, 3))
+    assert empty.tobytes() == predict_gbt_batch(model, sparse.csr_matrix((2, 3))).tobytes()
+    with pytest.raises(ValueError, match="features"):
+        predict_gbt_pairs(model, rows, cols, (len(STUMP_X), 4))

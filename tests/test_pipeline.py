@@ -39,7 +39,15 @@ from sla.pipeline import (
     select_top_k,
     train_sla,
 )
-from sla.learners import GbtParams, LinParams, predict_gbt_batch, predict_logreg, train_l1_logreg
+from sla.learners import (
+    GbtParams,
+    LinParams,
+    TreeNode,
+    predict_gbt_batch,
+    predict_gbt_pairs,
+    predict_logreg,
+    train_l1_logreg,
+)
 from sla.textproc import build_vocabulary, find_ngrams, tokenize, tokenize_lines, vectorize
 
 
@@ -482,6 +490,56 @@ def test_every_served_batch_makes_one_finder_call(monkeypatch, variant, line_n, 
         scored = variant in SCORED_VARIANTS
         assert [v.max_n for v in calls] == [max(line_n, final_n) if scored else final_n]
         assert [_bits(p) for p in batch] == expect
+
+
+def test_stage_one_scores_from_hits_equal_the_line_matrix_scores_bit_for_bit():
+    """Serving scores each line from its hits inside the line, never
+    building the line matrix; the scores must be the line scorer's on that
+    matrix, byte for byte, for every prefix of the forest."""
+    docs = tiny_corpus(n=30, seed=23)
+    hyper = SlaHyperParams(line_ngram_n=2, final_ngram_n=3, k=2,
+                           gbt=GbtParams(num_rounds=10, seed=0))
+    model = train_sla(docs[:20], "grade", hyper=hyper)
+    scorer, vocab = model.line_scorer, model.vocab
+    # blank lines, and a line of words the vocabulary does not know
+    odd = Report(id="odd", cancer="colon", lines=("", "Grade: 2", "", "zzz qqq", ""))
+    forests = [dataclasses.replace(scorer, trees=scorer.trees[:t]) for t in (0, 1, 4, 10)]
+    forests.append(dataclasses.replace(scorer, trees=[TreeNode(value=0.5)] * 3))  # no split
+    assert all(t.feature is not None for t in scorer.trees)
+    for reports in ([d.report for d in docs[20:]] + [odd], [odd]):
+        hits = find_ngrams([tokenize_lines(r) for r in reports], vocab).at(2)
+        # n-grams that cross lines, in the batch of several reports
+        assert np.any(hits.first != hits.last) == (len(reports) > 1)
+        got = [predict_gbt_pairs(forest, *hits.line_entries) for forest in forests]
+        assert "lines" not in hits.__dict__
+        for forest, scores in zip(forests, got):
+            assert scores.tobytes() == predict_gbt_batch(forest, hits.lines).tobytes()
+        assert len(got[0]) == sum(len(r.lines) for r in reports)
+
+
+@pytest.mark.parametrize("line_n, final_n", [(3, 3), (2, 3)])
+def test_serving_scores_each_line_from_its_own_hits_without_the_line_matrix(line_n, final_n):
+    docs = tiny_corpus(n=30, seed=23)
+    hyper = SlaHyperParams(line_ngram_n=line_n, final_ngram_n=final_n, k=2,
+                           gbt=GbtParams(num_rounds=10, seed=0))
+    model = train_sla(docs[:20], "grade", hyper=hyper)
+    doc_lines = [tokenize_lines(d.report) for d in docs[20:]]
+    hits = find_ngrams(doc_lines, model.vocab)
+    line_hits = hits.at(line_n)
+    # a stump on an n-gram that also crosses lines here: only the lines that
+    # hold it inside count, as in their line rows
+    crossing = line_hits.cols[line_hits.first != line_hits.last]
+    stump = TreeNode(feature=int(crossing[0]), left=TreeNode(value=-1.0),
+                     right=TreeNode(value=1.0))
+    for scorer in (model.line_scorer, dataclasses.replace(model.line_scorer, trees=[stump])):
+        served = dataclasses.replace(model, line_scorer=scorer)
+        predictions = pipeline.predict_featurized(served, doc_lines, hits)
+        assert "lines" not in hits.__dict__
+        assert "lines" not in line_hits.__dict__
+        for lines, pred in zip(doc_lines, predictions, strict=True):
+            scores = predict_gbt_batch(scorer, vectorize(lines, served.line_vocab))
+            expect = join_adjacent(select_top_k(scores, 2), scores, k=2)
+            assert pred.rationale == expect
 
 
 def test_model_bundle_keeps_learner_hyperparameters():

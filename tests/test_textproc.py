@@ -119,6 +119,19 @@ def test_tokenize_lines_equals_the_per_line_reference(lines):
     assert [tokenize(line) for line in lines] == [_ref_tokenize(line) for line in lines]
 
 
+@pytest.mark.parametrize("text", [
+    "value null reported", "null", "NULL", "Null value", "nUlL",  # the word, any case
+    "nullify", "annulled", "nullnull", "null_x",  # inside a longer word
+    "null.", "(null)", "null,", "x:null", "null/none", "a.null", "null;null", "-null-",
+    "margins:NULL.", "no null here and null",
+])
+def test_tokenize_deletes_null_as_the_frozen_tokenizer_does(text):
+    # the word rule runs only on text that holds "null", lowercased
+    assert tokenize(text) == _ref_tokenize(text)
+    report = Report(id="r", cancer="colon", lines=(text, "grade", text))
+    assert tokenize_lines(report) == [_ref_tokenize(text), ("grade",), _ref_tokenize(text)]
+
+
 def test_tokenize_lines_keeps_source_indices():
     report = Report(id="r1", cancer="colon", lines=("First Line.", "grade:2"))
     assert tokenize_lines(report) == [("first", "line"), ("grade", ":", "2")]

@@ -6,7 +6,7 @@ import pytest
 from sla import pipeline, tuning
 from sla.corpus import CorpusError, gold_label, load_schemas
 from sla.evaluation import micro_f1
-from sla.learners import GbtParams, LinParams, predict_gbt_batch
+from sla.learners import GbtParams, LinParams, predict_gbt_batch, predict_gbt_pairs
 from sla.pipeline import SlaHyperParams
 from sla.textproc import build_vocabulary, tokenize_lines
 from sla.tuning import (
@@ -102,18 +102,25 @@ def test_cross_validate_is_deterministic_and_scores_sane():
 
 
 def test_cross_validate_scores_lines_once_per_fit_and_per_held_out_fold(monkeypatch):
-    rows = []
+    trained, held = [], []
 
-    def counting(model, X):
-        rows.append(X.shape[0])
+    def counting_matrix(model, X):
+        trained.append(X.shape[0])
         return predict_gbt_batch(model, X)
 
-    monkeypatch.setattr(pipeline, "predict_gbt_batch", counting)
+    def counting_pairs(model, line, column, shape):
+        held.append(shape[0])
+        return predict_gbt_pairs(model, line, column, shape)
+
+    monkeypatch.setattr(pipeline, "predict_gbt_batch", counting_matrix)
+    monkeypatch.setattr(pipeline, "predict_gbt_pairs", counting_pairs)
     docs = tiny_corpus(n=24, seed=31)
     cross_validate(docs, "grade", {"k": 2, "num_rounds": 10}, folds=4, variant="sla")
-    # each fold: one call over its training lines, one over its held-out lines
-    assert len(rows) == 8
-    assert sum(rows) == 4 * sum(len(d.report.lines) for d in docs)
+    # each fold: one call over its training lines' matrix, one over its
+    # held-out lines' hits
+    assert len(trained) == len(held) == 4
+    lines = sum(len(d.report.lines) for d in docs)
+    assert (sum(trained), sum(held)) == (3 * lines, lines)
 
 
 def _ref_cross_validate(train_docs, attribute, config, folds, variant, seed, schemas=None):
