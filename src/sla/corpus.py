@@ -14,6 +14,7 @@ highlight set (nothing in the report supports it).
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
@@ -296,20 +297,33 @@ def _field_kinds(cls) -> dict:
     return {f.name: get_type_hints(cls)[f.name] for f in fields(cls) if f.init}
 
 
+def _all_finite(numbers: Sequence) -> bool:
+    """Whether each of ``numbers`` is a finite float or an integer that a
+    float can hold, checked at C speed."""
+    try:
+        return all(map(math.isfinite, numbers))
+    except OverflowError:
+        return False
+
+
 def read_json(value, kind, what: str, optional: Iterable[str] = ()):
     """``value``, as ``json.load`` gives it, read as the type ``kind``:
     ``dict``, ``list``, ``str``, ``int``, ``float`` (any number), ``bool``,
     ``X | None``, ``tuple[X, ...]``, ``tuple[X, Y]``, ``dict[str, X]``, or
     a dataclass, built from a JSON object of its fields, each read by its
     annotation.  A key that is not a field, a field without its key that
-    ``optional`` does not name (at any depth), or a value of another type
-    is a ValueError naming ``what`` and the path to the value.  Numbers are
-    kept as given: an integer read as a float stays an integer."""
+    ``optional`` does not name (at any depth), a value of another type, or
+    a float that is NaN or infinite (``json.load`` reads them) or an
+    integer too large for one is a ValueError naming ``what`` and the path
+    to the value.  Numbers are kept as given: an integer read as a float
+    stays an integer."""
     scalar = _JSON_KINDS.get(kind)
     if scalar is not None:
-        if type(value) in scalar[1]:
-            return value
-        raise ValueError(f"{what} must be {scalar[0]}, got {type(value).__name__}")
+        if type(value) not in scalar[1]:
+            raise ValueError(f"{what} must be {scalar[0]}, got {type(value).__name__}")
+        if kind is float and not _all_finite((value,)):
+            raise ValueError(f"{what} must be a finite number, got {value}")
+        return value
     if isinstance(kind, type) and is_dataclass(kind):
         payload = read_json(value, dict, what)
         kinds = _field_kinds(kind)
@@ -333,7 +347,9 @@ def read_json(value, kind, what: str, optional: Iterable[str] = ()):
         items = read_json(value, list, what)
         if args[1:] == (...,):
             # an array of scalars is checked at C speed when it is right
-            if set(map(type, items)) <= _JSON_KINDS.get(args[0], ("", set()))[1]:
+            if set(map(type, items)) <= _JSON_KINDS.get(args[0], ("", set()))[1] and (
+                args[0] is not float or _all_finite(items)
+            ):
                 return tuple(items)
             args = args[:1] * len(items)
         elif len(items) != len(args):

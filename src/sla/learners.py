@@ -99,140 +99,113 @@ class GbtParams:
             raise ValueError("num_rounds must be >= 0")
 
 
-@dataclass
-class TreeNode:
-    """Binary tree over presence features: left = absent, right = present."""
+# a forest's node table as it is built: lists of the ``GbtModel`` fields
+# trees, feature, left, right and value
+_Table = tuple[list, list, list, list, list]
 
-    feature: int | None = None
-    value: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+def _add_node(table: _Table, root: bool = False) -> int:
+    """Append a leaf of value 0 to ``table``, as a tree's root if ``root``,
+    and return its node."""
+    trees, feature, left, right, value = table
+    i = len(feature)
+    feature.append(-1)
+    left.append(i)
+    right.append(i)
+    value.append(0.0)
+    if root:
+        trees.append(i)
+    return i
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": self.value}
-        return {
-            "feature": self.feature,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
 
-    @classmethod
-    def from_dict(cls, payload: dict, num_features: int, what: str = "tree node") -> "TreeNode":
-        """The tree ``payload`` holds, whose splits must fall on features in
-        [0, ``num_features``); any other payload is a ValueError naming
-        ``what``, the node's place in the tree."""
-        read_json(payload, dict, what)
-        if "value" in payload:
-            return cls(value=float(read_json(payload["value"], float, f"{what} key 'value'")))
-        feature = read_json(payload["feature"], int, f"{what} key 'feature'")
-        if not 0 <= feature < num_features:
-            raise ValueError(f"{what} key 'feature' must be in [0, {num_features}), got {feature}")
-        return cls(
-            feature=feature,
-            left=cls.from_dict(payload["left"], num_features, f"{what}.left"),
-            right=cls.from_dict(payload["right"], num_features, f"{what}.right"),
-        )
+def _as_arrays(table: _Table) -> tuple[np.ndarray, ...]:
+    """The lists of ``table`` as the arrays ``GbtModel`` holds."""
+    return (*(np.array(a, dtype=np.int64) for a in table[:4]), np.array(table[4], dtype=float))
 
 
 @dataclass
 class GbtModel:
+    """A boosted forest as one node table over binary presence features.
+    Node i splits on ``feature[i]``, with ``left[i]`` its absent child and
+    ``right[i]`` its present child, or is a leaf of ``value[i]``: feature
+    -1, and its own left and right child, so a walk that reaches it stays.
+    ``trees`` holds each tree's root node, and each tree's nodes follow its
+    root breadth first.  The table must not change after its first
+    scoring."""
+
     params: GbtParams
     base_score: float
-    trees: list[TreeNode]
+    trees: np.ndarray
+    feature: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
     num_features: int
 
     @cached_property
-    def _forest(self) -> "_Forest":
-        """The trees compiled for scoring, on first use; the trees must not
-        change after it."""
-        return _compile_forest(self)
+    def _splits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The features the table splits on, ascending; each model feature's
+        index among them, or -1; each node's split as that index (0 at a
+        leaf); and the levels of the deepest tree."""
+        used = np.unique(self.feature[self.feature >= 0])
+        column = np.full(self.num_features, -1)
+        column[used] = np.arange(len(used))
+        depth, level = 0, self.trees[self.feature[self.trees] >= 0]
+        while len(level):
+            depth += 1
+            level = np.concatenate((self.left[level], self.right[level]))
+            level = level[self.feature[level] >= 0]
+        return used, column, np.searchsorted(used, self.feature), depth
 
     def to_dict(self) -> dict:
+        feature, left, right, value = (
+            a.tolist() for a in (self.feature, self.left, self.right, self.value)
+        )
+
+        def tree(i: int) -> dict:
+            if feature[i] < 0:
+                return {"value": value[i]}
+            return {"feature": feature[i], "left": tree(left[i]), "right": tree(right[i])}
+
         return {
             "params": asdict(self.params),
             "base_score": self.base_score,
             "num_features": self.num_features,
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": [tree(i) for i in self.trees.tolist()],
         }
 
     @classmethod
     def from_dict(cls, payload: dict, num_features: int, what: str = "gbt model") -> "GbtModel":
-        """The model ``payload`` holds, over ``num_features`` features; a
-        value of the wrong JSON type or another width is a ValueError
-        naming ``what`` and its key."""
+        """The model ``payload`` holds, over ``num_features`` features, its
+        trees nested JSON objects of a ``value`` or a ``feature`` in [0,
+        ``num_features``) and a ``left`` and a ``right`` node; a value of
+        the wrong JSON type or another width is a ValueError naming
+        ``what``, its key and the node's place in its tree."""
         read_json(payload, dict, what)
         width = read_json(payload["num_features"], int, f"{what} key 'num_features'")
         if width != num_features:
             raise ValueError(f"{what} key 'num_features' must be {num_features}, got {width}")
         trees = read_json(payload["trees"], list, f"{what} key 'trees'")
-        return cls(
-            params=read_json(payload["params"], GbtParams, f"{what} params"),
-            base_score=float(read_json(payload["base_score"], float, f"{what} key 'base_score'")),
-            trees=[
-                TreeNode.from_dict(t, num_features, f"{what} trees[{i}]")
-                for i, t in enumerate(trees)
-            ],
-            num_features=num_features,
-        )
-
-
-@dataclass(frozen=True)
-class _Forest:
-    """A forest as flat arrays over padded (trees x width) node slots: node
-    i of tree t sits at t * width + i, breadth first from the root.  A leaf
-    is its own left and right child, so a walk that reaches it stays."""
-
-    used: np.ndarray  # the features some tree splits on, ascending
-    column: np.ndarray  # model feature -> its index in ``used``, or -1
-    feature: np.ndarray  # slot -> index in ``used`` of its split (0 at a leaf)
-    left: np.ndarray  # slot -> slot of the absent child
-    right: np.ndarray  # slot -> slot of the present child
-    step: np.ndarray  # slot -> learning_rate * leaf value (0 off the leaves)
-    roots: np.ndarray  # tree -> slot of its root
-    depth: int  # levels of the deepest tree
-
-
-def _compile_forest(model: GbtModel) -> _Forest:
-    tables = []  # per tree, (feature or -1, left, right, value) per node
-    depth = 0
-    for root in model.trees:
-        order, table = [(root, 0)], []
-        for node, level in order:  # grows as it is read: breadth first
-            depth = max(depth, level)
-            if node.is_leaf:
-                table.append((-1, len(table), len(table), node.value))
-            else:
-                table.append((node.feature, len(order), len(order) + 1, 0.0))
-                order += [(node.left, level + 1), (node.right, level + 1)]
-        tables.append(table)
-    width = max(map(len, tables), default=1)
-    slots = np.arange(len(tables) * width).reshape(len(tables), width)
-    split, left, right = np.full(slots.shape, -1), slots.copy(), slots.copy()
-    value = np.zeros(slots.shape)
-    for t, table in enumerate(tables):
-        f, lo, hi, v = (np.array(c) for c in zip(*table))
-        split[t, : len(table)] = f
-        left[t, : len(table)] = slots[t, lo]
-        right[t, : len(table)] = slots[t, hi]
-        value[t, : len(table)] = v
-    used = np.unique(split[split >= 0])
-    column = np.full(model.num_features, -1)
-    column[used] = np.arange(len(used))
-    return _Forest(
-        used=used,
-        column=column,
-        feature=np.searchsorted(used, split).ravel(),
-        left=left.ravel(),
-        right=right.ravel(),
-        step=model.params.learning_rate * value.ravel(),
-        roots=slots[:, 0],
-        depth=depth,
-    )
+        params = read_json(payload["params"], GbtParams, f"{what} params")
+        base_score = float(read_json(payload["base_score"], float, f"{what} key 'base_score'"))
+        table: _Table = [], [], [], [], []
+        _, feature, left, right, value = table
+        for t, root in enumerate(trees):
+            order = [(_add_node(table, root=True), root, f"{what} trees[{t}]")]
+            for i, node, where in order:  # grows as it is read: breadth first
+                read_json(node, dict, where)
+                if "value" in node:
+                    value[i] = read_json(node["value"], float, f"{where} key 'value'")
+                    continue
+                f = read_json(node["feature"], int, f"{where} key 'feature'")
+                if not 0 <= f < num_features:
+                    raise ValueError(
+                        f"{where} key 'feature' must be in [0, {num_features}), got {f}"
+                    )
+                feature[i], left[i], right[i] = f, _add_node(table), _add_node(table)
+                order += [(left[i], node["left"], f"{where}.left"),
+                          (right[i], node["right"], f"{where}.right")]
+        return cls(params, base_score, *_as_arrays(table), num_features)
 
 
 _MIN_GAIN = 1e-12
@@ -254,8 +227,10 @@ def _grow_tree(
     hess: np.ndarray,
     params: GbtParams,
     out_of_bag: np.ndarray,
-) -> tuple[TreeNode, list[tuple[float, np.ndarray]]]:
-    """Grow one tree level by level on the given row subset.
+    table: _Table,
+) -> list[tuple[float, np.ndarray]]:
+    """Grow one tree level by level on the given row subset, appending its
+    nodes to ``table`` breadth first as it splits them.
 
     ``XT`` holds the ``columns`` of the binary X as CSR rows, each row's
     sample indices ascending; a split on row b of ``XT`` is recorded as
@@ -273,11 +248,11 @@ def _grow_tree(
     n_total = XT.shape[1]
     lam = params.l2_lambda
     gamma = params.min_split_loss
-    root = TreeNode()
+    _, feature, left, right, value = table
     leaves: list[tuple[float, np.ndarray]] = []
-    # each open node is filled in place: a leaf value or a split
-    frontier: list[tuple[TreeNode, np.ndarray, int]] = [
-        (root, np.concatenate((rows, out_of_bag)), len(rows))
+    # each open node is a leaf of the table until it takes its value or splits
+    frontier: list[tuple[int, np.ndarray, int]] = [
+        (_add_node(table, root=True), np.concatenate((rows, out_of_bag)), len(rows))
     ]
     col_mark = np.zeros(n_total, dtype=bool)
     indptr, col_indices = XT.indptr, XT.indices
@@ -288,8 +263,8 @@ def _grow_tree(
         if depth == params.max_depth:
             for node, nrows, m in frontier:
                 g, h = grad[nrows[:m]].sum(), hess[nrows[:m]].sum()
-                node.value = float(_leaf_value(g, h, lam))
-                leaves.append((node.value, nrows))
+                value[node] = float(_leaf_value(g, h, lam))
+                leaves.append((value[node], nrows))
             break
 
         F = len(frontier)
@@ -319,24 +294,26 @@ def _grow_tree(
         best_j = np.argmax(gain, axis=1)
         best_gain = gain[np.arange(F), best_j]
 
-        next_frontier: list[tuple[TreeNode, np.ndarray, int]] = []
+        next_frontier: list[tuple[int, np.ndarray, int]] = []
         for i, (node, nrows, m) in enumerate(frontier):
             if m < 2 or not best_gain[i] > _MIN_GAIN:
-                node.value = float(_leaf_value(Gt[i], Ht[i], lam))
-                leaves.append((node.value, nrows))
+                value[node] = float(_leaf_value(Gt[i], Ht[i], lam))
+                leaves.append((value[node], nrows))
                 continue
             j = best_j[i]
             col_rows = col_indices[indptr[j] : indptr[j + 1]]
             col_mark[col_rows] = True
-            right = col_mark[nrows]
+            present = col_mark[nrows]
             col_mark[col_rows] = False
-            m_right = int(np.count_nonzero(right[:m]))
-            node.feature, node.left, node.right = int(columns[j]), TreeNode(), TreeNode()
-            next_frontier.append((node.left, nrows[~right], m - m_right))
-            next_frontier.append((node.right, nrows[right], m_right))
+            m_present = int(np.count_nonzero(present[:m]))
+            feature[node], left[node], right[node] = (
+                int(columns[j]), _add_node(table), _add_node(table)
+            )
+            next_frontier.append((left[node], nrows[~present], m - m_present))
+            next_frontier.append((right[node], nrows[present], m_present))
         frontier = next_frontier
 
-    return root, leaves
+    return leaves
 
 
 def _column_hash(X_csc: sparse.csc_matrix) -> np.ndarray:
@@ -420,7 +397,7 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
     # identical columns score alike, and argmax keeps the earliest of them
     columns = _distinct_columns(X_csc)
     XT = X_csc.T[columns]
-    trees: list[TreeNode] = []
+    table: _Table = [], [], [], [], []
     for _ in range(params.num_rounds):
         rows = all_rows
         if params.subsample < 1.0:
@@ -431,12 +408,11 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
         p = _sigmoid(margins)
         grad = p - y_arr
         hess = p * (1.0 - p)
-        tree, leaves = _grow_tree(XT, columns, rows, grad, hess, params, out_of_bag)
+        leaves = _grow_tree(XT, columns, rows, grad, hess, params, out_of_bag, table)
         for value, leaf_rows in leaves:
             margins[leaf_rows] += params.learning_rate * value
-        trees.append(tree)
 
-    return GbtModel(params=params, base_score=base, trees=trees, num_features=X_csr.shape[1])
+    return GbtModel(params, base, *_as_arrays(table), X_csr.shape[1])
 
 
 def predict_gbt_margin(model: GbtModel, X, num_trees: int | None = None) -> np.ndarray:
@@ -468,12 +444,12 @@ def _forest_margins(model: GbtModel, rows, columns, shape, num_trees: int | None
     n, width = shape
     if width != model.num_features:
         raise ValueError(f"X has {width} features, the model {model.num_features}")
-    forest = model._forest
+    used, column_of, split, depth = model._splits
     # a forest without a split still gets one (absent) feature, so that every
     # row packs into at least one byte; its walk reads none
-    used = max(len(forest.used), 1)
-    present = np.zeros((n, used), dtype=bool)
-    column = forest.column[columns]
+    n_used = max(len(used), 1)
+    present = np.zeros((n, n_used), dtype=bool)
+    column = column_of[columns]
     kept = column >= 0
     present[rows[kept], column[kept]] = True
     packed = np.packbits(present, axis=1)
@@ -481,13 +457,14 @@ def _forest_margins(model: GbtModel, rows, columns, shape, num_trees: int | None
         packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True
     )
 
-    node = np.tile(forest.roots, (len(first), 1))
-    at = (first * used)[:, None]  # where each pattern's row starts in ``present``
+    node = np.tile(model.trees, (len(first), 1))
+    at = (first * n_used)[:, None]  # where each pattern's row starts in ``present``
     flat = present.ravel()
-    for _ in range(forest.depth):
-        go_right = flat[at + forest.feature[node]]
-        node = np.where(go_right, forest.right[node], forest.left[node])
-    terms = np.column_stack((np.full(len(first), model.base_score), forest.step[node]))
+    for _ in range(depth):
+        go_right = flat[at + split[node]]
+        node = np.where(go_right, model.right[node], model.left[node])
+    step = model.params.learning_rate * model.value[node]
+    terms = np.column_stack((np.full(len(first), model.base_score), step))
     return np.cumsum(terms, axis=1)[inverse, k]
 
 

@@ -194,15 +194,20 @@ class Vocabulary:
     @classmethod
     def from_dict(cls, payload: dict, what: str = "vocabulary") -> "Vocabulary":
         """The vocabulary ``payload`` holds; a value of the wrong JSON type,
-        or an n-gram listed twice, is a ValueError naming ``what`` and its
-        key."""
+        an n-gram listed twice, or one of more than ``max_n`` tokens, which
+        ``find_ngrams`` could never find, is a ValueError naming ``what``
+        and its key."""
         ngrams = read_json(payload["ngrams"], tuple[str, ...], f"{what} key 'ngrams'")
         mapping = {k: i for i, k in enumerate(ngrams)}
         if len(mapping) != len(ngrams):
             raise ValueError(f"{what} key 'ngrams' lists an n-gram twice")
+        max_n = read_json(payload["max_n"], int, f"{what} key 'max_n'")
+        over = [gram for gram in ngrams if gram.count(" ") >= max_n]
+        if over:
+            raise ValueError(f"{what} key 'ngrams' holds {over[0]!r}, of more than {max_n} tokens")
         return cls(
             ngram_to_index=mapping,
-            max_n=read_json(payload["max_n"], int, f"{what} key 'max_n'"),
+            max_n=max_n,
             min_count=read_json(payload["min_count"], int, f"{what} key 'min_count'"),
             unk_token=read_json(payload.get("unk_token", UNK), str, f"{what} key 'unk_token'"),
         )

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -287,6 +288,16 @@ def _set_dotted(bundle, dotted, value):
 _FAR_SPLIT = {"feature": 10**9, "left": {"value": 0.0}, "right": {"value": 0.0}}
 
 
+def _over_long(ngrams):
+    """``ngrams`` with its last entry, the greatest n-gram, which no other
+    extends, replaced by one of its longest n-grams and one more of its
+    words: an n-gram one token longer than the vocabulary's order, which
+    serving never finds."""
+    rest = ngrams[:-1]
+    longest = max(rest, key=lambda gram: gram.count(" "))
+    return rest + [f"{longest} {longest.split()[0]}"]
+
+
 @pytest.mark.parametrize("method, dotted, value, message", [
     ("sla", "line_scorer.trees.0", [], "line_scorer trees[0] must be a JSON object, got list"),
     ("sla", "line_scorer.trees.0", _FAR_SPLIT,
@@ -331,6 +342,21 @@ _FAR_SPLIT = {"feature": 10**9, "left": {"value": 0.0}, "right": {"value": 0.0}}
      "sla model bundle hyper key 'gbt' key 'num_rounds' must be an integer, got float"),
     ("sla", "hyper.gbt.seed", True,
      "sla model bundle hyper key 'gbt' key 'seed' must be an integer, got bool"),
+    # json.load reads NaN and Infinity as numbers, and an integer of any size
+    ("sla", "line_scorer.trees.0", {**_FAR_SPLIT, "feature": 0, "left": {"value": -math.inf}},
+     "line_scorer trees[0].left key 'value' must be a finite number, got -inf"),
+    ("sla", "line_scorer.base_score", math.inf,
+     "sla model bundle line_scorer key 'base_score' must be a finite number, got inf"),
+    ("sla", "final_classifier.weights.1.2", math.inf,
+     "final_classifier key 'weights'[1][2] must be a finite number, got inf"),
+    ("sla", "final_classifier.intercepts.0", math.nan,
+     "final_classifier key 'intercepts'[0] must be a finite number, got nan"),
+    ("doc-logreg", "linear.weights.0.0", -math.inf,
+     "linear key 'weights'[0][0] must be a finite number, got -inf"),
+    ("sla", "final_classifier.weights.0.1", lambda _: 10**400,
+     "final_classifier key 'weights'[0][1] must be a finite number, got 1000"),
+    ("rules", "final_vocab.ngrams", _over_long, "final_vocab key 'ngrams' holds '"),
+    ("doc-logreg", "vocab.ngrams", _over_long, "vocab key 'ngrams' holds '"),
 ])
 def test_predict_names_a_nested_bundle_value_of_the_wrong_type(workdir, bundles, capsys,
                                                              tmp_path, method, dotted, value,
@@ -549,6 +575,10 @@ def test_train_rejects_unknown_params_keys(workdir, capsys, tmp_path):
     ({"k": 2.0}, "sla config key 'k' must be an integer, got float"),
     ({"line_ngram_n": "2"}, "sla config key 'line_ngram_n' must be an integer, got str"),
     ({"num_rounds": 1.5, "k": 1}, "sla config key 'num_rounds' must be an integer, got float"),
+    # json.load reads NaN and Infinity as numbers
+    ({"C": math.nan}, "sla config key 'C' must be a finite number, got nan"),
+    ({"learning_rate": math.inf},
+     "sla config key 'learning_rate' must be a finite number, got inf"),
 ])
 def test_train_refuses_a_params_value_of_the_wrong_type(workdir, capsys, tmp_path, params,
                                                          message):

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import pytest
@@ -237,6 +238,34 @@ def test_read_json_names_unknown_and_missing_keys():
         read_json({"left": 1, "right": 2, "top": 3, "middle": 4}, _Pair, "pair")
     with pytest.raises(ValueError, match="pair must be a JSON object, got list"):
         read_json([1, 2], _Pair, "pair")
+
+
+@pytest.mark.parametrize("text, kind, message", [
+    ("NaN", float, "value must be a finite number, got nan"),
+    ("-Infinity", float | None, "value must be a finite number, got -inf"),
+    ("1e400", float, "value must be a finite number, got inf"),  # json.load overflows it
+    ("[0.5, 2, Infinity]", tuple[float, ...], r"value\[2\] must be a finite number, got inf"),
+    ("[[1.0], [NaN]]", tuple[tuple[float, ...], ...],
+     r"value\[1\]\[0\] must be a finite number, got nan"),
+    ("[1, NaN]", tuple[int, float], r"value\[1\] must be a finite number, got nan"),
+    ('{"a": 1.5, "b": -Infinity}', dict[str, float], "value key 'b' must be a finite number"),
+    (json.dumps({**asdict(GbtParams()), "learning_rate": math.inf}), GbtParams,
+     "value key 'learning_rate' must be a finite number, got inf"),
+])
+def test_read_json_refuses_a_number_that_is_not_finite(text, kind, message):
+    with pytest.raises(ValueError, match=message):
+        read_json(json.loads(text), kind, "value")
+
+
+def test_read_json_refuses_an_integer_too_large_for_a_float_where_a_number_belongs():
+    big = 10**400  # json.load reads an integer of any length
+    assert read_json([0.5, 2, -1e308, 2**1023], tuple[float, ...], "value") == (
+        0.5, 2, -1e308, 2**1023)
+    with pytest.raises(ValueError, match=r"value\[1\] must be a finite number, got 1000"):
+        read_json([0.5, big], tuple[float, ...], "value")
+    with pytest.raises(ValueError, match="value must be a finite number, got 1000"):
+        read_json(big, float, "value")
+    assert read_json(big, int, "value") == big
 
 
 # a float field may also be written as an integer, which the reader keeps

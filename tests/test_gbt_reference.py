@@ -3,12 +3,14 @@
 The functions below are the first implementation of tree growth, kept as
 the reference: each level builds three sparse (node x row) matrices of
 gradients, hessians and ones and multiplies each by X, and the margins are
-updated by walking every row through the new tree.  ``sla.learners`` must
-grow the same trees (compared through ``to_dict()``) and give the same
-margins (compared with ``tobytes()``), and its compiled scorer must give
-the margins of the reference walk on any forest.
+updated by walking every row through the new tree.  The reference's trees
+are nested dicts, the form of a model bundle.  ``sla.learners`` must grow
+the same trees (compared through ``to_dict()``) and give the same margins
+(compared with ``tobytes()``), and its node-table walk must give the
+margins of the reference walk on any forest.
 """
 
+import dataclasses
 import json
 import math
 
@@ -23,7 +25,6 @@ from sla.baselines import featurize_document
 from sla.learners import (
     GbtModel,
     GbtParams,
-    TreeNode,
     _distinct_columns,
     _sigmoid,
     predict_gbt_margin,
@@ -110,10 +111,9 @@ def _ref_grow_tree(X_csr, X_csc, rows, grad, hess, params):
     def assemble(nid):
         nd = nodes[nid]
         if "value" in nd:
-            return TreeNode(value=float(nd["value"]))
-        return TreeNode(
-            feature=nd["feature"], left=assemble(nd["left"]), right=assemble(nd["right"])
-        )
+            return {"value": float(nd["value"])}
+        return {"feature": nd["feature"], "left": assemble(nd["left"]),
+                "right": assemble(nd["right"])}
 
     return assemble(0)
 
@@ -128,17 +128,17 @@ def _ref_tree_outputs(root, X_csc):
         node, rows = stack.pop()
         if len(rows) == 0:
             continue
-        if node.is_leaf:
-            out[rows] = node.value
+        if "value" in node:
+            out[rows] = node["value"]
             continue
-        j = node.feature
+        j = node["feature"]
         col_rows = col_indices[indptr[j] : indptr[j + 1]]
         mark[col_rows] = True
         present = rows[mark[rows]]
         absent = rows[~mark[rows]]
         mark[col_rows] = False
-        stack.append((node.left, absent))
-        stack.append((node.right, present))
+        stack.append((node["left"], absent))
+        stack.append((node["right"], present))
     return out
 
 
@@ -163,14 +163,15 @@ def _ref_train_gbt(X_csr, y, params):
         tree = _ref_grow_tree(X_csr, X_csc, rows, grad, hess, params)
         margins += params.learning_rate * _ref_tree_outputs(tree, X_csc)
         trees.append(tree)
-    model = GbtModel(params=params, base_score=base, trees=trees, num_features=X_csr.shape[1])
+    model = {"params": dataclasses.asdict(params), "base_score": base,
+             "num_features": X_csr.shape[1], "trees": trees}
     return model, margins
 
 
 def assert_matches_reference(X, y, params):
     fast = train_gbt(X, y, params)
     ref, ref_margins = _ref_train_gbt(X, y, params)
-    assert fast.to_dict() == ref.to_dict()
+    assert fast.to_dict() == ref
     # the training margins and the predicted margins are the same sums
     assert predict_gbt_margin(fast, X).tobytes() == ref_margins.tobytes()
     return fast
@@ -235,7 +236,9 @@ def with_planted_duplicates(X, seed):
 
 
 def tree_depth(node):
-    return 0 if node.is_leaf else 1 + max(tree_depth(node.left), tree_depth(node.right))
+    if "value" in node:
+        return 0
+    return 1 + max(tree_depth(node["left"]), tree_depth(node["right"]))
 
 
 def doc_boost_problem(seed):
@@ -258,7 +261,7 @@ def test_stage1_trees_match_reference_at_every_depth(max_depth):
     X, y = stage1_problem(seed=max_depth, flip=0.2)
     params = GbtParams(max_depth=max_depth, num_rounds=12, seed=1)
     model = assert_matches_reference(X, y, params)
-    assert max(tree_depth(tree) for tree in model.trees) == max_depth
+    assert max(tree_depth(tree) for tree in model.to_dict()["trees"]) == max_depth
 
 
 @pytest.mark.parametrize(
@@ -326,7 +329,7 @@ def test_planted_duplicate_columns_match_reference(max_depth, subsample, min_spl
     params = GbtParams(max_depth=max_depth, subsample=subsample, min_split_loss=min_split_loss,
                        num_rounds=8, seed=max_depth)
     model = assert_matches_reference(planted, y, params)
-    assert max(tree_depth(tree) for tree in model.trees) == max_depth
+    assert max(tree_depth(tree) for tree in model.to_dict()["trees"]) == max_depth
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -364,11 +367,12 @@ def test_distinct_columns_keeps_the_first_column_of_each_row_set(monkeypatch):
 
 
 def _ref_margins(model, X_csr, num_trees):
-    """The margins of the first ``num_trees`` trees, one tree at a time."""
+    """The margins of the first ``num_trees`` trees of the model dict
+    ``model``, one tree at a time."""
     X_csc = X_csr.tocsc()
-    margins = np.full(X_csr.shape[0], model.base_score, dtype=np.float64)
-    for tree in model.trees[:num_trees]:
-        margins += model.params.learning_rate * _ref_tree_outputs(tree, X_csc)
+    margins = np.full(X_csr.shape[0], model["base_score"], dtype=np.float64)
+    for tree in model["trees"][:num_trees]:
+        margins += model["params"]["learning_rate"] * _ref_tree_outputs(tree, X_csc)
     return margins
 
 
@@ -381,27 +385,29 @@ def _ref_margins(model, X_csr, num_trees):
     num_features=st.integers(1, 40),  # packed patterns of up to five bytes
     learning_rate=st.sampled_from((0.1, 0.3, 1.0)),
 )
-def test_compiled_margins_equal_the_reference_walk(
+def test_node_table_margins_equal_the_reference_walk(
     seed, depth, num_trees, num_rows, num_features, learning_rate
 ):
     rng = np.random.default_rng(seed)
 
     def grow(level):
         if level == depth or (level > 0 and rng.random() < 0.3):
-            return TreeNode(value=float(rng.normal()))
+            return {"value": float(rng.normal())}
         feature = int(rng.integers(num_features))
-        return TreeNode(feature=feature, left=grow(level + 1), right=grow(level + 1))
+        return {"feature": feature, "left": grow(level + 1), "right": grow(level + 1)}
 
     trees = [
-        grow(0) if rng.random() < 0.8 else TreeNode(value=float(rng.normal()))
+        grow(0) if rng.random() < 0.8 else {"value": float(rng.normal())}
         for _ in range(num_trees)
     ]
-    model = GbtModel(
-        params=GbtParams(learning_rate=learning_rate),
-        base_score=float(rng.normal()),
-        trees=trees,
-        num_features=num_features,
-    )
+    payload = {
+        "params": dataclasses.asdict(GbtParams(learning_rate=learning_rate)),
+        "base_score": float(rng.normal()),
+        "num_features": num_features,
+        "trees": trees,
+    }
+    model = GbtModel.from_dict(payload, num_features)
+    assert model.to_dict() == payload
     dense = rng.random((num_rows, num_features)) < rng.uniform(0.0, 0.6)
     if num_rows:
         dense[rng.random(num_rows) < 0.4] = dense[0]  # rows that repeat a pattern
@@ -409,7 +415,7 @@ def test_compiled_margins_equal_the_reference_walk(
     X = sparse.csr_matrix(dense.astype(np.float64))
     for t in range(num_trees + 1):
         got = predict_gbt_margin(model, X, num_trees=t)
-        assert got.tobytes() == _ref_margins(model, X, t).tobytes()
+        assert got.tobytes() == _ref_margins(payload, X, t).tobytes()
 
 
 def test_round_tripped_model_scores_the_same_bits():
@@ -418,5 +424,8 @@ def test_round_tripped_model_scores_the_same_bits():
     margins = predict_gbt_margin(model, X)
     again = GbtModel.from_dict(json.loads(json.dumps(model.to_dict())), model.num_features)
     assert again.to_dict() == model.to_dict()
+    # growth and loading number the nodes alike: each tree breadth first
+    for name in ("trees", "feature", "left", "right", "value"):
+        assert getattr(again, name).tobytes() == getattr(model, name).tobytes()
     assert predict_gbt_margin(again, X).tobytes() == margins.tobytes()
-    assert margins.tobytes() == _ref_margins(model, X, len(model.trees)).tobytes()
+    assert margins.tobytes() == _ref_margins(model.to_dict(), X, len(model.trees)).tobytes()

@@ -37,10 +37,10 @@ def test_single_stump_matches_hand_derived_split():
     params = GbtParams(learning_rate=0.5, max_depth=1, num_rounds=1, l2_lambda=1.0)
     model = train_gbt(dense_to_csr(STUMP_X), STUMP_Y, params)
     assert model.base_score == 0.0
-    (tree,) = model.trees
-    assert tree.feature == 0
-    assert tree.left.value == pytest.approx(STUMP_LEAVES[0], abs=1e-12)
-    assert tree.right.value == pytest.approx(STUMP_LEAVES[1], abs=1e-12)
+    (tree,) = model.to_dict()["trees"]
+    assert tree["feature"] == 0
+    assert tree["left"]["value"] == pytest.approx(STUMP_LEAVES[0], abs=1e-12)
+    assert tree["right"]["value"] == pytest.approx(STUMP_LEAVES[1], abs=1e-12)
     for x, prob in STUMP_PROBS.items():
         got = predict_gbt_batch(model, dense_to_csr([x]))[0]
         assert got == pytest.approx(prob, abs=1e-12)
@@ -81,15 +81,15 @@ def test_first_split_agrees_with_brute_force_on_random_data():
         gain, feature = brute_force_best_split(X, grad, hess, np.arange(n), 1.0, 0.0)
         params = GbtParams(max_depth=1, num_rounds=1, l2_lambda=1.0)
         model = train_gbt(dense_to_csr(X), y.tolist(), params)
-        (tree,) = model.trees
-        if tree.is_leaf:
+        (tree,) = model.to_dict()["trees"]
+        if "value" in tree:
             assert gain <= 1e-12
         else:
             got_gain, _ = brute_force_best_split(
                 X, grad, hess, np.arange(n), 1.0, 0.0
             )
             # the chosen split must achieve the optimal gain (ties allowed)
-            col = X[:, tree.feature]
+            col = X[:, tree["feature"]]
             right = np.where(col > 0)[0]
             left = np.where(col == 0)[0]
             GL, HL = grad[left].sum(), hess[left].sum()
@@ -186,7 +186,7 @@ def test_min_split_loss_prunes_weak_splits():
     # gain of the best split is 9/7; a gamma above that forbids splitting
     params = GbtParams(max_depth=3, num_rounds=1, min_split_loss=2.0)
     model = train_gbt(dense_to_csr(STUMP_X), STUMP_Y, params)
-    assert model.trees[0].is_leaf
+    assert model.feature[model.trees[0]] == -1  # a leaf
 
 
 def test_gbt_model_roundtrip():
@@ -246,7 +246,7 @@ def test_predict_margin_checks_the_tree_count():
 
 def test_predict_margin_refuses_what_it_cannot_score():
     model = train_gbt(dense_to_csr(STUMP_X), STUMP_Y, GbtParams(max_depth=1, num_rounds=1))
-    assert model.trees[0].feature == 0
+    assert model.to_dict()["trees"][0]["feature"] == 0
     for width in (1, 4):  # too narrow, too wide
         with pytest.raises(ValueError, match="features"):
             predict_gbt_margin(model, sparse.csr_matrix((1, width)))

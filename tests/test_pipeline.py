@@ -40,9 +40,9 @@ from sla.pipeline import (
     train_sla,
 )
 from sla.learners import (
+    GbtModel,
     GbtParams,
     LinParams,
-    TreeNode,
     predict_gbt_batch,
     predict_gbt_pairs,
     predict_logreg,
@@ -504,8 +504,9 @@ def test_stage_one_scores_from_hits_equal_the_line_matrix_scores_bit_for_bit():
     # blank lines, and a line of words the vocabulary does not know
     odd = Report(id="odd", cancer="colon", lines=("", "Grade: 2", "", "zzz qqq", ""))
     forests = [dataclasses.replace(scorer, trees=scorer.trees[:t]) for t in (0, 1, 4, 10)]
-    forests.append(dataclasses.replace(scorer, trees=[TreeNode(value=0.5)] * 3))  # no split
-    assert all(t.feature is not None for t in scorer.trees)
+    no_split = {**scorer.to_dict(), "trees": [{"value": 0.5}] * 3}
+    forests.append(GbtModel.from_dict(no_split, scorer.num_features))
+    assert all("feature" in t for t in scorer.to_dict()["trees"])
     for reports in ([d.report for d in docs[20:]] + [odd], [odd]):
         hits = find_ngrams([tokenize_lines(r) for r in reports], vocab).at(2)
         # n-grams that cross lines, in the batch of several reports
@@ -529,9 +530,10 @@ def test_serving_scores_each_line_from_its_own_hits_without_the_line_matrix(line
     # a stump on an n-gram that also crosses lines here: only the lines that
     # hold it inside count, as in their line rows
     crossing = line_hits.cols[line_hits.first != line_hits.last]
-    stump = TreeNode(feature=int(crossing[0]), left=TreeNode(value=-1.0),
-                     right=TreeNode(value=1.0))
-    for scorer in (model.line_scorer, dataclasses.replace(model.line_scorer, trees=[stump])):
+    stump = {"feature": int(crossing[0]), "left": {"value": -1.0}, "right": {"value": 1.0}}
+    stumped = GbtModel.from_dict({**model.line_scorer.to_dict(), "trees": [stump]},
+                                 model.line_scorer.num_features)
+    for scorer in (model.line_scorer, stumped):
         served = dataclasses.replace(model, line_scorer=scorer)
         predictions = pipeline.predict_featurized(served, doc_lines, hits)
         assert "lines" not in hits.__dict__
