@@ -20,7 +20,7 @@ from .corpus import (
     Report,
     annotated_documents,
     bundle_header,
-    check_bundle_version,
+    check_bundle,
     gold_label,
     read_json,
 )
@@ -58,6 +58,9 @@ class DocBaselineModel:
     def __post_init__(self) -> None:
         if self.kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
+        other = ("boost_classes", "boost_models") if self.kind == "doc-logreg" else ("linear",)
+        if any(getattr(self, key) is not None for key in other):
+            raise ValueError(f"a {self.kind} model takes no {' or '.join(map(repr, other))}")
         if self.kind == "doc-logreg" and self.linear is None:
             raise ValueError("a doc-logreg model requires its linear model, 'linear'")
         if self.kind == "doc-boost":
@@ -140,6 +143,9 @@ def predict_doc_rows(model: DocBaselineModel, X: sparse.csr_matrix) -> list[tupl
 # serialization, mirroring the sla bundle format
 # ---------------------------------------------------------------------------
 
+# the keys ``baseline_to_dict`` writes after the header
+_BUNDLE_KEYS = ("attribute", "vocab", "linear", "boost_classes", "boost_models")
+
 
 def baseline_to_dict(model: DocBaselineModel) -> dict:
     return {
@@ -155,9 +161,8 @@ def baseline_to_dict(model: DocBaselineModel) -> dict:
 
 
 def baseline_from_dict(payload: dict) -> DocBaselineModel:
-    check_bundle_version(payload, "baseline")
-
     what = f"{payload['kind']} bundle"
+    check_bundle(payload, what, _BUNDLE_KEYS)
 
     def read(key: str, kind):
         return read_json(payload[key], kind, f"{what} key {key!r}")

@@ -129,6 +129,8 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         raise _UsageError(f"bad --sizes value {text!r}") from exc
     if not sizes:
         raise _UsageError("--sizes must list at least one size")
+    if len(set(sizes)) != len(sizes):
+        raise _UsageError(f"--sizes names a size twice: {text!r}")
     return sizes
 
 

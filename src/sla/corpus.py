@@ -373,14 +373,16 @@ def bundle_header(kind: str) -> dict:
     return {"version": _BUNDLE_VERSION, "kind": kind}
 
 
-def check_bundle_version(payload: Mapping, what: str) -> None:
-    """A ValueError unless the ``what`` bundle ``payload`` has this
-    version."""
+def check_bundle(payload: Mapping, what: str, keys: Iterable[str]) -> None:
+    """A ValueError unless the bundle ``payload``, named ``what``, has this
+    version and no key but the header's and ``keys``."""
     if payload.get("version") != _BUNDLE_VERSION:
         raise ValueError(
-            f"unsupported {what} bundle version {payload.get('version')!r}"
-            f" (expected {_BUNDLE_VERSION})"
+            f"unsupported {what} version {payload.get('version')!r} (expected {_BUNDLE_VERSION})"
         )
+    unknown = sorted(set(payload) - set(bundle_header("")) - set(keys))
+    if unknown:
+        raise ValueError(f"{what}: unknown keys: {', '.join(unknown)}")
 
 
 def doc_to_record(doc: LabeledDocument) -> dict:

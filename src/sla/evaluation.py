@@ -57,21 +57,14 @@ def _precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float
 
 
 def micro_f1(preds: Sequence[Hashable], golds: Sequence[Hashable]) -> float:
-    """Micro-averaged F1 (equals accuracy for single-label predictions)."""
+    """Micro-averaged F1, which for single-label predictions is accuracy:
+    each wrong prediction is a false positive and a false negative, so
+    2tp / (2tp + fp + fn) = 2tp / 2n, the same float as tp / n."""
     if len(preds) != len(golds):
         raise ValueError("preds and golds must have equal length")
     if not golds:
         raise ValueError("cannot score zero documents")
-    counts = _class_counts(preds, golds, _observed_classes(preds, golds))
-    tp = sum(c[0] for c in counts.values())
-    fp = sum(c[1] for c in counts.values())
-    fn = sum(c[2] for c in counts.values())
-    denom = 2 * tp + fp + fn
-    if denom == 0:
-        return 0.0
-    # integer numerator and denominator, so for single-label predictions
-    # this is bit-identical to accuracy: 2tp / 2n == tp / n
-    return 2.0 * tp / denom
+    return sum(p == g for p, g in zip(preds, golds)) / len(golds)
 
 
 def macro_f1(
@@ -392,8 +385,12 @@ def learning_curve(
         raise ValueError(
             f"largest size {max(sizes)} needs at most {len(docs) - 1} (corpus has {len(docs)} docs)"
         )
-    if ci_iterations < 1:  # refused before any cell is fitted, not after
+    if runs < 1:  # these are refused before any cell is fitted, not after
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    if ci_iterations < 1:
         raise ValueError(f"bootstrap iterations must be >= 1, got {ci_iterations}")
+    if not 0.0 < ci_level < 1.0:
+        raise ValueError(f"ci_level must be in (0, 1), got {ci_level}")
     run_cell = partial(
         run_curve_cell,
         docs,

@@ -130,8 +130,9 @@ class GbtModel:
     ``right[i]`` its present child, or is a leaf of ``value[i]``: feature
     -1, and its own left and right child, so a walk that reaches it stays.
     ``trees`` holds each tree's root node, and each tree's nodes follow its
-    root breadth first.  The table must not change after its first
-    scoring."""
+    root breadth first, so the first t trees are the model
+    ``dataclasses.replace(model, trees=model.trees[:t])``.  The table must
+    not change after its first scoring."""
 
     params: GbtParams
     base_score: float
@@ -415,22 +416,21 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
     return GbtModel(params, base, *_as_arrays(table), X_csr.shape[1])
 
 
-def predict_gbt_margin(model: GbtModel, X, num_trees: int | None = None) -> np.ndarray:
-    """Raw margins (pre-sigmoid) for a batch, optionally truncated to a
-    prefix of the tree sequence; useful for inspecting the boosting path.
-    X must be binary with the model's feature count."""
+def predict_gbt_margin(model: GbtModel, X) -> np.ndarray:
+    """Raw margins (pre-sigmoid) for a batch.  X must be binary with the
+    model's feature count."""
     X_csr = _binary_csr(X)
     row = np.repeat(np.arange(X_csr.shape[0]), np.diff(X_csr.indptr))
-    return _forest_margins(model, row, X_csr.indices, X_csr.shape, num_trees)
+    return _forest_margins(model, row, X_csr.indices, X_csr.shape)
 
 
 def predict_gbt_pairs(model: GbtModel, rows, columns, shape: tuple[int, int]) -> np.ndarray:
     """``predict_gbt_batch`` of ``textproc.to_csr(rows, columns, shape)``,
     without building that matrix."""
-    return _sigmoid(_forest_margins(model, rows, columns, shape, None))
+    return _sigmoid(_forest_margins(model, rows, columns, shape))
 
 
-def _forest_margins(model: GbtModel, rows, columns, shape, num_trees: int | None) -> np.ndarray:
+def _forest_margins(model: GbtModel, rows, columns, shape) -> np.ndarray:
     """The margins of the rows of a binary X of ``shape`` given as the
     (row, column) pairs of its ones, which may repeat, in any order.  Rows
     that hold the same pattern of the features the forest splits on share
@@ -438,9 +438,6 @@ def _forest_margins(model: GbtModel, rows, columns, shape, num_trees: int | None
     at a time, and its leaf steps are summed in tree order.  A pattern's
     margin depends on no other pattern, so the order in which patterns are
     found is free."""
-    k = len(model.trees) if num_trees is None else num_trees
-    if not 0 <= k <= len(model.trees):
-        raise ValueError(f"num_trees must be in [0, {len(model.trees)}], got {k}")
     n, width = shape
     if width != model.num_features:
         raise ValueError(f"X has {width} features, the model {model.num_features}")
@@ -465,7 +462,7 @@ def _forest_margins(model: GbtModel, rows, columns, shape, num_trees: int | None
         node = np.where(go_right, model.right[node], model.left[node])
     step = model.params.learning_rate * model.value[node]
     terms = np.column_stack((np.full(len(first), model.base_score), step))
-    return np.cumsum(terms, axis=1)[inverse, k]
+    return np.cumsum(terms, axis=1)[inverse, -1]
 
 
 def predict_gbt_batch(model: GbtModel, X) -> np.ndarray:

@@ -47,7 +47,7 @@ from .corpus import (
     Report,
     annotated_documents,
     bundle_header,
-    check_bundle_version,
+    check_bundle,
     gold_label,
     read_json,
 )
@@ -126,7 +126,6 @@ class SelectedLines:
     """The lines kept for one document: disjoint, sorted segments."""
 
     segments: tuple[Segment, ...]
-    k: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -186,8 +185,9 @@ class SlaModel:
         if (selector == "scored") != (self.line_scorer is not None):
             need = "requires a" if selector == "scored" else "takes no"
             raise ValueError(f"variant {self.variant} {need} line scorer")
-        if selector == "rules" and not self.keyword_rules:
-            raise ValueError("rules variant requires keyword rules")
+        if (selector == "rules") != bool(self.keyword_rules):
+            need = "requires" if selector == "rules" else "takes no"
+            raise ValueError(f"variant {self.variant} {need} keyword rules")
         for rule in self.keyword_rules or ():
             if not tokenize(rule):
                 raise ValueError(f"keyword rule {rule!r} has no tokens, so it matches no line")
@@ -265,9 +265,7 @@ def select_top_k(scores: Sequence[float], k: int) -> tuple[int, ...]:
     return tuple(sorted(int(i) for i in order[:k]))
 
 
-def join_adjacent(
-    selected: Sequence[int], line_scores, k: int | None = None
-) -> SelectedLines:
+def join_adjacent(selected: Sequence[int], line_scores) -> SelectedLines:
     """Merge runs of adjacent selected lines into segments.  A joined
     segment's weight is the maximum of its member scores."""
     idx = sorted(set(selected))
@@ -282,7 +280,7 @@ def join_adjacent(
             weight = max(weight, float(line_scores[end]))
         segments.append(Segment(start, end, weight))
         pos += 1
-    return SelectedLines(tuple(segments), k=len(idx) if k is None else k)
+    return SelectedLines(tuple(segments))
 
 
 def compose_representation(selections: Sequence[SelectedLines], hits: Hits) -> sparse.csr_matrix:
@@ -306,36 +304,34 @@ def _select(
     variant: str,
     k: int,
     keyword_rules: Sequence[str] | None,
-    doc_lines: Sequence[Sequence[Sequence[str]]],
+    hits: Hits,
     gold_lines: Sequence[Sequence[int] | None],
     line_scores: np.ndarray | None,
 ) -> list[SelectedLines]:
-    """The selection of each document, given as its token lines.  The
+    """The selection of each stream of ``hits``, one per document.  The
     row's selector picks the lines, which become joined or single-line
     segments weighted by their stage-1 scores or by 1.  ``line_scores``
-    holds the scores of every line of every document in order (None unless
+    holds the scores of every line of the batch in order (None unless
     scored)."""
     row = VARIANTS[variant]
-    offsets = np.cumsum([0] + [len(lines) for lines in doc_lines])
     phrases = [tokenize(rule) for rule in keyword_rules or ()]
+    bounds = hits.streams.tolist()
     selections = []
-    for lines, gold, start in zip(doc_lines, gold_lines, offsets[:-1], strict=True):
+    for start, end, gold in zip(bounds[:-1], bounds[1:], gold_lines, strict=True):
         if row.selector == "scored":
-            scores = line_scores[start : start + len(lines)]
+            scores = line_scores[start:end]
             chosen = select_top_k(scores, k)
         elif row.selector == "rules":
-            chosen = _rule_hits(lines, phrases)
+            chosen = _rule_hits(hits.tokens[start:end], phrases)
         elif gold is None:
             raise ValueError("oracle variant needs the annotator's gold lines")
         else:
             chosen = tuple(sorted(set(gold)))
-        doc_k = k if row.selector == "scored" else len(chosen)
-        weights = scores if row.weight else np.ones(len(lines))
+        weights = scores if row.weight else np.ones(end - start)
         if row.join:
-            selection = join_adjacent(chosen, weights, k=doc_k)
+            selection = join_adjacent(chosen, weights)
         else:
-            segments = tuple(Segment(i, i, float(weights[i])) for i in chosen)
-            selection = SelectedLines(segments, k=doc_k)
+            selection = SelectedLines(tuple(Segment(i, i, float(weights[i])) for i in chosen))
         selections.append(selection)
     return selections
 
@@ -363,9 +359,9 @@ def train_sla(
     hyper = hyper or SlaHyperParams()
     variant_row(variant)  # refuse an unknown variant before reading documents
     docs = annotated_documents(train_docs, attribute, 2, "training")
-    doc_lines = [tokenize_lines(d.report) for d in docs]
-    (features,) = featurize(fit_order(variant, hyper), doc_lines)
-    return fit_sla(features, docs, doc_lines, attribute, hyper, variant, keyword_rules, schemas)
+    (features,) = featurize(fit_order(variant, hyper), [tokenize_lines(d.report) for d in docs])
+    labels = [gold_label(d, attribute, schemas) for d in docs]
+    return fit_sla(features, docs, labels, attribute, hyper, variant, keyword_rules)
 
 
 def fit_order(variant: str, hyper: SlaHyperParams) -> int:
@@ -379,16 +375,15 @@ def fit_order(variant: str, hyper: SlaHyperParams) -> int:
 def fit_sla(
     features: Hits,
     docs: Sequence[LabeledDocument],
-    doc_lines: Sequence[Sequence[Sequence[str]]],
+    labels: Sequence[str],
     attribute: str,
     hyper: SlaHyperParams,
     variant: str,
     keyword_rules: Sequence[str] | None = None,
-    schemas: Mapping[tuple[str, str], AttributeSchema] | None = None,
 ) -> SlaModel:
-    """Train a pipeline variant on annotated ``docs`` given their token
-    lines and their ``features``, the hits at an order no lower than
-    ``fit_order``."""
+    """Train a pipeline variant on annotated ``docs`` given their composed
+    ``labels`` and their ``features``, the hits at an order no lower than
+    ``fit_order`` with each document one stream."""
     selector = VARIANTS[variant].selector
     line_scorer = line_scores = rules = None
     if selector == "scored":
@@ -408,9 +403,8 @@ def fit_sla(
             rules = tuple(keyword_rules)
 
     gold = [d.annotations[attribute].line_indices for d in docs]
-    selections = _select(variant, hyper.k, rules, doc_lines, gold, line_scores)
+    selections = _select(variant, hyper.k, rules, features, gold, line_scores)
     X = compose_representation(selections, features.at(hyper.final_ngram_n))
-    labels = [gold_label(d, attribute, schemas) for d in docs]
     classifier = train_l1_logreg(X, labels, hyper.lin)
     return SlaModel(
         attribute=attribute,
@@ -446,28 +440,27 @@ def predict_sla_batch(
     rationale is the exact selection used, so a prediction can be
     recomputed from (rationale, report, model).  One ``find_ngrams`` call
     under ``model.vocab`` gives both stages their n-grams."""
-    doc_lines = [tokenize_lines(r) for r in reports]
-    return predict_featurized(model, doc_lines, find_ngrams(doc_lines, model.vocab), gold_lines)
+    features = find_ngrams([tokenize_lines(r) for r in reports], model.vocab)
+    return predict_featurized(model, features, gold_lines)
 
 
 def predict_featurized(
     model: SlaModel,
-    doc_lines: Sequence[Sequence[Sequence[str]]],
     features: Hits,
     gold_lines: Sequence[Sequence[int] | None] | None = None,
 ) -> list[Prediction]:
-    """``predict_sla_batch`` given the reports' token lines and their
-    ``features`` (each report one stream), the hits under a vocabulary
-    whose restrictions are the model's stage vocabularies."""
+    """``predict_sla_batch`` given the reports' ``features`` (each report
+    one stream), the hits under a vocabulary whose restrictions are the
+    model's stage vocabularies."""
     if gold_lines is None:
-        gold_lines = [None] * len(doc_lines)
+        gold_lines = [None] * (len(features.streams) - 1)
     hyper, line_scores = model.hyper, None
     if model.line_scorer is not None:
         # scored from the hits, so serving never builds the line matrix
         entries = features.at(hyper.line_ngram_n).line_entries
         line_scores = predict_gbt_pairs(model.line_scorer, *entries)
     selections = _select(
-        model.variant, hyper.k, model.keyword_rules, doc_lines, gold_lines, line_scores
+        model.variant, hyper.k, model.keyword_rules, features, gold_lines, line_scores
     )
     X = compose_representation(selections, features.at(hyper.final_ngram_n))
     outputs = predict_logreg(model.final_classifier, X)
@@ -489,6 +482,9 @@ def predict_sla(
 # ---------------------------------------------------------------------------
 
 BUNDLE_KIND = "sla"  # a baseline bundle's kind is its baseline kind
+# the keys ``model_to_dict`` writes after the header
+_BUNDLE_KEYS = ("attribute", "variant", "k", "final_vocab", "final_classifier", "line_vocab",
+                "line_scorer", "keyword_rules", "hyper")
 
 
 def model_to_dict(model: SlaModel) -> dict:
@@ -513,9 +509,8 @@ def model_from_dict(payload: dict) -> SlaModel:
     the key."""
     if payload.get("kind") != BUNDLE_KIND:
         raise ValueError(f"not an sla model bundle: kind={payload.get('kind')!r}")
-    check_bundle_version(payload, "sla model")
-
     what = "sla model bundle"
+    check_bundle(payload, what, _BUNDLE_KEYS)
 
     def read(key: str, kind):
         return read_json(payload[key], kind, f"{what} key {key!r}")

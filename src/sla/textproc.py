@@ -239,13 +239,14 @@ def build_vocabulary(
 @dataclass(frozen=True, eq=False)
 class Hits:
     """Every n-gram of ``vocab`` that ``find_ngrams`` found in a batch of
-    streams, one entry per occurrence.  Lines are counted across the
-    batch."""
+    streams, one entry per occurrence, and the lines it read them from.
+    Lines are counted across the batch."""
 
     first: np.ndarray  # the line of each hit's first token
     last: np.ndarray  # the line of its last token
     cols: np.ndarray  # its column
     streams: np.ndarray  # the first line of each stream, then the number of lines
+    tokens: Sequence[Sequence[str]]  # each line's tokens
     vocab: Vocabulary
     _orders: dict = field(init=False, default_factory=dict, repr=False)
 
@@ -292,7 +293,7 @@ class Hits:
         """The hits under ``vocab.restrict(max_n)``: those of the columns it
         keeps, numbered in its order, which equal finding them under it
         afresh.  At its own order, these hits themselves; each lower order
-        is restricted once."""
+        is restricted once.  They share ``streams`` and ``tokens``."""
         if max_n == self.vocab.max_n:
             return self
         if max_n not in self._orders:
@@ -302,7 +303,7 @@ class Hits:
             cols = column[self.cols]
             found = cols >= 0
             self._orders[max_n] = Hits(
-                self.first[found], self.last[found], cols[found], self.streams, vocab
+                self.first[found], self.last[found], cols[found], self.streams, self.tokens, vocab
             )
         return self._orders[max_n]
 
@@ -338,13 +339,7 @@ def find_ngrams(streams: Iterable[Sequence[Sequence[str]]], vocab: Vocabulary) -
         firsts.append(line_of[starts])
         lasts.append(line_of[starts + n])
         found.append(prefix)
-    return Hits(
-        np.concatenate(firsts),
-        np.concatenate(lasts),
-        np.concatenate(found),
-        first_line,
-        vocab,
-    )
+    return Hits(*map(np.concatenate, (firsts, lasts, found)), first_line, lines, vocab)
 
 
 def vectorize(token_lines: Iterable[Sequence[str]], vocab: Vocabulary) -> sparse.csr_matrix:

@@ -140,7 +140,7 @@ def sample_config(space: SearchSpace, rng: np.random.Generator) -> dict:
 
 
 # a baseline reads the whole document, so it selects no lines
-_NO_RATIONALE = SelectedLines((), k=0)
+_NO_RATIONALE = SelectedLines(())
 
 
 @dataclass
@@ -149,9 +149,12 @@ class FittedVariant:
     tells the two apart, when predicting and when reading or writing a
     model bundle."""
 
-    method: str
     sla_model: SlaModel | None = None
     baseline: DocBaselineModel | None = None
+
+    @property
+    def method(self) -> str:
+        return self.sla_model.variant if self.sla_model is not None else self.baseline.kind
 
     @property
     def attribute(self) -> str:
@@ -189,11 +192,9 @@ class FittedVariant:
         try:
             kind = read_json(payload, dict, "a model bundle").get("kind")
             if kind == BUNDLE_KIND:
-                model = model_from_dict(payload)
-                return cls(method=model.variant, sla_model=model)
+                return cls(sla_model=model_from_dict(payload))
             if kind in BASELINE_KINDS:
-                model = baseline_from_dict(payload)
-                return cls(method=model.kind, baseline=model)
+                return cls(baseline=baseline_from_dict(payload))
         except KeyError as exc:
             raise CorpusError(f"{path}: {kind} model bundle has no key {exc}") from None
         except ValueError as exc:
@@ -262,9 +263,9 @@ def fit_variant(
             schemas=schemas,
             **params,
         )
-        return FittedVariant(method=method, sla_model=model)
+        return FittedVariant(sla_model=model)
     model = train_doc_baseline(train_docs, attribute, kind=method, schemas=schemas, **params)
-    return FittedVariant(method=method, baseline=model)
+    return FittedVariant(baseline=model)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +341,7 @@ def _search(
     fold_rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     fold_of = assign_folds(labels, folds, fold_rng)
     doc_lines = [tokenize_lines(d.report) for d in docs]
-    score = partial(_score_fold, method, attribute, docs, doc_lines, labels, configs, schemas)
+    score = partial(_score_fold, method, attribute, docs, doc_lines, labels, configs)
     held_out = [(fold_of == fold).tolist() for fold in range(folds)]
     fit_seeds = [
         int(np.random.SeedSequence((seed, 1 + fold)).generate_state(1)[0])
@@ -354,7 +355,7 @@ def _search(
 
 
 def _score_fold(
-    method, attribute, docs, doc_lines, labels, configs, schemas, held, fit_seed
+    method, attribute, docs, doc_lines, labels, configs, held, fit_seed
 ) -> list[float]:
     """Held-out micro-F1 of every configuration on the fold whose documents
     ``held`` marks.  The fold's reports are featurized once, under one
@@ -381,11 +382,10 @@ def _score_fold(
     if method in VARIANTS:
         def predict(p):
             model = fit_sla(
-                train_features, train_docs, train_lines, attribute, variant=method,
-                schemas=schemas, **p,
+                train_features, train_docs, train_labels, attribute, variant=method, **p
             )
             gold = [oracle_gold_lines(model, d) for d in held_docs]
-            predictions = predict_featurized(model, held_lines, held_features, gold)
+            predictions = predict_featurized(model, held_features, gold)
             return [x.label for x in predictions]
 
     else:

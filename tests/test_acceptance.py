@@ -8,6 +8,7 @@ seeds each, so this module takes a few minutes; everything is
 deterministic.
 """
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -277,7 +278,7 @@ def test_06_boosted_trees_correctness():
     y_arr = np.asarray(y, dtype=np.float64)
     losses = []
     for t in range(len(model.trees) + 1):
-        margin = predict_gbt_margin(model, Xs, num_trees=t)
+        margin = predict_gbt_margin(dataclasses.replace(model, trees=model.trees[:t]), Xs)
         p = 1.0 / (1.0 + np.exp(-margin))
         p = np.clip(p, 1e-12, 1 - 1e-12)
         losses.append(float(-np.mean(y_arr * np.log(p) + (1 - y_arr) * np.log(1 - p))))

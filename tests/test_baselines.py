@@ -79,7 +79,7 @@ def test_bundle_roundtrip(tmp_path, kind):
     model = train_doc_baseline(docs, "grade", kind=kind, gbt=GbtParams(num_rounds=10, seed=1))
     again = baseline_from_dict(baseline_to_dict(model))
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(FittedVariant(method=kind, baseline=model).to_dict()))
+    path.write_text(json.dumps(FittedVariant(baseline=model).to_dict()))
     loaded = FittedVariant.load(str(path)).baseline
     reports = [d.report for d in docs[:8]]
     expect = predict_doc_baseline(model, reports)

@@ -188,9 +188,9 @@ def test_predict_refuses_learner_params_with_unknown_or_missing_keys(workdir, ca
 
 @pytest.fixture(scope="module")
 def bundles(workdir, tmp_path_factory):
-    """An sla, a rules, a doc-logreg and a doc-boost model bundle trained on
-    the module's corpus, and as "sla-orders" an sla bundle whose stages read
-    n-grams of different orders (2 and 4)."""
+    """An sla, a rules, an oracle, a doc-logreg and a doc-boost model bundle
+    trained on the module's corpus, and as "sla-orders" an sla bundle whose
+    stages read n-grams of different orders (2 and 4)."""
     root = tmp_path_factory.mktemp("bundles")
     orders = root / "orders.json"
     orders.write_text(json.dumps({"line_ngram_n": 2, "final_ngram_n": 4}), encoding="utf-8")
@@ -199,6 +199,7 @@ def bundles(workdir, tmp_path_factory):
         for name, method, params in (
             ("sla", "sla", ()),
             ("rules", "rules", ()),
+            ("oracle", "oracle", ()),
             ("doc-logreg", "doc-logreg", ()),
             ("doc-boost", "doc-boost", ()),
             ("sla-orders", "sla", ("--params", str(orders))),
@@ -426,11 +427,22 @@ def _widen(width):
      "a doc-boost model requires its 'boost_classes' and one of its 'boost_models' per class"),
     ("doc-boost", {"boost_models": None},
      "a doc-boost model requires its 'boost_classes' and one of its 'boost_models' per class"),
+    # a field that the bundle's kind cannot use, which serving would ignore
+    ("sla", {"keyword_rules": ["histologic grade"]}, "variant sla takes no keyword rules"),
+    ("oracle", {"keyword_rules": ["histologic grade"]}, "variant oracle takes no keyword rules"),
+    ("doc-logreg", {"boost_classes": ["grade 1", "grade 2"]},
+     "a doc-logreg model takes no 'boost_classes' or 'boost_models'"),
+    ("doc-boost", {"linear": {"classes": [], "weights": [], "intercepts": []}},
+     "a doc-boost model takes no 'linear'"),
+    # a key that no reader knows, which re-saving would drop
+    ("sla", {"notes": "x"}, "sla model bundle: unknown keys: notes"),
+    ("doc-logreg", {"notes": "x"}, "doc-logreg bundle: unknown keys: notes"),
 ])
 def test_predict_refuses_a_bundle_whose_copies_disagree(workdir, bundles, capsys, tmp_path,
                                                         method, edits, message):
     """A data error naming the bundle and the key, where serving would
-    otherwise read one copy and ignore the other, or fail later."""
+    otherwise read one copy and ignore the other, ignore a field, or fail
+    later."""
     bundle = json.loads(bundles[method].read_text())
     for dotted, value in edits.items():
         _set_dotted(bundle, dotted, value)
@@ -830,6 +842,7 @@ def test_learning_curve_usage_errors_come_before_reading_the_corpus(capsys, tmp_
     out = str(tmp_path / "o")
     for attribute, sizes, message in (
         ("grade", "x", "bad --sizes value 'x'"),
+        ("grade", "12,12", "--sizes names a size twice: '12,12'"),
         ("grade,grade", "8", "--attribute names an attribute twice"),
         (" , ", "8", "--attribute must name at least one attribute"),
     ):

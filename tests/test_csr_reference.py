@@ -133,7 +133,7 @@ def _segments(draw, n_lines: int) -> SelectedLines:
         elif action != "skip":
             segments.append([i, i, draw(weights)])
         prev_kept = action != "skip"
-    return SelectedLines(tuple(Segment(s, e, w) for s, e, w in segments), k=n_lines)
+    return SelectedLines(tuple(Segment(s, e, w) for s, e, w in segments))
 
 
 _LINES = st.lists(
@@ -161,9 +161,7 @@ def _fixed_case(lines, max_n, segments, *more):
     batch = [(lines, segments), *more]
     reports = [Report(id=f"r{i}", cancer="colon", lines=ls) for i, (ls, _) in enumerate(batch)]
     vocab = build_vocabulary([tl for r in reports for tl in tokenize_lines(r)], max_n=max_n)
-    selections = [
-        SelectedLines(tuple(Segment(*s) for s in segs), k=len(ls)) for ls, segs in batch
-    ]
+    selections = [SelectedLines(tuple(Segment(*s) for s in segs)) for _, segs in batch]
     return reports, vocab, selections
 
 
@@ -266,6 +264,7 @@ def test_one_ngram_pass_gives_line_rows_segments_and_lower_orders(case):
     for got, want in ((low.first, expect.first), (low.last, expect.last), (low.cols, expect.cols)):
         assert got.tobytes() == want.tobytes()
     assert (low.streams.tolist(), low.dimension) == (expect.streams.tolist(), fresh.dimension)
+    assert low.streams is hits.streams and low.tokens is hits.tokens
     composed = compose_representation(selections, low)
     for i, (report, selection) in enumerate(zip(reports, selections)):
         _assert_row_equal(_ref_compose(selection, report, fresh), *_row(composed, i))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sla import evaluation
 from sla.corpus import load_schemas
@@ -76,6 +78,25 @@ def test_micro_f1_is_accuracy_bit_for_bit():
         golds = [str(i) for i in rng.integers(0, 4, size=n)]
         accuracy = sum(p == g for p, g in zip(preds, golds)) / n
         assert micro_f1(preds, golds) == accuracy
+
+
+def _class_count_micro_f1(preds, golds):
+    """Micro-F1 as 2tp / (2tp + fp + fn) from per-class counts over the
+    observed classes."""
+    tp = fp = fn = 0
+    for c in set(preds) | set(golds):
+        tp += sum(p == g == c for p, g in zip(preds, golds))
+        fp += sum(p == c != g for p, g in zip(preds, golds))
+        fn += sum(g == c != p for p, g in zip(preds, golds))
+    return 2.0 * tp / (2 * tp + fp + fn)
+
+
+@given(st.lists(st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde")), min_size=1,
+                max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_micro_f1_equals_the_class_count_formula_bit_for_bit(pairs):
+    preds, golds = [p for p, _ in pairs], [g for _, g in pairs]
+    assert micro_f1(preds, golds).hex() == _class_count_micro_f1(preds, golds).hex()
 
 
 def test_macro_f1_counts_missing_universe_classes_as_zero():
@@ -243,6 +264,11 @@ def test_learning_curve_refuses_bad_counts_before_fitting(monkeypatch):
         learning_curve(docs, "grade", variant="oracle", sizes=(8,), runs=1, ci_iterations=0)
     with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
         learning_curve(docs, "grade", variant="oracle", sizes=(8,), runs=1, jobs=0)
+    with pytest.raises(ValueError, match="runs must be >= 1, got 0"):
+        learning_curve(docs, "grade", variant="oracle", sizes=(8,), runs=0)
+    for level in (1.5, 0.0):
+        with pytest.raises(ValueError, match=rf"ci_level must be in \(0, 1\), got {level}"):
+            learning_curve(docs, "grade", variant="oracle", sizes=(8,), runs=1, ci_level=level)
 
 
 def test_parallel_map_keeps_task_order():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -144,7 +145,7 @@ def test_training_logloss_non_increasing_per_round():
     y_arr = np.asarray(y, dtype=np.float64)
     losses = []
     for t in range(0, params.num_rounds + 1):
-        margin = predict_gbt_margin(model, X_csr, num_trees=t)
+        margin = predict_gbt_margin(dataclasses.replace(model, trees=model.trees[:t]), X_csr)
         losses.append(np.logaddexp(0.0, -np.where(y_arr > 0, 1, -1) * margin).mean())
     for a, b in zip(losses, losses[1:]):
         assert b <= a + 1e-12
@@ -232,16 +233,14 @@ def test_gbt_rejects_non_binary_features():
         train_gbt(stored_twice, [1, 0])
 
 
-def test_predict_margin_checks_the_tree_count():
+def test_predict_margin_of_a_tree_prefix():
     X = dense_to_csr(STUMP_X)
     model = train_gbt(X, STUMP_Y, GbtParams(num_rounds=3, max_depth=1))
     base = np.full(len(STUMP_X), model.base_score)
-    assert predict_gbt_margin(model, X, num_trees=0).tobytes() == base.tobytes()
-    full = predict_gbt_margin(model, X).tobytes()
-    assert predict_gbt_margin(model, X, num_trees=3).tobytes() == full
-    for bad in (-1, 4, 99):
-        with pytest.raises(ValueError, match="num_trees"):
-            predict_gbt_margin(model, X, num_trees=bad)
+    none = dataclasses.replace(model, trees=model.trees[:0])
+    assert predict_gbt_margin(none, X).tobytes() == base.tobytes()
+    every = dataclasses.replace(model, trees=model.trees[:3])
+    assert predict_gbt_margin(every, X).tobytes() == predict_gbt_margin(model, X).tobytes()
 
 
 def test_predict_margin_refuses_what_it_cannot_score():

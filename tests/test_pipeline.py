@@ -123,7 +123,7 @@ def test_join_adjacent_preserves_membership_and_disjointness(selected):
 
 def test_selected_lines_rejects_overlapping_segments():
     with pytest.raises(ValueError):
-        SelectedLines((Segment(0, 2, 1.0), Segment(2, 3, 1.0)), k=2)
+        SelectedLines((Segment(0, 2, 1.0), Segment(2, 3, 1.0)))
 
 
 def test_rule_select_matches_phrases_after_normalization():
@@ -161,7 +161,7 @@ def test_packaged_keyword_rules_cover_schema_attributes():
 def test_compose_representation_joins_segment_lines():
     report = Report(id="r", cancer="colon", lines=("alpha beta", "beta gamma", "x"))
     vocab = build_vocabulary([tokenize(l) for l in report.lines] * 2, max_n=2)
-    sel = SelectedLines((Segment(0, 1, 0.5),), k=2)
+    sel = SelectedLines((Segment(0, 1, 0.5),))
     rep = compose_representation([sel], find_ngrams([tokenize_lines(report)], vocab))
     inv = {i: g for g, i in vocab.ngram_to_index.items()}
     grams = {inv[i] for i in rep.indices}
@@ -175,8 +175,8 @@ def test_compose_representation_joins_segment_lines():
 def test_compose_representation_takes_weights_from_the_selection():
     report = Report(id="r", cancer="colon", lines=("alpha beta", "gamma"))
     vocab = build_vocabulary([tokenize(l) for l in report.lines] * 2, max_n=1)
-    scored = SelectedLines((Segment(0, 0, 0.25), Segment(1, 1, 0.75)), k=2)
-    flat = SelectedLines((Segment(0, 0, 1.0), Segment(1, 1, 1.0)), k=2)
+    scored = SelectedLines((Segment(0, 0, 0.25), Segment(1, 1, 0.75)))
+    flat = SelectedLines((Segment(0, 0, 1.0), Segment(1, 1, 1.0)))
     hits = find_ngrams([tokenize_lines(report)], vocab)
     assert set(compose_representation([scored], hits).data) == {0.25, 0.75}
     assert set(compose_representation([flat], hits).data) == {1.0}
@@ -185,7 +185,7 @@ def test_compose_representation_takes_weights_from_the_selection():
 def test_overlapping_segment_sum_accumulates():
     report = Report(id="r", cancer="colon", lines=("alpha", "alpha"))
     vocab = build_vocabulary([tokenize(l) for l in report.lines], max_n=1)
-    sel = SelectedLines((Segment(0, 0, 0.5), Segment(1, 1, 0.25)), k=2)
+    sel = SelectedLines((Segment(0, 0, 0.5), Segment(1, 1, 0.25)))
     rep = compose_representation([sel], find_ngrams([tokenize_lines(report)], vocab))
     assert rep.data.tolist() == [0.75]
 
@@ -194,7 +194,7 @@ def test_compose_representation_merges_and_drops_zeros():
     # unigram columns a=0, b=1, c=2, d=3; segment features {a, c}, {c, d}, {d}
     report = Report(id="r", cancer="colon", lines=("a c", "c d", "d", "b"))
     vocab = build_vocabulary([tokenize(l) for l in report.lines] * 2, max_n=1)
-    sel = SelectedLines((Segment(0, 0, 1.0), Segment(1, 1, 2.0), Segment(2, 2, -2.0)), k=3)
+    sel = SelectedLines((Segment(0, 0, 1.0), Segment(1, 1, 2.0), Segment(2, 2, -2.0)))
     rep = compose_representation([sel], find_ngrams([tokenize_lines(report)], vocab))
     assert rep.shape == (1, 4)
     assert rep.indices.tolist() == [0, 2]
@@ -375,7 +375,6 @@ def _bits(pred):
         pred.label,
         [(c, s.hex()) for c, s in pred.scores.items()],
         [(seg.start, seg.end, seg.weight.hex()) for seg in pred.rationale.segments],
-        pred.rationale.k,
     )
 
 
@@ -455,9 +454,10 @@ def _two_pass_reference(model, reports, gold):
     if model.line_scorer is not None:
         rows = vectorize([tl for lines in doc_lines for tl in lines], model.line_vocab)
         line_scores = predict_gbt_batch(model.line_scorer, rows)
-    selections = _select(model.variant, model.k, model.keyword_rules, doc_lines, gold,
+    final_hits = find_ngrams(doc_lines, model.final_vocab)
+    selections = _select(model.variant, model.k, model.keyword_rules, final_hits, gold,
                          line_scores)
-    X = compose_representation(selections, find_ngrams(doc_lines, model.final_vocab))
+    X = compose_representation(selections, final_hits)
     outputs = predict_logreg(model.final_classifier, X)
     return [
         _bits(pipeline.Prediction(str(label), scores, selection))
@@ -535,12 +535,12 @@ def test_serving_scores_each_line_from_its_own_hits_without_the_line_matrix(line
                                  model.line_scorer.num_features)
     for scorer in (model.line_scorer, stumped):
         served = dataclasses.replace(model, line_scorer=scorer)
-        predictions = pipeline.predict_featurized(served, doc_lines, hits)
+        predictions = pipeline.predict_featurized(served, hits)
         assert "lines" not in hits.__dict__
         assert "lines" not in line_hits.__dict__
         for lines, pred in zip(doc_lines, predictions, strict=True):
             scores = predict_gbt_batch(scorer, vectorize(lines, served.line_vocab))
-            expect = join_adjacent(select_top_k(scores, 2), scores, k=2)
+            expect = join_adjacent(select_top_k(scores, 2), scores)
             assert pred.rationale == expect
 
 
