@@ -64,9 +64,9 @@ class DocBaselineModel:
         if self.kind == "doc-logreg" and self.linear is None:
             raise ValueError("a doc-logreg model requires its linear model, 'linear'")
         if self.kind == "doc-boost":
-            classes, models = len(self.boost_classes or ()), len(self.boost_models or ())
+            classes, models = len(self.boost_classes or ()), self.boost_models
             # one class is a constant predictor, which needs no model
-            if not classes or (models != classes and (models, classes) != (0, 1)):
+            if not classes or (len(models) != classes if models is not None else classes > 1):
                 raise ValueError(
                     "a doc-boost model requires its 'boost_classes' and one of its"
                     " 'boost_models' per class"
@@ -169,18 +169,16 @@ def baseline_from_dict(payload: dict) -> DocBaselineModel:
 
     vocab = Vocabulary.from_dict(read("vocab", dict), f"{what} vocab")
     linear = read("linear", dict | None)
-    boost_classes = read("boost_classes", tuple[str, ...] | None)
     boost_models = read("boost_models", list | None)
-    return DocBaselineModel(
-        attribute=read("attribute", str),
-        kind=payload["kind"],
-        vocab=vocab,
-        linear=(
-            LinearModel.from_dict(linear, vocab.dimension, f"{what} linear") if linear else None
-        ),
-        boost_classes=boost_classes or None,
-        boost_models=[
+    # the kind's own check runs on the learners as JSON, so that a learner
+    # the kind takes no part in is refused before it is read
+    model = DocBaselineModel(read("attribute", str), payload["kind"], vocab, linear,
+                             read("boost_classes", tuple[str, ...] | None), boost_models)
+    if linear is not None:
+        model.linear = LinearModel.from_dict(linear, vocab.dimension, f"{what} linear")
+    if boost_models is not None:
+        model.boost_models = [
             GbtModel.from_dict(m, vocab.dimension, f"{what} boost_models[{i}]")
             for i, m in enumerate(boost_models)
-        ] if boost_models else None,
-    )
+        ]
+    return model

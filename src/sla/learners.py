@@ -54,9 +54,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _as_csr(X) -> sparse.csr_matrix:
-    if sparse.issparse(X):
-        return X.tocsr()
-    return sparse.csr_matrix(np.asarray(X, dtype=np.float64))
+    """The scipy sparse ``X`` as CSR; every learner refuses a dense X."""
+    if not sparse.issparse(X):
+        raise ValueError(f"X must be a scipy sparse matrix, got {type(X).__name__}")
+    return X.tocsr()
 
 
 def balanced_class_weights(labels: Sequence[Hashable]) -> dict[Hashable, float]:
@@ -236,15 +237,15 @@ def _grow_tree(
     ``XT`` holds the ``columns`` of the binary X as CSR rows, each row's
     sample indices ascending; a split on row b of ``XT`` is recorded as
     feature ``columns[b]``.  Split statistics for every (frontier node,
-    feature) pair come from one sparse-dense product per level: M holds
-    each frontier node's gradients, hessians and ones on its rows, and
-    XT @ M sums them per feature.  X is binary and the product adds each
-    cell in ascending row order, so every sum has the bits of a per-node
-    sparse product.  The ``out_of_bag`` rows take no part in the
-    statistics but follow every split: a node holds its rows with the
-    first ``m`` of them in the bag, and a split keeps that order.  The
-    returned leaf partition, as (leaf value, rows at that leaf), covers
-    both ``rows`` and ``out_of_bag``.
+    feature) pair come from one sparse-dense product per level above the
+    deepest, whose nodes all become leaves: M holds each frontier node's
+    gradients, hessians and ones on its rows, and XT @ M sums them per
+    feature.  X is binary and the product adds each cell in ascending row
+    order, so every sum has the bits of a per-node sparse product.  The
+    ``out_of_bag`` rows take no part in the statistics but follow every
+    split: a node holds its rows with the first ``m`` of them in the bag,
+    and a split keeps that order.  The returned leaf partition, as (leaf
+    value, rows at that leaf), covers both ``rows`` and ``out_of_bag``.
     """
     n_total = XT.shape[1]
     lam = params.l2_lambda
@@ -261,39 +262,34 @@ def _grow_tree(
     for depth in range(params.max_depth + 1):
         if not frontier:
             break
-        if depth == params.max_depth:
-            for node, nrows, m in frontier:
-                g, h = grad[nrows[:m]].sum(), hess[nrows[:m]].sum()
-                value[node] = float(_leaf_value(g, h, lam))
-                leaves.append((value[node], nrows))
-            break
-
         F = len(frontier)
-        sizes = np.array([m for _, _, m in frontier])
-        all_rows = np.concatenate([nrows[:m] for _, nrows, m in frontier])
-        owner = np.repeat(np.arange(F), sizes)
-        M = np.zeros((n_total, 3 * F))
-        M[all_rows, owner] = grad[all_rows]
-        M[all_rows, F + owner] = hess[all_rows]
-        M[all_rows, 2 * F + owner] = 1.0
-        S = (XT @ M).T
-        del M  # freed before the gain's (F x features) temporaries
-        G1, H1, C1 = S[:F], S[F : 2 * F], S[2 * F :]
         Gt = np.array([grad[nrows[:m]].sum() for _, nrows, m in frontier])
         Ht = np.array([hess[nrows[:m]].sum() for _, nrows, m in frontier])
+        best_gain = np.full(F, -np.inf)  # the deepest level's nodes are leaves
+        if depth < params.max_depth:
+            sizes = np.array([m for _, _, m in frontier])
+            all_rows = np.concatenate([nrows[:m] for _, nrows, m in frontier])
+            owner = np.repeat(np.arange(F), sizes)
+            M = np.zeros((n_total, 3 * F))
+            M[all_rows, owner] = grad[all_rows]
+            M[all_rows, F + owner] = hess[all_rows]
+            M[all_rows, 2 * F + owner] = 1.0
+            S = (XT @ M).T
+            del M  # freed before the gain's (F x features) temporaries
+            G1, H1, C1 = S[:F], S[F : 2 * F], S[2 * F :]
 
-        G0 = Gt[:, None] - G1
-        H0 = Ht[:, None] - H1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = 0.5 * (
-                G1 * G1 / np.maximum(H1 + lam, _MIN_GAIN)
-                + G0 * G0 / np.maximum(H0 + lam, _MIN_GAIN)
-                - (Gt * Gt / np.maximum(Ht + lam, _MIN_GAIN))[:, None]
-            ) - gamma
-        invalid = (C1 < 1) | (C1 > (sizes[:, None] - 1))
-        gain[invalid] = -np.inf
-        best_j = np.argmax(gain, axis=1)
-        best_gain = gain[np.arange(F), best_j]
+            G0 = Gt[:, None] - G1
+            H0 = Ht[:, None] - H1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = 0.5 * (
+                    G1 * G1 / np.maximum(H1 + lam, _MIN_GAIN)
+                    + G0 * G0 / np.maximum(H0 + lam, _MIN_GAIN)
+                    - (Gt * Gt / np.maximum(Ht + lam, _MIN_GAIN))[:, None]
+                ) - gamma
+            invalid = (C1 < 1) | (C1 > (sizes[:, None] - 1))
+            gain[invalid] = -np.inf
+            best_j = np.argmax(gain, axis=1)
+            best_gain = gain[np.arange(F), best_j]
 
         next_frontier: list[tuple[int, np.ndarray, int]] = []
         for i, (node, nrows, m) in enumerate(frontier):
@@ -317,48 +313,16 @@ def _grow_tree(
     return leaves
 
 
-def _column_hash(X_csc: sparse.csc_matrix) -> np.ndarray:
-    """A 64-bit hash of each column's set of rows: the wrapping sum of one
-    fixed random word per row."""
-    words = np.random.default_rng(0).integers(
-        0, np.iinfo(np.uint64).max, X_csc.shape[0], dtype=np.uint64, endpoint=True
-    )
-    sums = np.zeros(X_csc.nnz + 1, dtype=np.uint64)
-    np.cumsum(words[X_csc.indices], out=sums[1:])
-    return sums[X_csc.indptr[1:]] - sums[X_csc.indptr[:-1]]
-
-
 def _distinct_columns(X_csc: sparse.csc_matrix) -> np.ndarray:
     """The indices, ascending, of the columns of ``X_csc`` that equal no
-    earlier column, row index for row index as stored.
-
-    Columns are grouped by ``_column_hash``.  Each round keeps the earliest
-    open column of every group and closes it and every open column of its
-    group whose rows are the very same; the columns of a group that only
-    share the hash stay open for the next round.  So a hash collision costs
-    a round and never drops a column."""
-    indptr, indices = X_csc.indptr, X_csc.indices
-    counts = np.diff(indptr)
-    key = _column_hash(X_csc)
-    kept = np.zeros(X_csc.shape[1], dtype=bool)
-    open_cols = np.arange(X_csc.shape[1])
-    while len(open_cols):
-        # by hash, then by index: each group's first column is its earliest
-        cols = open_cols[np.argsort(key[open_cols], kind="stable")]
-        first = np.flatnonzero(np.r_[True, key[cols[1:]] != key[cols[:-1]]])
-        lead = np.repeat(cols[first], np.diff(np.r_[first, len(cols)]))
-        kept[cols[first]] = True
-        # compare every other column's rows with its group's earliest column's
-        rest = cols != lead
-        cols, lead = cols[rest], lead[rest]
-        same = counts[cols] == counts[lead]
-        size = counts[cols[same]]
-        pair = np.repeat(np.arange(len(size)), size)
-        offset = np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size)
-        at, at_lead = indptr[cols[same]][pair] + offset, indptr[lead[same]][pair] + offset
-        same[same] = np.bincount(pair[indices[at] != indices[at_lead]], minlength=len(size)) == 0
-        open_cols = cols[~same]  # still by hash, then by index
-    return np.flatnonzero(kept)
+    earlier column, row index for row index as stored: a dict keyed by the
+    bytes of each column's stored row indices keeps the first column of
+    each key."""
+    rows, cuts = X_csc.indices.tobytes(), (X_csc.indptr * X_csc.indices.itemsize).tolist()
+    first: dict[bytes, int] = {}
+    for j in range(X_csc.shape[1]):
+        first.setdefault(rows[cuts[j] : cuts[j + 1]], j)
+    return np.fromiter(first.values(), dtype=np.intp, count=len(first))
 
 
 def _binary_csr(X) -> sparse.csr_matrix:
@@ -395,7 +359,8 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
     all_rows = np.arange(n)
     subsample_size = max(1, int(round(params.subsample * n)))
 
-    # identical columns score alike, and argmax keeps the earliest of them
+    # identical columns score alike, and argmax keeps the earliest of them;
+    # tocsc() stores each column's rows sorted, so equal row sets match
     columns = _distinct_columns(X_csc)
     XT = X_csc.T[columns]
     table: _Table = [], [], [], [], []
@@ -720,9 +685,7 @@ def predict_logreg(model: LinearModel, X: sparse.spmatrix) -> list[tuple[Hashabl
     """``label_scores`` of the per-class sigmoid scores of each row of the
     sparse ``X``.  A row's margins gather the weights of its own columns,
     one row at a time."""
-    if not sparse.issparse(X):
-        raise ValueError(f"predict_logreg takes a sparse matrix, got {type(X).__name__}")
-    X = X.tocsr()
+    X = _as_csr(X)
     margins = np.empty((X.shape[0], len(model.classes)))
     for i in range(X.shape[0]):
         row = slice(X.indptr[i], X.indptr[i + 1])

@@ -185,9 +185,10 @@ class SlaModel:
         if (selector == "scored") != (self.line_scorer is not None):
             need = "requires a" if selector == "scored" else "takes no"
             raise ValueError(f"variant {self.variant} {need} line scorer")
-        if (selector == "rules") != bool(self.keyword_rules):
-            need = "requires" if selector == "rules" else "takes no"
-            raise ValueError(f"variant {self.variant} {need} keyword rules")
+        if selector == "rules" and not self.keyword_rules:
+            raise ValueError(f"variant {self.variant} requires keyword rules")
+        if selector != "rules" and self.keyword_rules is not None:
+            raise ValueError(f"variant {self.variant} takes no keyword rules")
         for rule in self.keyword_rules or ():
             if not tokenize(rule):
                 raise ValueError(f"keyword rule {rule!r} has no tokens, so it matches no line")
@@ -521,8 +522,10 @@ def model_from_dict(payload: dict) -> SlaModel:
     if read("k", int) != hyper.k:
         raise ValueError(f"{what} key 'k' is {payload['k']}, but hyper key 'k' is {hyper.k}")
     line_scorer = read("line_scorer", dict | None)
+    if (payload["line_vocab"] is None) != (line_scorer is None):
+        raise ValueError(f"{what} keys 'line_vocab' and 'line_scorer' must both be null or set")
     vocabs = {}  # a line vocabulary only with a line scorer
-    for key in ("final_vocab", "line_vocab") if line_scorer else ("final_vocab",):
+    for key in ("final_vocab", "line_vocab") if line_scorer is not None else ("final_vocab",):
         vocabs[key] = Vocabulary.from_dict(read(key, dict), f"{what} {key}")
         order = key.replace("vocab", "ngram_n")
         if vocabs[key].max_n != getattr(hyper, order):
@@ -555,7 +558,7 @@ def model_from_dict(payload: dict) -> SlaModel:
             f"{what} final_classifier",
         ),
         line_scorer=line_scorer,
-        keyword_rules=read("keyword_rules", tuple[str, ...] | None) or None,
+        keyword_rules=read("keyword_rules", tuple[str, ...] | None),
     )
 
 

@@ -257,7 +257,7 @@ def test_predict_names_a_key_missing_from_the_bundle(workdir, bundles, capsys, t
     ("doc-logreg", "linear", [1.0], "key 'linear' must be a JSON object, got list"),
     ("rules", "keyword_rules", ["grade", ""], "keyword rule '' has no tokens"),
     ("rules", "keyword_rules", [".;~ null"], "keyword rule '.;~ null' has no tokens"),
-    ("sla", "line_vocab", None, "key 'line_vocab' must be a JSON object, got NoneType"),
+    ("sla", "line_vocab", None, "keys 'line_vocab' and 'line_scorer' must both be null or set"),
 ])
 def test_predict_names_a_bundle_value_of_the_wrong_type(workdir, bundles, capsys, tmp_path,
                                                       method, key, value, message):
@@ -434,6 +434,23 @@ def _widen(width):
      "a doc-logreg model takes no 'boost_classes' or 'boost_models'"),
     ("doc-boost", {"linear": {"classes": [], "weights": [], "intercepts": []}},
      "a doc-boost model takes no 'linear'"),
+    # ... also where the field is empty, which re-saving would write as null
+    ("doc-boost", {"linear": {}}, "a doc-boost model takes no 'linear'"),
+    ("doc-logreg", {"boost_classes": []},
+     "a doc-logreg model takes no 'boost_classes' or 'boost_models'"),
+    ("doc-logreg", {"boost_models": []},
+     "a doc-logreg model takes no 'boost_classes' or 'boost_models'"),
+    ("doc-boost", {"boost_classes": ["grade 1"], "boost_models": []},
+     "a doc-boost model requires its 'boost_classes' and one of its 'boost_models' per class"),
+    ("sla", {"keyword_rules": []}, "variant sla takes no keyword rules"),
+    ("oracle", {"keyword_rules": []}, "variant oracle takes no keyword rules"),
+    # a line vocabulary without a line scorer, or a line scorer without one
+    ("oracle", {"line_vocab": {}},
+     "sla model bundle keys 'line_vocab' and 'line_scorer' must both be null or set"),
+    ("oracle", {"line_vocab": "grade"},
+     "sla model bundle keys 'line_vocab' and 'line_scorer' must both be null or set"),
+    ("oracle", {"line_scorer": {}},
+     "sla model bundle keys 'line_vocab' and 'line_scorer' must both be null or set"),
     # a key that no reader knows, which re-saving would drop
     ("sla", {"notes": "x"}, "sla model bundle: unknown keys: notes"),
     ("doc-logreg", {"notes": "x"}, "doc-logreg bundle: unknown keys: notes"),

@@ -16,11 +16,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from sla import learners, synth
+from sla import synth
 from sla.baselines import featurize_document
 from sla.learners import (
     GbtModel,
@@ -332,24 +332,7 @@ def test_planted_duplicate_columns_match_reference(max_depth, subsample, min_spl
     assert max(tree_depth(tree) for tree in model.to_dict()["trees"]) == max_depth
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_trees_match_reference_when_every_column_hash_collides(monkeypatch, seed):
-    rng = np.random.default_rng(seed)
-    n, d = int(rng.integers(20, 120)), int(rng.integers(5, 40))
-    X = sparse.csr_matrix((rng.random((n, d)) < 0.3).astype(float))
-    planted, copies = with_planted_duplicates(X, seed)
-    y = (rng.random(n) < 0.4).astype(float)
-    kept = _distinct_columns(planted.tocsc())
-    monkeypatch.setattr(
-        learners, "_column_hash", lambda X_csc: np.zeros(X_csc.shape[1], dtype=np.uint64)
-    )
-    assert np.array_equal(_distinct_columns(planted.tocsc()), kept)
-    params = GbtParams(max_depth=int(rng.integers(1, 8)), subsample=float(rng.choice([0.5, 1.0])),
-                       min_split_loss=0.01, num_rounds=6, seed=seed)
-    assert_matches_reference(planted, y, params)
-
-
-def test_distinct_columns_keeps_the_first_column_of_each_row_set(monkeypatch):
+def test_distinct_columns_keeps_the_first_column_of_each_row_set():
     dense = np.array([
         # 0  1  2  3  4  5  6  7
         [0, 1, 1, 0, 1, 1, 0, 1],
@@ -360,10 +343,21 @@ def test_distinct_columns_keeps_the_first_column_of_each_row_set(monkeypatch):
     # 3 and 6 are empty like 0, 4 holds the rows of 1 and 5 those of 2
     assert _distinct_columns(X).tolist() == [0, 1, 2, 7]
     assert _distinct_columns(sparse.csc_matrix((3, 0))).tolist() == []
-    # hashes where unequal columns collide cost rounds, not columns
-    for hashes in ([0] * 8, [5, 5, 9, 5, 5, 9, 5, 5], [1, 2, 1, 1, 2, 1, 1, 2]):
-        monkeypatch.setattr(learners, "_column_hash", lambda X_csc: np.array(hashes, np.uint64))
-        assert _distinct_columns(X).tolist() == [0, 1, 2, 7]
+
+
+@settings(max_examples=200, deadline=None)
+@given(num_rows=st.integers(0, 5), masks=st.lists(st.integers(0, 31), max_size=20))
+@example(num_rows=3, masks=[0, 0, 0])  # every column empty
+@example(num_rows=3, masks=[5, 5, 5, 5])  # every column equal
+@example(num_rows=3, masks=[1, 2, 3, 4, 5, 6, 7, 0])  # no two columns equal
+def test_distinct_columns_match_a_brute_force_search(num_rows, masks):
+    """Column j holds row i where bit i of ``masks[j]`` is set; the kept
+    columns are the first of each distinct tuple of rows."""
+    dense = np.array([[m >> i & 1 for m in masks] for i in range(num_rows)], dtype=np.float64)
+    X_csc = sparse.csr_matrix(dense.reshape(num_rows, len(masks))).tocsc()
+    rows = [tuple(np.flatnonzero(X_csc[:, j].toarray())) for j in range(len(masks))]
+    expect = [j for j in range(len(masks)) if rows[j] not in rows[:j]]
+    assert _distinct_columns(X_csc).tolist() == expect
 
 
 def _ref_margins(model, X_csr, num_trees):

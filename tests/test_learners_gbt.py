@@ -11,7 +11,9 @@ from sla.learners import (
     predict_gbt_batch,
     predict_gbt_margin,
     predict_gbt_pairs,
+    predict_logreg,
     train_gbt,
+    train_l1_logreg,
 )
 
 # Fixed 6-point dataset whose best first-round stump was derived by hand:
@@ -272,3 +274,18 @@ def test_predict_pairs_scores_the_matrix_the_pairs_build():
     assert empty.tobytes() == predict_gbt_batch(model, sparse.csr_matrix((2, 3))).tobytes()
     with pytest.raises(ValueError, match="features"):
         predict_gbt_pairs(model, rows, cols, (len(STUMP_X), 4))
+
+
+def test_every_learner_refuses_a_dense_X():
+    X = dense_to_csr(STUMP_X)
+    forest = train_gbt(X, STUMP_Y, GbtParams(num_rounds=2, max_depth=1))
+    linear = train_l1_logreg(X, STUMP_Y)
+    dense = X.toarray()
+    for call in (
+        lambda: train_gbt(dense, STUMP_Y),
+        lambda: train_l1_logreg(dense, STUMP_Y),
+        lambda: predict_gbt_batch(forest, dense),
+        lambda: predict_logreg(linear, dense),
+    ):
+        with pytest.raises(ValueError, match="^X must be a scipy sparse matrix, got ndarray$"):
+            call()
