@@ -373,9 +373,17 @@ def bundle_header(kind: str) -> dict:
     return {"version": _BUNDLE_VERSION, "kind": kind}
 
 
+def read_key(payload: Mapping, key: str, kind, what: str):
+    """``read_json`` of ``payload[key]``, named ``what`` key ``key``; a
+    missing key is a ValueError naming ``what`` and the key."""
+    if key not in payload:
+        raise ValueError(f"{what} has no key {key!r}")
+    return read_json(payload[key], kind, f"{what} key {key!r}")
+
+
 def check_bundle(payload: Mapping, what: str, keys: Iterable[str]) -> None:
     """A ValueError unless the bundle ``payload``, named ``what``, has this
-    version and no key but the header's and ``keys``."""
+    version and, besides the header's, each key of ``keys`` and no other."""
     if payload.get("version") != _BUNDLE_VERSION:
         raise ValueError(
             f"unsupported {what} version {payload.get('version')!r} (expected {_BUNDLE_VERSION})"
@@ -383,6 +391,9 @@ def check_bundle(payload: Mapping, what: str, keys: Iterable[str]) -> None:
     unknown = sorted(set(payload) - set(bundle_header("")) - set(keys))
     if unknown:
         raise ValueError(f"{what}: unknown keys: {', '.join(unknown)}")
+    for key in keys:
+        if key not in payload:
+            raise ValueError(f"{what} has no key {key!r}")
 
 
 def doc_to_record(doc: LabeledDocument) -> dict:

@@ -38,7 +38,7 @@ from typing import Hashable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import read_json
+from .corpus import read_json, read_key
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -180,16 +180,16 @@ class GbtModel:
     def from_dict(cls, payload: dict, num_features: int, what: str = "gbt model") -> "GbtModel":
         """The model ``payload`` holds, over ``num_features`` features, its
         trees nested JSON objects of a ``value`` or a ``feature`` in [0,
-        ``num_features``) and a ``left`` and a ``right`` node; a value of
-        the wrong JSON type or another width is a ValueError naming
-        ``what``, its key and the node's place in its tree."""
+        ``num_features``) and a ``left`` and a ``right`` node; a missing
+        key, a value of the wrong JSON type or another width is a ValueError
+        naming ``what``, its key and the node's place in its tree."""
         read_json(payload, dict, what)
-        width = read_json(payload["num_features"], int, f"{what} key 'num_features'")
+        width = read_key(payload, "num_features", int, what)
         if width != num_features:
             raise ValueError(f"{what} key 'num_features' must be {num_features}, got {width}")
-        trees = read_json(payload["trees"], list, f"{what} key 'trees'")
-        params = read_json(payload["params"], GbtParams, f"{what} params")
-        base_score = float(read_json(payload["base_score"], float, f"{what} key 'base_score'"))
+        trees = read_key(payload, "trees", list, what)
+        params = read_json(read_key(payload, "params", dict, what), GbtParams, f"{what} params")
+        base_score = float(read_key(payload, "base_score", float, what))
         table: _Table = [], [], [], [], []
         _, feature, left, right, value = table
         for t, root in enumerate(trees):
@@ -199,26 +199,19 @@ class GbtModel:
                 if "value" in node:
                     value[i] = read_json(node["value"], float, f"{where} key 'value'")
                     continue
-                f = read_json(node["feature"], int, f"{where} key 'feature'")
+                f = read_key(node, "feature", int, where)
                 if not 0 <= f < num_features:
                     raise ValueError(
                         f"{where} key 'feature' must be in [0, {num_features}), got {f}"
                     )
                 feature[i], left[i], right[i] = f, _add_node(table), _add_node(table)
-                order += [(left[i], node["left"], f"{where}.left"),
-                          (right[i], node["right"], f"{where}.right")]
+                order += [(left[i], read_key(node, "left", dict, where), f"{where}.left"),
+                          (right[i], read_key(node, "right", dict, where), f"{where}.right")]
         return cls(params, base_score, *_as_arrays(table), num_features)
 
 
 _MIN_GAIN = 1e-12
 _PRIOR_EPS = 1e-6
-
-
-def _leaf_value(g_sum: float, h_sum: float, lam: float) -> float:
-    denom = h_sum + lam
-    if denom <= _MIN_GAIN:
-        return 0.0
-    return -g_sum / denom
 
 
 def _grow_tree(
@@ -274,9 +267,9 @@ def _grow_tree(
             M[all_rows, owner] = grad[all_rows]
             M[all_rows, F + owner] = hess[all_rows]
             M[all_rows, 2 * F + owner] = 1.0
-            S = (XT @ M).T
+            # each statistic as its own C-contiguous (F x features) block
+            G1, H1, C1 = np.ascontiguousarray((XT @ M).T).reshape(3, F, len(columns))
             del M  # freed before the gain's (F x features) temporaries
-            G1, H1, C1 = S[:F], S[F : 2 * F], S[2 * F :]
 
             G0 = Gt[:, None] - G1
             H0 = Ht[:, None] - H1
@@ -294,7 +287,8 @@ def _grow_tree(
         next_frontier: list[tuple[int, np.ndarray, int]] = []
         for i, (node, nrows, m) in enumerate(frontier):
             if m < 2 or not best_gain[i] > _MIN_GAIN:
-                value[node] = float(_leaf_value(Gt[i], Ht[i], lam))
+                denom = Ht[i] + lam
+                value[node] = 0.0 if denom <= _MIN_GAIN else float(-Gt[i] / denom)
                 leaves.append((value[node], nrows))
                 continue
             j = best_j[i]
@@ -480,9 +474,9 @@ class LinearModel:
         """The model ``payload`` holds, with a row of ``num_features``
         weights per class; anything else is a ValueError naming ``what``
         and its key."""
-        classes = read_json(payload["classes"], tuple[str, ...], f"{what} key 'classes'")
-        rows = read_json(payload["weights"], tuple[tuple[float, ...], ...], f"{what} key 'weights'")
-        intercepts = read_json(payload["intercepts"], tuple[float, ...], f"{what} key 'intercepts'")
+        classes = read_key(payload, "classes", tuple[str, ...], what)
+        rows = read_key(payload, "weights", tuple[tuple[float, ...], ...], what)
+        intercepts = read_key(payload, "intercepts", tuple[float, ...], what)
         n = len(classes)
         if len(rows) != n or len(intercepts) != n or any(len(r) != num_features for r in rows):
             raise ValueError(
@@ -569,6 +563,13 @@ def _fit_l1_binary(
     improvement after a momentum step forces a plain step instead.  Stopping
     at ``max_iter`` or on a step-size underflow issues a RuntimeWarning and
     returns the current iterate.
+
+    A column of X with no stored entry has gradient +0.0 and weight +0.0
+    throughout; dropping it changes no w, b or z, as X @ dw adds each row's
+    entries in stored order and X.T @ coef each column's on its own.  The
+    d-length sums (the bound's dots, ||w||_1, the restart dot) drop only
+    zeros but may group the rest otherwise, so the solve can change only
+    where one of their comparisons lands within rounding of its threshold.
     """
     n, d = X.shape
     XT = X.T  # a CSC view sharing X's arrays; building one costs more than a matvec
@@ -655,19 +656,22 @@ def train_l1_logreg(
     per_class = balanced_class_weights(labels) if params.balanced else {}
     sw = np.array([per_class.get(lab, 1.0) for lab in labels], dtype=np.float64)
 
-    d = X_csr.shape[1]
+    n, d = X_csr.shape
     weights = np.zeros((len(classes), d), dtype=np.float64)
     intercepts = np.zeros(len(classes), dtype=np.float64)
     if len(classes) == 1:
         return LinearModel(classes=classes, weights=weights, intercepts=intercepts)
 
+    held = np.flatnonzero(np.bincount(X_csr.indices, minlength=d))  # see _fit_l1_binary
+    col = np.zeros(d, dtype=X_csr.indices.dtype)
+    col[held] = np.arange(len(held))
+    X_held = sparse.csr_matrix((X_csr.data, col[X_csr.indices], X_csr.indptr), (n, len(held)))
     lam = 1.0 / params.l1_strength
     label_arr = np.array([classes.index(lab) for lab in labels])
     for k in range(len(classes)):
         y_pm = np.where(label_arr == k, 1.0, -1.0)
-        w, b = _fit_l1_binary(X_csr, y_pm, sw, lam, params.max_iter, params.tol)
-        weights[k] = w
-        intercepts[k] = b
+        w, intercepts[k] = _fit_l1_binary(X_held, y_pm, sw, lam, params.max_iter, params.tol)
+        weights[k, held] = w
     return LinearModel(classes=classes, weights=weights, intercepts=intercepts)
 
 

@@ -51,7 +51,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import read_json
+from .corpus import read_json, read_key
 
 UNK = "<UNK>"
 
@@ -193,22 +193,22 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, payload: dict, what: str = "vocabulary") -> "Vocabulary":
-        """The vocabulary ``payload`` holds; a value of the wrong JSON type,
-        an n-gram listed twice, or one of more than ``max_n`` tokens, which
-        ``find_ngrams`` could never find, is a ValueError naming ``what``
-        and its key."""
-        ngrams = read_json(payload["ngrams"], tuple[str, ...], f"{what} key 'ngrams'")
+        """The vocabulary ``payload`` holds; a missing key, a value of the
+        wrong JSON type, an n-gram listed twice, or one of more than
+        ``max_n`` tokens, which ``find_ngrams`` could never find, is a
+        ValueError naming ``what`` and its key."""
+        ngrams = read_key(payload, "ngrams", tuple[str, ...], what)
         mapping = {k: i for i, k in enumerate(ngrams)}
         if len(mapping) != len(ngrams):
             raise ValueError(f"{what} key 'ngrams' lists an n-gram twice")
-        max_n = read_json(payload["max_n"], int, f"{what} key 'max_n'")
+        max_n = read_key(payload, "max_n", int, what)
         over = [gram for gram in ngrams if gram.count(" ") >= max_n]
         if over:
             raise ValueError(f"{what} key 'ngrams' holds {over[0]!r}, of more than {max_n} tokens")
         return cls(
             ngram_to_index=mapping,
             max_n=max_n,
-            min_count=read_json(payload["min_count"], int, f"{what} key 'min_count'"),
+            min_count=read_key(payload, "min_count", int, what),
             unk_token=read_json(payload.get("unk_token", UNK), str, f"{what} key 'unk_token'"),
         )
 

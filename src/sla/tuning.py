@@ -195,8 +195,6 @@ class FittedVariant:
                 return cls(sla_model=model_from_dict(payload))
             if kind in BASELINE_KINDS:
                 return cls(baseline=baseline_from_dict(payload))
-        except KeyError as exc:
-            raise CorpusError(f"{path}: {kind} model bundle has no key {exc}") from None
         except ValueError as exc:
             raise CorpusError(f"{path}: {exc}") from None
         raise CorpusError(f"{path}: unknown model bundle kind {kind!r}")

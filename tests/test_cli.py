@@ -214,21 +214,36 @@ def bundles(workdir, tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("method, dotted", [
-    ("sla", "attribute"),
-    ("sla", "k"),
-    ("sla", "final_classifier"),
-    ("sla", "final_classifier.weights"),
-    ("sla", "line_vocab.ngrams"),
-    ("sla", "hyper"),
-    ("doc-logreg", "vocab"),
-    ("doc-logreg", "attribute"),
-    ("doc-logreg", "linear.intercepts"),
+@pytest.mark.parametrize("method, dotted, message", [
+    ("sla", "attribute", "sla model bundle has no key 'attribute'"),
+    ("sla", "k", "sla model bundle has no key 'k'"),
+    ("sla", "final_classifier", "sla model bundle has no key 'final_classifier'"),
+    ("sla", "final_classifier.weights", "sla model bundle final_classifier has no key 'weights'"),
+    ("sla", "line_vocab.ngrams", "sla model bundle line_vocab has no key 'ngrams'"),
+    ("sla", "hyper", "sla model bundle has no key 'hyper'"),
+    ("doc-logreg", "vocab", "doc-logreg bundle has no key 'vocab'"),
+    ("doc-logreg", "attribute", "doc-logreg bundle has no key 'attribute'"),
+    ("doc-logreg", "linear.intercepts", "doc-logreg bundle linear has no key 'intercepts'"),
+    # a key missing inside a learner, a tree node or a vocabulary is named
+    # with the path to the object that lacks it
+    ("doc-logreg", "linear.classes", "doc-logreg bundle linear has no key 'classes'"),
+    ("doc-logreg", "vocab.max_n", "doc-logreg bundle vocab has no key 'max_n'"),
+    ("sla", "line_scorer.num_features", "sla model bundle line_scorer has no key 'num_features'"),
+    ("sla", "line_scorer.params", "sla model bundle line_scorer has no key 'params'"),
+    ("sla", "line_scorer.base_score", "sla model bundle line_scorer has no key 'base_score'"),
+    ("sla", "line_scorer.trees.0.feature",
+     "sla model bundle line_scorer trees[0] has no key 'feature'"),
+    ("sla", "line_scorer.trees.0.right",
+     "sla model bundle line_scorer trees[0] has no key 'right'"),
+    ("sla", "line_scorer.trees.0.left.feature",
+     "sla model bundle line_scorer trees[0].left has no key 'feature'"),
+    ("doc-boost", "boost_models.0.num_features",
+     "doc-boost bundle boost_models[0] has no key 'num_features'"),
 ])
 def test_predict_names_a_key_missing_from_the_bundle(workdir, bundles, capsys, tmp_path,
-                                                     method, dotted):
+                                                     method, dotted, message):
     bundle = json.loads(bundles[method].read_text())
-    *outer, key = dotted.split(".")
+    *outer, key = (int(name) if name.isdigit() else name for name in dotted.split("."))
     holder = bundle
     for name in outer:
         holder = holder[name]
@@ -238,7 +253,7 @@ def test_predict_names_a_key_missing_from_the_bundle(workdir, bundles, capsys, t
     code, _, err = run(capsys, "predict", "--model", str(edited),
                        "--corpus", str(workdir / "corpus.jsonl"), "--out", str(preds))
     assert code == 2, err
-    assert f"data error: {edited}: " in err and f"has no key '{key}'" in err
+    assert f"data error: {edited}: {message}" in err
     assert not preds.exists()
 
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 from functools import lru_cache
 
@@ -569,3 +570,89 @@ def test_soft_threshold_matches_reference_and_keeps_signed_zeros():
     assert got.tobytes() == _ref_soft_threshold(v, t).tobytes()
     # a small negative weight thresholds to -0.0, which the bundle JSON keeps
     assert np.signbit(got[5]) and got[5] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the solve over held columns
+# ---------------------------------------------------------------------------
+# train_l1_logreg solves over the columns that hold a stored entry.  An
+# empty column's gradient is +0.0, so its weight stays +0.0, and the other
+# iterates are those of the solve over every column unless a comparison fed
+# by a d-length sum lands within rounding of its threshold; these checks
+# compare the two byte for byte on problems with planted empty columns.
+
+
+def _plant_empty_columns(X, seed, share=0.9):
+    """X with empty columns planted among its own, at seeded places, so
+    that about ``share`` of its columns are empty; each row's entries keep
+    their stored order."""
+    n, d = X.shape
+    width = int(round(d / (1.0 - share)))
+    place = np.sort(np.random.default_rng(seed).choice(width, size=d, replace=False))
+    return sparse.csr_matrix((X.data, place[X.indices], X.indptr), shape=(n, width))
+
+
+def _fit_every_column(X, labels, params):
+    """The weights and intercepts of the per-class solve over every column
+    of X."""
+    classes = sorted(set(labels))
+    per_class = balanced_class_weights(labels) if params.balanced else {}
+    sw = np.array([per_class.get(lab, 1.0) for lab in labels])
+    fits = [
+        learners._fit_l1_binary(
+            X, np.where(np.array(labels) == c, 1.0, -1.0), sw, 1.0 / params.l1_strength,
+            params.max_iter, params.tol,
+        )
+        for c in classes
+    ]
+    return np.array([w for w, _ in fits]), np.array([b for _, b in fits])
+
+
+def _assert_held_solve_is_the_full_solve(X, labels, params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the max_iter case stops unconverged
+        model = train_l1_logreg(X, labels, params)
+        weights, intercepts = _fit_every_column(X, labels, params)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.intercepts.tobytes() == intercepts.tobytes()
+    empty = np.bincount(X.indices, minlength=X.shape[1]) == 0
+    assert not np.any(model.weights[:, empty]) and not np.signbit(model.weights[:, empty]).any()
+    return model
+
+
+@pytest.mark.parametrize("C, max_iter", [(0.03, _MAX_ITER), (100.0, _MAX_ITER),
+                                         (1e6, _MAX_ITER), (100.0, 7)])
+@pytest.mark.parametrize("kind, n_classes", [("binary", 2), ("stage2", 5)])
+def test_held_column_solve_is_the_solve_over_every_column(C, max_iter, kind, n_classes):
+    X, labels = _oracle_problem(kind, n_classes, seed=n_classes * 10 + len(kind))
+    X = _plant_empty_columns(X, seed=n_classes)
+    assert np.count_nonzero(np.bincount(X.indices, minlength=X.shape[1]) == 0) > 0.85 * X.shape[1]
+    model = _assert_held_solve_is_the_full_solve(
+        X, labels, LinParams(l1_strength=C, max_iter=max_iter)
+    )
+    assert np.any(model.weights != 0.0) == (C > 1.0)  # C = 0.03 zeroes every weight
+
+
+def test_a_matrix_without_entries_gives_the_intercept_only_fit():
+    """With no stored entry every weight is +0.0, and each one-vs-rest
+    intercept is the balanced prior log-odds, log(1 / (k - 1))."""
+    labels = ["a", "b", "c", "a", "b", "c", "a", "b"]
+    X = sparse.csr_matrix((len(labels), 40))
+    model = _assert_held_solve_is_the_full_solve(X, labels, LinParams())
+    np.testing.assert_allclose(model.intercepts, math.log(1 / 2), atol=1e-3)
+
+
+def test_unsorted_row_entries_are_solved_in_their_stored_order():
+    """Each row's entries are summed in stored order, so a CSR whose rows
+    hold their columns out of order gives the bytes of the solve over
+    every column of that same CSR, as its sorted copy gives those of its
+    own."""
+    X, labels = _oracle_problem("stage2", 5, seed=7)
+    X = _plant_empty_columns(X, seed=7)
+    flipped = [np.arange(X.indptr[i + 1] - 1, X.indptr[i] - 1, -1) for i in range(X.shape[0])]
+    order = np.concatenate(flipped)
+    unsorted = sparse.csr_matrix((X.data[order], X.indices[order], X.indptr), shape=X.shape)
+    assert not unsorted.has_sorted_indices
+    params = LinParams(l1_strength=100.0)
+    _assert_held_solve_is_the_full_solve(unsorted, labels, params)
+    _assert_held_solve_is_the_full_solve(X, labels, params)
