@@ -14,16 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import (
-    AttributeSchema,
-    LabeledDocument,
-    Report,
-    annotated_documents,
-    bundle_header,
-    check_bundle,
-    gold_label,
-    read_json,
-)
+from .corpus import AttributeSchema, LabeledDocument, Report, annotated_documents, gold_label
 from .learners import (
     GbtModel,
     GbtParams,
@@ -137,48 +128,3 @@ def predict_doc_rows(model: DocBaselineModel, X: sparse.csr_matrix) -> list[tupl
         probs = np.column_stack([predict_gbt_batch(m, X) for m in model.boost_models])
         outputs = label_scores(model.boost_classes, probs)
     return [(str(label), scores) for label, scores in outputs]
-
-
-# ---------------------------------------------------------------------------
-# serialization, mirroring the sla bundle format
-# ---------------------------------------------------------------------------
-
-# the keys ``baseline_to_dict`` writes after the header
-_BUNDLE_KEYS = ("attribute", "vocab", "linear", "boost_classes", "boost_models")
-
-
-def baseline_to_dict(model: DocBaselineModel) -> dict:
-    return {
-        **bundle_header(model.kind),
-        "attribute": model.attribute,
-        "vocab": model.vocab.to_dict(),
-        "linear": model.linear.to_dict() if model.linear else None,
-        "boost_classes": list(model.boost_classes) if model.boost_classes else None,
-        "boost_models": [m.to_dict() for m in model.boost_models]
-        if model.boost_models
-        else None,
-    }
-
-
-def baseline_from_dict(payload: dict) -> DocBaselineModel:
-    what = f"{payload['kind']} bundle"
-    check_bundle(payload, what, _BUNDLE_KEYS)
-
-    def read(key: str, kind):
-        return read_json(payload[key], kind, f"{what} key {key!r}")
-
-    vocab = Vocabulary.from_dict(read("vocab", dict), f"{what} vocab")
-    linear = read("linear", dict | None)
-    boost_models = read("boost_models", list | None)
-    # the kind's own check runs on the learners as JSON, so that a learner
-    # the kind takes no part in is refused before it is read
-    model = DocBaselineModel(read("attribute", str), payload["kind"], vocab, linear,
-                             read("boost_classes", tuple[str, ...] | None), boost_models)
-    if linear is not None:
-        model.linear = LinearModel.from_dict(linear, vocab.dimension, f"{what} linear")
-    if boost_models is not None:
-        model.boost_models = [
-            GbtModel.from_dict(m, vocab.dimension, f"{what} boost_models[{i}]")
-            for i, m in enumerate(boost_models)
-        ]
-    return model

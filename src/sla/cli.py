@@ -25,7 +25,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
-from . import evaluation, pipeline, stage, synth, tuning
+from . import bundle, evaluation, pipeline, stage, synth, tuning
 from .corpus import (
     CorpusError,
     corpus_to_jsonl,
@@ -200,7 +200,7 @@ def _cmd_train(args) -> _Run:
         schemas=schemas,
         keyword_rules=rules,
     )
-    _atomic_write(args.out, json.dumps(fitted.to_dict()) + "\n")
+    _atomic_write(args.out, bundle.bundle_text(fitted.sla_model or fitted.baseline))
     print(f"trained {args.variant} model for {args.attribute!r} -> {args.out}")
     inputs = (args.corpus, args.params, args.schema, args.rules)
     return _Run(inputs, (args.out,), recorded={"params": config})

@@ -31,14 +31,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Sequence
 
 import numpy as np
 from scipy import sparse
-
-from .corpus import read_json, read_key
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -102,10 +100,10 @@ class GbtParams:
 
 # a forest's node table as it is built: lists of the ``GbtModel`` fields
 # trees, feature, left, right and value
-_Table = tuple[list, list, list, list, list]
+NodeTable = tuple[list, list, list, list, list]
 
 
-def _add_node(table: _Table, root: bool = False) -> int:
+def add_node(table: NodeTable, root: bool = False) -> int:
     """Append a leaf of value 0 to ``table``, as a tree's root if ``root``,
     and return its node."""
     trees, feature, left, right, value = table
@@ -119,7 +117,7 @@ def _add_node(table: _Table, root: bool = False) -> int:
     return i
 
 
-def _as_arrays(table: _Table) -> tuple[np.ndarray, ...]:
+def node_arrays(table: NodeTable) -> tuple[np.ndarray, ...]:
     """The lists of ``table`` as the arrays ``GbtModel`` holds."""
     return (*(np.array(a, dtype=np.int64) for a in table[:4]), np.array(table[4], dtype=float))
 
@@ -159,56 +157,6 @@ class GbtModel:
             level = level[self.feature[level] >= 0]
         return used, column, np.searchsorted(used, self.feature), depth
 
-    def to_dict(self) -> dict:
-        feature, left, right, value = (
-            a.tolist() for a in (self.feature, self.left, self.right, self.value)
-        )
-
-        def tree(i: int) -> dict:
-            if feature[i] < 0:
-                return {"value": value[i]}
-            return {"feature": feature[i], "left": tree(left[i]), "right": tree(right[i])}
-
-        return {
-            "params": asdict(self.params),
-            "base_score": self.base_score,
-            "num_features": self.num_features,
-            "trees": [tree(i) for i in self.trees.tolist()],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict, num_features: int, what: str = "gbt model") -> "GbtModel":
-        """The model ``payload`` holds, over ``num_features`` features, its
-        trees nested JSON objects of a ``value`` or a ``feature`` in [0,
-        ``num_features``) and a ``left`` and a ``right`` node; a missing
-        key, a value of the wrong JSON type or another width is a ValueError
-        naming ``what``, its key and the node's place in its tree."""
-        read_json(payload, dict, what)
-        width = read_key(payload, "num_features", int, what)
-        if width != num_features:
-            raise ValueError(f"{what} key 'num_features' must be {num_features}, got {width}")
-        trees = read_key(payload, "trees", list, what)
-        params = read_json(read_key(payload, "params", dict, what), GbtParams, f"{what} params")
-        base_score = float(read_key(payload, "base_score", float, what))
-        table: _Table = [], [], [], [], []
-        _, feature, left, right, value = table
-        for t, root in enumerate(trees):
-            order = [(_add_node(table, root=True), root, f"{what} trees[{t}]")]
-            for i, node, where in order:  # grows as it is read: breadth first
-                read_json(node, dict, where)
-                if "value" in node:
-                    value[i] = read_json(node["value"], float, f"{where} key 'value'")
-                    continue
-                f = read_key(node, "feature", int, where)
-                if not 0 <= f < num_features:
-                    raise ValueError(
-                        f"{where} key 'feature' must be in [0, {num_features}), got {f}"
-                    )
-                feature[i], left[i], right[i] = f, _add_node(table), _add_node(table)
-                order += [(left[i], read_key(node, "left", dict, where), f"{where}.left"),
-                          (right[i], read_key(node, "right", dict, where), f"{where}.right")]
-        return cls(params, base_score, *_as_arrays(table), num_features)
-
 
 _MIN_GAIN = 1e-12
 _PRIOR_EPS = 1e-6
@@ -222,7 +170,7 @@ def _grow_tree(
     hess: np.ndarray,
     params: GbtParams,
     out_of_bag: np.ndarray,
-    table: _Table,
+    table: NodeTable,
 ) -> list[tuple[float, np.ndarray]]:
     """Grow one tree level by level on the given row subset, appending its
     nodes to ``table`` breadth first as it splits them.
@@ -247,7 +195,7 @@ def _grow_tree(
     leaves: list[tuple[float, np.ndarray]] = []
     # each open node is a leaf of the table until it takes its value or splits
     frontier: list[tuple[int, np.ndarray, int]] = [
-        (_add_node(table, root=True), np.concatenate((rows, out_of_bag)), len(rows))
+        (add_node(table, root=True), np.concatenate((rows, out_of_bag)), len(rows))
     ]
     col_mark = np.zeros(n_total, dtype=bool)
     indptr, col_indices = XT.indptr, XT.indices
@@ -298,7 +246,7 @@ def _grow_tree(
             col_mark[col_rows] = False
             m_present = int(np.count_nonzero(present[:m]))
             feature[node], left[node], right[node] = (
-                int(columns[j]), _add_node(table), _add_node(table)
+                int(columns[j]), add_node(table), add_node(table)
             )
             next_frontier.append((left[node], nrows[~present], m - m_present))
             next_frontier.append((right[node], nrows[present], m_present))
@@ -357,7 +305,7 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
     # tocsc() stores each column's rows sorted, so equal row sets match
     columns = _distinct_columns(X_csc)
     XT = X_csc.T[columns]
-    table: _Table = [], [], [], [], []
+    table: NodeTable = [], [], [], [], []
     for _ in range(params.num_rounds):
         rows = all_rows
         if params.subsample < 1.0:
@@ -372,7 +320,7 @@ def train_gbt(X, y, params: GbtParams | None = None) -> GbtModel:
         for value, leaf_rows in leaves:
             margins[leaf_rows] += params.learning_rate * value
 
-    return GbtModel(params, base, *_as_arrays(table), X_csr.shape[1])
+    return GbtModel(params, base, *node_arrays(table), X_csr.shape[1])
 
 
 def predict_gbt_margin(model: GbtModel, X) -> np.ndarray:
@@ -459,36 +407,6 @@ class LinearModel:
     @property
     def num_features(self) -> int:
         return self.weights.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "classes": list(self.classes),
-            "weights": [row.tolist() for row in self.weights],
-            "intercepts": self.intercepts.tolist(),
-        }
-
-    @classmethod
-    def from_dict(
-        cls, payload: dict, num_features: int, what: str = "linear model"
-    ) -> "LinearModel":
-        """The model ``payload`` holds, with a row of ``num_features``
-        weights per class; anything else is a ValueError naming ``what``
-        and its key."""
-        classes = read_key(payload, "classes", tuple[str, ...], what)
-        rows = read_key(payload, "weights", tuple[tuple[float, ...], ...], what)
-        intercepts = read_key(payload, "intercepts", tuple[float, ...], what)
-        n = len(classes)
-        if len(rows) != n or len(intercepts) != n or any(len(r) != num_features for r in rows):
-            raise ValueError(
-                f"{what} must hold one weight row of {num_features} numbers and one intercept"
-                f" per class ({n})"
-            )
-        return cls(
-            classes=classes,
-            # from the JSON lists, which numpy reads faster than the tuples
-            weights=np.array(payload["weights"], dtype=np.float64).reshape(n, num_features),
-            intercepts=np.array(intercepts, dtype=np.float64),
-        )
 
 
 def logloss_value_grad(

@@ -32,7 +32,7 @@ keyword-matched line (no cap), "oracle" the annotator's gold lines.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -40,14 +40,14 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
+# ``bundle`` owns the model bundle; its file I/O is importable from here too
+from .bundle import load_model, save_model  # noqa: F401
 from .corpus import (
     AttributeSchema,
     CorpusError,
     LabeledDocument,
     Report,
     annotated_documents,
-    bundle_header,
-    check_bundle,
     gold_label,
     read_json,
 )
@@ -476,98 +476,3 @@ def predict_sla(
 ) -> Prediction:
     """Predict the attribute label for one report: a batch of one."""
     return predict_sla_batch(model, [report], [gold_lines])[0]
-
-
-# ---------------------------------------------------------------------------
-# model bundle serialization
-# ---------------------------------------------------------------------------
-
-BUNDLE_KIND = "sla"  # a baseline bundle's kind is its baseline kind
-# the keys ``model_to_dict`` writes after the header
-_BUNDLE_KEYS = ("attribute", "variant", "k", "final_vocab", "final_classifier", "line_vocab",
-                "line_scorer", "keyword_rules", "hyper")
-
-
-def model_to_dict(model: SlaModel) -> dict:
-    return {
-        **bundle_header(BUNDLE_KIND),
-        "attribute": model.attribute,
-        "variant": model.variant,
-        "k": model.k,
-        "final_vocab": model.final_vocab.to_dict(),
-        "final_classifier": model.final_classifier.to_dict(),
-        "line_vocab": model.line_vocab.to_dict() if model.line_scorer else None,
-        "line_scorer": model.line_scorer.to_dict() if model.line_scorer else None,
-        "keyword_rules": list(model.keyword_rules) if model.keyword_rules else None,
-        "hyper": asdict(model.hyper),
-    }
-
-
-def model_from_dict(payload: dict) -> SlaModel:
-    """The model ``payload`` holds.  The bundle repeats what ``hyper``
-    holds (``k``, each stage's order and vocabulary, the line scorer's
-    parameters), and a copy that disagrees with it is a ValueError naming
-    the key."""
-    if payload.get("kind") != BUNDLE_KIND:
-        raise ValueError(f"not an sla model bundle: kind={payload.get('kind')!r}")
-    what = "sla model bundle"
-    check_bundle(payload, what, _BUNDLE_KEYS)
-
-    def read(key: str, kind):
-        return read_json(payload[key], kind, f"{what} key {key!r}")
-
-    # bundles written before gbt and lin were serialized get the defaults,
-    # and for gbt the line scorer's parameters
-    hyper = read_json(payload["hyper"], SlaHyperParams, f"{what} hyper", optional=("gbt", "lin"))
-    if read("k", int) != hyper.k:
-        raise ValueError(f"{what} key 'k' is {payload['k']}, but hyper key 'k' is {hyper.k}")
-    line_scorer = read("line_scorer", dict | None)
-    if (payload["line_vocab"] is None) != (line_scorer is None):
-        raise ValueError(f"{what} keys 'line_vocab' and 'line_scorer' must both be null or set")
-    vocabs = {}  # a line vocabulary only with a line scorer
-    for key in ("final_vocab", "line_vocab") if line_scorer is not None else ("final_vocab",):
-        vocabs[key] = Vocabulary.from_dict(read(key, dict), f"{what} {key}")
-        order = key.replace("vocab", "ngram_n")
-        if vocabs[key].max_n != getattr(hyper, order):
-            raise ValueError(
-                f"{what} key {key!r} has order {vocabs[key].max_n}, but hyper key {order!r} is"
-                f" {getattr(hyper, order)}"
-            )
-    # serving reads both stages' columns from the larger vocabulary
-    vocab = max(vocabs.values(), key=lambda v: v.max_n)
-    if any(vocab.restrict(v.max_n)[0] != v for v in vocabs.values()):
-        raise ValueError(
-            f"{what} keys 'line_vocab' (order {hyper.line_ngram_n}) and 'final_vocab' (order "
-            f"{hyper.final_ngram_n}) disagree: the smaller must be the larger restricted to its"
-            " order"
-        )
-    if line_scorer is not None:
-        line_scorer = GbtModel.from_dict(
-            line_scorer, vocabs["line_vocab"].dimension, f"{what} line_scorer"
-        )
-        hyper = hyper if "gbt" in payload["hyper"] else replace(hyper, gbt=line_scorer.params)
-        if line_scorer.params != hyper.gbt:
-            raise ValueError(f"{what} line_scorer params disagree with hyper key 'gbt'")
-    return SlaModel(
-        attribute=read("attribute", str),
-        variant=read("variant", str),
-        hyper=hyper,
-        vocab=vocab,
-        final_classifier=LinearModel.from_dict(
-            read("final_classifier", dict), vocabs["final_vocab"].dimension,
-            f"{what} final_classifier",
-        ),
-        line_scorer=line_scorer,
-        keyword_rules=read("keyword_rules", tuple[str, ...] | None),
-    )
-
-
-def save_model(model: SlaModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-        fh.write("\n")
-
-
-def load_model(path: str) -> SlaModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

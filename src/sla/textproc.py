@@ -51,8 +51,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import read_json, read_key
-
 UNK = "<UNK>"
 
 _REMOVE_CHARS = str.maketrans("", "", ",\\;~.")
@@ -181,36 +179,6 @@ class Vocabulary:
             )
             self._restricted[max_n] = vocab, np.array([i for i, _ in kept], dtype=np.int64)
         return self._restricted[max_n]
-
-    def to_dict(self) -> dict:
-        items = sorted(self.ngram_to_index.items(), key=lambda kv: kv[1])
-        return {
-            "max_n": self.max_n,
-            "min_count": self.min_count,
-            "unk_token": self.unk_token,
-            "ngrams": [k for k, _ in items],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict, what: str = "vocabulary") -> "Vocabulary":
-        """The vocabulary ``payload`` holds; a missing key, a value of the
-        wrong JSON type, an n-gram listed twice, or one of more than
-        ``max_n`` tokens, which ``find_ngrams`` could never find, is a
-        ValueError naming ``what`` and its key."""
-        ngrams = read_key(payload, "ngrams", tuple[str, ...], what)
-        mapping = {k: i for i, k in enumerate(ngrams)}
-        if len(mapping) != len(ngrams):
-            raise ValueError(f"{what} key 'ngrams' lists an n-gram twice")
-        max_n = read_key(payload, "max_n", int, what)
-        over = [gram for gram in ngrams if gram.count(" ") >= max_n]
-        if over:
-            raise ValueError(f"{what} key 'ngrams' holds {over[0]!r}, of more than {max_n} tokens")
-        return cls(
-            ngram_to_index=mapping,
-            max_n=max_n,
-            min_count=read_key(payload, "min_count", int, what),
-            unk_token=read_json(payload.get("unk_token", UNK), str, f"{what} key 'unk_token'"),
-        )
 
 
 def build_vocabulary(

@@ -29,26 +29,22 @@ from .baselines import (
     BASELINE_KINDS,
     DEFAULT_NGRAM_N,
     DocBaselineModel,
-    baseline_from_dict,
-    baseline_to_dict,
     fit_doc_baseline,
     predict_doc_baseline,
     predict_doc_rows,
     train_doc_baseline,
 )
-from .corpus import CorpusError, LabeledDocument, annotated_documents, gold_label, read_json
+from .bundle import load_model
+from .corpus import LabeledDocument, annotated_documents, gold_label, read_json
 from .evaluation import micro_f1, parallel_map
 from .learners import GbtParams, LinParams
 from .pipeline import (
-    BUNDLE_KIND,
     VARIANTS,
     Prediction,
     SelectedLines,
     SlaHyperParams,
     SlaModel,
     fit_sla,
-    model_from_dict,
-    model_to_dict,
     oracle_gold_lines,
     predict_featurized,
     predict_sla_batch,
@@ -146,8 +142,7 @@ _NO_RATIONALE = SelectedLines(())
 @dataclass
 class FittedVariant:
     """One trained method, pipeline variant or baseline: the one place that
-    tells the two apart, when predicting and when reading or writing a
-    model bundle."""
+    tells the two apart when predicting."""
 
     sla_model: SlaModel | None = None
     baseline: DocBaselineModel | None = None
@@ -178,26 +173,11 @@ class FittedVariant:
     def predict_label(self, doc: LabeledDocument) -> str:
         return self.predict(doc).label
 
-    def to_dict(self) -> dict:
-        """The model bundle: the sla or the baseline bundle format."""
-        if self.sla_model is not None:
-            return model_to_dict(self.sla_model)
-        return baseline_to_dict(self.baseline)
-
     @classmethod
     def load(cls, path: str) -> "FittedVariant":
-        """Read a model bundle written from ``to_dict``."""
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        try:
-            kind = read_json(payload, dict, "a model bundle").get("kind")
-            if kind == BUNDLE_KIND:
-                return cls(sla_model=model_from_dict(payload))
-            if kind in BASELINE_KINDS:
-                return cls(baseline=baseline_from_dict(payload))
-        except ValueError as exc:
-            raise CorpusError(f"{path}: {exc}") from None
-        raise CorpusError(f"{path}: unknown model bundle kind {kind!r}")
+        """Read the model bundle at ``path`` (``bundle.load_model``)."""
+        model = load_model(path)
+        return cls(sla_model=model) if isinstance(model, SlaModel) else cls(baseline=model)
 
 
 _GBT_KEYS = tuple(f.name for f in fields(GbtParams) if f.name != "seed")

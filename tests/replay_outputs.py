@@ -49,7 +49,8 @@ import numpy
 import scipy
 
 from sla import cli
-from sla.tuning import METHODS, FittedVariant
+from sla.bundle import bundle_text, load_model
+from sla.tuning import METHODS
 
 LISTING = Path(__file__).with_name("replay.sha256")
 
@@ -96,7 +97,7 @@ def _train(*argv: str) -> None:
     SystemExit if the bytes differ."""
     _run("train", *argv)
     bundle = Path(argv[-1])
-    text = json.dumps(FittedVariant.load(str(bundle)).to_dict()) + "\n"
+    text = bundle_text(load_model(str(bundle)))
     bundle.with_name("model.resaved.json").write_text(text, encoding="utf-8")
     if text.encode("utf-8") != bundle.read_bytes():
         raise SystemExit(f"{bundle}: loading and saving the bundle changed its bytes")

@@ -21,6 +21,7 @@ from scipy import sparse
 
 import criterion_lines
 from sla import cli, evaluation, stage, synth, tuning
+from sla.bundle import forest_to_json
 from sla.corpus import (
     compose_label,
     load_schemas,
@@ -298,7 +299,7 @@ def test_06_boosted_trees_correctness():
     yh = ((Xh[:, 0] + Xh[:, 3] * Xh[:, 7]) > 0).astype(int).tolist()
     hand = train_gbt(sparse.csr_matrix(Xh), yh,
                      GbtParams(learning_rate=0.3, max_depth=3, num_rounds=12, seed=2))
-    payload = hand.to_dict()
+    payload = forest_to_json(hand)
 
     def walk(node, present):
         while "feature" in node:

@@ -2,20 +2,21 @@ import json
 
 import pytest
 
+import sla
 from sla import baselines
 from sla.baselines import (
-    baseline_from_dict,
-    baseline_to_dict,
+    DocBaselineModel,
     featurize_document,
     predict_doc_baseline,
     train_doc_baseline,
 )
-from sla.corpus import Report, load_schemas, select_documents, split_corpus
+from sla.bundle import bundle_text, from_json, save_model, to_json
+from sla.corpus import CorpusError, Report, load_schemas, select_documents, split_corpus
 from sla.learners import GbtParams
 from sla.textproc import build_vocabulary, tokenize
 from sla.tuning import FittedVariant, cross_validate
 
-from test_pipeline import tiny_corpus
+from test_pipeline import fit, tiny_corpus
 
 
 def test_featurize_is_binary_union_of_lines():
@@ -77,9 +78,9 @@ def test_train_rejects_bad_inputs():
 def test_bundle_roundtrip(tmp_path, kind):
     docs = tiny_corpus(n=24, seed=29)
     model = train_doc_baseline(docs, "grade", kind=kind, gbt=GbtParams(num_rounds=10, seed=1))
-    again = baseline_from_dict(baseline_to_dict(model))
+    again = from_json(to_json(model))
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(FittedVariant(baseline=model).to_dict()))
+    save_model(model, str(path))
     loaded = FittedVariant.load(str(path)).baseline
     reports = [d.report for d in docs[:8]]
     expect = predict_doc_baseline(model, reports)
@@ -90,11 +91,42 @@ def test_bundle_roundtrip(tmp_path, kind):
 
 def test_bundle_rejects_unknown_version():
     docs = tiny_corpus(n=24, seed=29)
-    payload = baseline_to_dict(train_doc_baseline(docs, "grade"))
+    payload = to_json(train_doc_baseline(docs, "grade"))
     for version in (999, 0, None):
         payload["version"] = version
         with pytest.raises(ValueError, match="version"):
-            baseline_from_dict(payload)
+            from_json(payload)
+
+
+def test_load_model_reads_every_kind_and_names_the_file(tmp_path):
+    docs = tiny_corpus(n=24, seed=29)
+    models = {"sla": fit(docs, "sla")}
+    for kind in ("doc-logreg", "doc-boost"):
+        models[kind] = train_doc_baseline(docs, "grade", kind=kind,
+                                          gbt=GbtParams(num_rounds=5, seed=1))
+    for kind, model in models.items():
+        path = tmp_path / f"{kind}.json"
+        sla.save_model(model, str(path))
+        loaded = sla.load_model(str(path))
+        assert type(loaded) is type(model)
+        assert isinstance(loaded, sla.SlaModel if kind == "sla" else DocBaselineModel)
+        assert path.read_text(encoding="utf-8") == bundle_text(loaded)
+    bundle = to_json(models["doc-boost"])
+    refused = {
+        "not-json.json": "{",
+        "array.json": [],
+        "kind.json": {**bundle, "kind": "doc-forest"},
+        "version.json": {**bundle, "version": 2},
+        "missing.json": {k: v for k, v in bundle.items() if k != "vocab"},
+        "nested.json": {**bundle, "vocab": {**bundle["vocab"], "notes": "x"}},
+    }
+    for name, payload in refused.items():
+        path = tmp_path / name
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload),
+                        encoding="utf-8")
+        with pytest.raises(CorpusError) as caught:
+            sla.load_model(str(path))
+        assert str(caught.value).startswith(f"{path}: "), name
 
 
 @pytest.mark.parametrize("kind", ["doc-logreg", "doc-boost"])

@@ -239,6 +239,7 @@ def bundles(workdir, tmp_path_factory):
      "sla model bundle line_scorer trees[0].left has no key 'feature'"),
     ("doc-boost", "boost_models.0.num_features",
      "doc-boost bundle boost_models[0] has no key 'num_features'"),
+    ("sla", "final_vocab.unk_token", "sla model bundle final_vocab has no key 'unk_token'"),
 ])
 def test_predict_names_a_key_missing_from_the_bundle(workdir, bundles, capsys, tmp_path,
                                                      method, dotted, message):
@@ -302,6 +303,10 @@ def _set_dotted(bundle, dotted, value):
 
 # a tree of one split on a feature that no vocabulary of the corpus holds
 _FAR_SPLIT = {"feature": 10**9, "left": {"value": 0.0}, "right": {"value": 0.0}}
+
+
+def _repeat_first(classes):
+    return [classes[0]] * len(classes)
 
 
 def _over_long(ngrams):
@@ -373,6 +378,13 @@ def _over_long(ngrams):
      "final_classifier key 'weights'[0][1] must be a finite number, got 1000"),
     ("rules", "final_vocab.ngrams", _over_long, "final_vocab key 'ngrams' holds '"),
     ("doc-logreg", "vocab.ngrams", _over_long, "vocab key 'ngrams' holds '"),
+    # a class listed twice, of which each prediction's scores would keep one
+    ("sla", "final_classifier.classes", _repeat_first,
+     "sla model bundle final_classifier key 'classes' lists a class twice"),
+    ("doc-logreg", "linear.classes", _repeat_first,
+     "doc-logreg bundle linear key 'classes' lists a class twice"),
+    ("doc-boost", "boost_classes", _repeat_first,
+     "doc-boost bundle key 'boost_classes' lists a class twice"),
 ])
 def test_predict_names_a_nested_bundle_value_of_the_wrong_type(workdir, bundles, capsys,
                                                              tmp_path, method, dotted, value,
@@ -469,6 +481,15 @@ def _widen(width):
     # a key that no reader knows, which re-saving would drop
     ("sla", {"notes": "x"}, "sla model bundle: unknown keys: notes"),
     ("doc-logreg", {"notes": "x"}, "doc-logreg bundle: unknown keys: notes"),
+    # ... at any depth
+    ("sla", {"final_vocab.notes": "x"}, "sla model bundle final_vocab: unknown keys: notes"),
+    ("sla", {"final_classifier.notes": "x"},
+     "sla model bundle final_classifier: unknown keys: notes"),
+    ("sla", {"line_scorer.notes": "x"}, "sla model bundle line_scorer: unknown keys: notes"),
+    ("sla", {"line_scorer.trees.0": {"value": 0.5, "feature": 0}},
+     "sla model bundle line_scorer trees[0]: unknown keys: feature"),
+    ("doc-boost", {"boost_models.0.notes": "x"},
+     "doc-boost bundle boost_models[0]: unknown keys: notes"),
 ])
 def test_predict_refuses_a_bundle_whose_copies_disagree(workdir, bundles, capsys, tmp_path,
                                                         method, edits, message):

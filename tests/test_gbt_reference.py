@@ -5,7 +5,7 @@ the reference: each level builds three sparse (node x row) matrices of
 gradients, hessians and ones and multiplies each by X, and the margins are
 updated by walking every row through the new tree.  The reference's trees
 are nested dicts, the form of a model bundle.  ``sla.learners`` must grow
-the same trees (compared through ``to_dict()``) and give the same margins
+the same trees (compared through ``sla.bundle.forest_to_json``) and give the same margins
 (compared with ``tobytes()``), and its node-table walk must give the
 margins of the reference walk on any forest.
 """
@@ -22,8 +22,8 @@ from scipy import sparse
 
 from sla import synth
 from sla.baselines import featurize_document
+from sla.bundle import forest_from_json, forest_to_json
 from sla.learners import (
-    GbtModel,
     GbtParams,
     _distinct_columns,
     _sigmoid,
@@ -171,7 +171,7 @@ def _ref_train_gbt(X_csr, y, params):
 def assert_matches_reference(X, y, params):
     fast = train_gbt(X, y, params)
     ref, ref_margins = _ref_train_gbt(X, y, params)
-    assert fast.to_dict() == ref
+    assert forest_to_json(fast) == ref
     # the training margins and the predicted margins are the same sums
     assert predict_gbt_margin(fast, X).tobytes() == ref_margins.tobytes()
     return fast
@@ -261,7 +261,7 @@ def test_stage1_trees_match_reference_at_every_depth(max_depth):
     X, y = stage1_problem(seed=max_depth, flip=0.2)
     params = GbtParams(max_depth=max_depth, num_rounds=12, seed=1)
     model = assert_matches_reference(X, y, params)
-    assert max(tree_depth(tree) for tree in model.to_dict()["trees"]) == max_depth
+    assert max(tree_depth(tree) for tree in forest_to_json(model)["trees"]) == max_depth
 
 
 @pytest.mark.parametrize(
@@ -329,7 +329,7 @@ def test_planted_duplicate_columns_match_reference(max_depth, subsample, min_spl
     params = GbtParams(max_depth=max_depth, subsample=subsample, min_split_loss=min_split_loss,
                        num_rounds=8, seed=max_depth)
     model = assert_matches_reference(planted, y, params)
-    assert max(tree_depth(tree) for tree in model.to_dict()["trees"]) == max_depth
+    assert max(tree_depth(tree) for tree in forest_to_json(model)["trees"]) == max_depth
 
 
 def test_distinct_columns_keeps_the_first_column_of_each_row_set():
@@ -400,8 +400,8 @@ def test_node_table_margins_equal_the_reference_walk(
         "num_features": num_features,
         "trees": trees,
     }
-    model = GbtModel.from_dict(payload, num_features)
-    assert model.to_dict() == payload
+    model = forest_from_json(payload, num_features)
+    assert forest_to_json(model) == payload
     dense = rng.random((num_rows, num_features)) < rng.uniform(0.0, 0.6)
     if num_rows:
         dense[rng.random(num_rows) < 0.4] = dense[0]  # rows that repeat a pattern
@@ -416,10 +416,10 @@ def test_round_tripped_model_scores_the_same_bits():
     X, y = stage1_problem(seed=6, flip=0.2)
     model = train_gbt(X, y, GbtParams(max_depth=6, subsample=0.75, num_rounds=20, seed=5))
     margins = predict_gbt_margin(model, X)
-    again = GbtModel.from_dict(json.loads(json.dumps(model.to_dict())), model.num_features)
-    assert again.to_dict() == model.to_dict()
+    again = forest_from_json(json.loads(json.dumps(forest_to_json(model))), model.num_features)
+    assert forest_to_json(again) == forest_to_json(model)
     # growth and loading number the nodes alike: each tree breadth first
     for name in ("trees", "feature", "left", "right", "value"):
         assert getattr(again, name).tobytes() == getattr(model, name).tobytes()
     assert predict_gbt_margin(again, X).tobytes() == margins.tobytes()
-    assert margins.tobytes() == _ref_margins(model.to_dict(), X, len(model.trees)).tobytes()
+    assert margins.tobytes() == _ref_margins(forest_to_json(model), X, len(model.trees)).tobytes()

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from sla.bundle import forest_from_json, forest_to_json
 from sla.learners import (
-    GbtModel,
     GbtParams,
     predict_gbt_batch,
     predict_gbt_margin,
@@ -40,7 +40,7 @@ def test_single_stump_matches_hand_derived_split():
     params = GbtParams(learning_rate=0.5, max_depth=1, num_rounds=1, l2_lambda=1.0)
     model = train_gbt(dense_to_csr(STUMP_X), STUMP_Y, params)
     assert model.base_score == 0.0
-    (tree,) = model.to_dict()["trees"]
+    (tree,) = forest_to_json(model)["trees"]
     assert tree["feature"] == 0
     assert tree["left"]["value"] == pytest.approx(STUMP_LEAVES[0], abs=1e-12)
     assert tree["right"]["value"] == pytest.approx(STUMP_LEAVES[1], abs=1e-12)
@@ -84,7 +84,7 @@ def test_first_split_agrees_with_brute_force_on_random_data():
         gain, feature = brute_force_best_split(X, grad, hess, np.arange(n), 1.0, 0.0)
         params = GbtParams(max_depth=1, num_rounds=1, l2_lambda=1.0)
         model = train_gbt(dense_to_csr(X), y.tolist(), params)
-        (tree,) = model.to_dict()["trees"]
+        (tree,) = forest_to_json(model)["trees"]
         if "value" in tree:
             assert gain <= 1e-12
         else:
@@ -110,7 +110,7 @@ def test_hand_walked_tree_oracle_on_fixed_points():
     params = GbtParams(learning_rate=0.3, max_depth=3, num_rounds=12, seed=2)
     model = train_gbt(dense_to_csr(X), y, params)
 
-    payload = model.to_dict()  # walk the serialized form, not live objects
+    payload = forest_to_json(model)  # walk the serialized form, not live objects
 
     def walk(node, present):
         while "feature" in node:
@@ -180,9 +180,9 @@ def test_subsample_is_deterministic_given_seed():
     params = GbtParams(subsample=0.6, num_rounds=10, seed=42)
     m1 = train_gbt(dense_to_csr(X), y, params)
     m2 = train_gbt(dense_to_csr(X), y, params)
-    assert m1.to_dict() == m2.to_dict()
+    assert forest_to_json(m1) == forest_to_json(m2)
     m3 = train_gbt(dense_to_csr(X), y, GbtParams(subsample=0.6, num_rounds=10, seed=43))
-    assert m1.to_dict() != m3.to_dict()
+    assert forest_to_json(m1) != forest_to_json(m3)
 
 
 def test_min_split_loss_prunes_weak_splits():
@@ -197,7 +197,7 @@ def test_gbt_model_roundtrip():
     X = (rng.random((30, 6)) < 0.4).astype(np.float64)
     y = rng.integers(0, 2, size=30).tolist()
     model = train_gbt(dense_to_csr(X), y, GbtParams(num_rounds=6, max_depth=2))
-    again = GbtModel.from_dict(model.to_dict(), model.num_features)
+    again = forest_from_json(forest_to_json(model), model.num_features)
     probs_a = predict_gbt_batch(model, dense_to_csr(X))
     probs_b = predict_gbt_batch(again, dense_to_csr(X))
     assert np.array_equal(probs_a, probs_b)
@@ -247,7 +247,7 @@ def test_predict_margin_of_a_tree_prefix():
 
 def test_predict_margin_refuses_what_it_cannot_score():
     model = train_gbt(dense_to_csr(STUMP_X), STUMP_Y, GbtParams(max_depth=1, num_rounds=1))
-    assert model.to_dict()["trees"][0]["feature"] == 0
+    assert forest_to_json(model)["trees"][0]["feature"] == 0
     for width in (1, 4):  # too narrow, too wide
         with pytest.raises(ValueError, match="features"):
             predict_gbt_margin(model, sparse.csr_matrix((1, width)))

@@ -8,6 +8,7 @@ from scipy import sparse
 
 from sla import learners, synth, tuning
 from sla.baselines import featurize_document
+from sla.bundle import linear_from_json, linear_to_json
 from sla.corpus import gold_label
 from sla.learners import (
     LinearModel,
@@ -213,7 +214,7 @@ def test_linear_model_roundtrip():
     X, y_pm, _ = random_problem(rng)
     y = ["a" if v > 0 else "b" for v in y_pm]
     model = train_l1_logreg(X, y)
-    again = LinearModel.from_dict(model.to_dict(), model.num_features)
+    again = linear_from_json(linear_to_json(model), model.num_features)
     assert again.classes == model.classes
     assert np.array_equal(again.weights, model.weights)
     assert np.array_equal(again.intercepts, model.intercepts)

@@ -29,8 +29,6 @@ from sla.pipeline import (
     join_adjacent,
     load_keyword_rules,
     load_model,
-    model_from_dict,
-    model_to_dict,
     predict_sla,
     predict_sla_batch,
     _rule_hits,
@@ -39,8 +37,8 @@ from sla.pipeline import (
     select_top_k,
     train_sla,
 )
+from sla.bundle import forest_from_json, forest_to_json, from_json, to_json, vocab_to_json
 from sla.learners import (
-    GbtModel,
     GbtParams,
     LinParams,
     predict_gbt_batch,
@@ -402,7 +400,7 @@ def test_train_sla_needs_two_annotated_docs():
 def test_model_bundle_roundtrip(tmp_path):
     docs = tiny_corpus(n=30, seed=17)
     model = fit(docs, "sla", k=2)
-    again = model_from_dict(model_to_dict(model))
+    again = from_json(to_json(model))
     for d in docs[:8]:
         a = predict_sla(model, d.report)
         b = predict_sla(again, d.report)
@@ -435,9 +433,9 @@ def test_bundle_whose_stages_read_the_same_ngrams_loads_one_vocabulary(monkeypat
     for line_n, final_n in ((3, 3), (2, 3)):
         hyper = SlaHyperParams(line_ngram_n=line_n, final_ngram_n=final_n, k=2)
         model = train_sla(docs, "grade", hyper=hyper)
-        again = model_from_dict(model_to_dict(model))
-        assert again.vocab.to_dict() == model.vocab.to_dict()
-        assert again.line_vocab.to_dict() == model.line_vocab.to_dict()
+        again = from_json(to_json(model))
+        assert vocab_to_json(again.vocab) == vocab_to_json(model.vocab)
+        assert vocab_to_json(again.line_vocab) == vocab_to_json(model.line_vocab)
         expect = [_bits(p) for p in predict_sla_batch(model, reports)]
         with monkeypatch.context() as m:
             calls = _count_finds(m)
@@ -482,7 +480,7 @@ def test_every_served_batch_makes_one_finder_call(monkeypatch, variant, line_n, 
     reports = [d.report for d in held]
     gold = [pipeline.oracle_gold_lines(model, d) for d in held]
     expect = _two_pass_reference(model, reports, gold)
-    for served in (model, model_from_dict(model_to_dict(model))):
+    for served in (model, from_json(to_json(model))):
         with monkeypatch.context() as m:
             calls = _count_finds(m)
             batch = predict_sla_batch(served, reports, gold)
@@ -504,9 +502,9 @@ def test_stage_one_scores_from_hits_equal_the_line_matrix_scores_bit_for_bit():
     # blank lines, and a line of words the vocabulary does not know
     odd = Report(id="odd", cancer="colon", lines=("", "Grade: 2", "", "zzz qqq", ""))
     forests = [dataclasses.replace(scorer, trees=scorer.trees[:t]) for t in (0, 1, 4, 10)]
-    no_split = {**scorer.to_dict(), "trees": [{"value": 0.5}] * 3}
-    forests.append(GbtModel.from_dict(no_split, scorer.num_features))
-    assert all("feature" in t for t in scorer.to_dict()["trees"])
+    no_split = {**forest_to_json(scorer), "trees": [{"value": 0.5}] * 3}
+    forests.append(forest_from_json(no_split, scorer.num_features))
+    assert all("feature" in t for t in forest_to_json(scorer)["trees"])
     for reports in ([d.report for d in docs[20:]] + [odd], [odd]):
         hits = find_ngrams([tokenize_lines(r) for r in reports], vocab).at(2)
         # n-grams that cross lines, in the batch of several reports
@@ -531,8 +529,8 @@ def test_serving_scores_each_line_from_its_own_hits_without_the_line_matrix(line
     # hold it inside count, as in their line rows
     crossing = line_hits.cols[line_hits.first != line_hits.last]
     stump = {"feature": int(crossing[0]), "left": {"value": -1.0}, "right": {"value": 1.0}}
-    stumped = GbtModel.from_dict({**model.line_scorer.to_dict(), "trees": [stump]},
-                                 model.line_scorer.num_features)
+    stumped = forest_from_json({**forest_to_json(model.line_scorer), "trees": [stump]},
+                               model.line_scorer.num_features)
     for scorer in (model.line_scorer, stumped):
         served = dataclasses.replace(model, line_scorer=scorer)
         predictions = pipeline.predict_featurized(served, hits)
@@ -552,29 +550,29 @@ def test_model_bundle_keeps_learner_hyperparameters():
         lin=LinParams(l1_strength=37.0, balanced=False, max_iter=900, tol=1e-7),
     )
     model = train_sla(docs, "grade", hyper=hyper, schemas=load_schemas())
-    again = model_from_dict(model_to_dict(model))
+    again = from_json(to_json(model))
     assert again.hyper == hyper
     assert again.hyper.lin.l1_strength == 37
 
     # a version-1 bundle written before gbt and lin were serialized: lin
     # takes the defaults, gbt the line scorer's parameters, so the model
     # saves a bundle that loads again
-    payload = model_to_dict(model)
+    payload = to_json(model)
     del payload["hyper"]["gbt"], payload["hyper"]["lin"]
-    old = model_from_dict(payload)
+    old = from_json(payload)
     assert old.hyper == SlaHyperParams(k=2, gbt=hyper.gbt)
-    assert model_from_dict(model_to_dict(old)).hyper == old.hyper
+    assert from_json(to_json(old)).hyper == old.hyper
 
 
 def test_model_bundle_rejects_hyper_keys_that_are_not_fields():
     docs = tiny_corpus(n=30, seed=17)
-    payload = model_to_dict(fit(docs, "sla", k=2))
+    payload = to_json(fit(docs, "sla", k=2))
     payload["hyper"]["beam_width"] = 3
     with pytest.raises(ValueError, match="sla model bundle hyper: unknown keys: beam_width"):
-        model_from_dict(payload)
+        from_json(payload)
     del payload["hyper"]["beam_width"], payload["hyper"]["k"]
     with pytest.raises(ValueError, match="sla model bundle hyper: missing keys: k"):
-        model_from_dict(payload)
+        from_json(payload)
 
 
 def test_model_refuses_a_learner_or_vocabulary_its_variant_does_not_read():
@@ -590,11 +588,11 @@ def test_model_refuses_a_learner_or_vocabulary_its_variant_does_not_read():
 
 def test_model_bundle_rejects_unknown_version():
     docs = tiny_corpus(n=30, seed=17)
-    payload = model_to_dict(fit(docs, "sla", k=2))
+    payload = to_json(fit(docs, "sla", k=2))
     for version in (999, 0, None):
         payload["version"] = version
         with pytest.raises(ValueError, match="version"):
-            model_from_dict(payload)
+            from_json(payload)
 
 
 def test_multi_label_documents_compose_joint_label():

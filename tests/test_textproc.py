@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sla.bundle import vocab_from_json, vocab_to_json
 from sla.corpus import Report
 from sla.textproc import (
     UNK,
@@ -202,7 +203,7 @@ def test_build_vocabulary_rejects_bad_inputs():
 
 def test_vocabulary_roundtrip():
     vocab = build_vocabulary(_lines("grade : 2", "grade : 3", "one-off"), max_n=3)
-    again = Vocabulary.from_dict(vocab.to_dict())
+    again = vocab_from_json(vocab_to_json(vocab))
     assert again.ngram_to_index == vocab.ngram_to_index
     assert again.max_n == vocab.max_n
     assert _known_words(again) == _known_words(vocab)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sla import pipeline, tuning
+from sla.bundle import save_model
 from sla.corpus import CorpusError, gold_label, load_schemas
 from sla.evaluation import micro_f1
 from sla.learners import GbtParams, LinParams, predict_gbt_batch, predict_gbt_pairs
@@ -327,7 +328,7 @@ def test_fitted_variant_predicts_and_round_trips_its_bundle(tmp_path):
     for method in ("no_join", "oracle", "doc-boost"):
         fitted = fit_variant(method, docs, "grade", {"num_rounds": 5}, schemas=load_schemas())
         path = tmp_path / f"{method}.json"
-        path.write_text(json.dumps(fitted.to_dict()), encoding="utf-8")
+        save_model(fitted.sla_model or fitted.baseline, str(path))
         loaded = FittedVariant.load(str(path))
         assert (loaded.method, loaded.attribute) == (method, "grade")
         preds = [fitted.predict(d) for d in docs]
