@@ -71,12 +71,12 @@ def vocab_from_json(payload, what: str = "vocabulary") -> Vocabulary:
     over = [gram for gram in ngrams if gram.count(" ") >= max_n]
     if over:
         raise ValueError(f"{what} key 'ngrams' holds {over[0]!r}, of more than {max_n} tokens")
-    return Vocabulary(
-        ngram_to_index={gram: i for i, gram in enumerate(ngrams)},
-        max_n=max_n,
-        min_count=_read(payload, "min_count", int, what),
-        unk_token=_read(payload, "unk_token", str, what),
-    )
+    min_count = _read(payload, "min_count", int, what)
+    unk_token = _read(payload, "unk_token", str, what)
+    try:
+        return Vocabulary({gram: i for i, gram in enumerate(ngrams)}, max_n, min_count, unk_token)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def linear_to_json(model: LinearModel) -> dict:

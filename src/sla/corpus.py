@@ -313,9 +313,10 @@ def read_json(value, kind, what: str, optional: Iterable[str] = ()):
     a dataclass, built from a JSON object of its fields, each read by its
     annotation.  A key that is not a field, a field without its key that
     ``optional`` does not name (at any depth), a value of another type, or
-    a float that is NaN or infinite (``json.load`` reads them) or an
-    integer too large for one is a ValueError naming ``what`` and the path
-    to the value.  Numbers are kept as given: an integer read as a float
+    a float that is NaN or infinite (``json.load`` reads them), an integer
+    too large for one, or fields that the dataclass itself refuses (a value
+    out of its range, say) is a ValueError naming ``what`` and the path to
+    the value.  Numbers are kept as given: an integer read as a float
     stays an integer."""
     scalar = _JSON_KINDS.get(kind)
     if scalar is not None:
@@ -333,10 +334,14 @@ def read_json(value, kind, what: str, optional: Iterable[str] = ()):
         missing = sorted(set(kinds) - set(payload) - set(optional))
         if missing:
             raise ValueError(f"{what}: missing keys: {', '.join(missing)}")
-        return kind(**{
+        fields = {
             key: read_json(item, kinds[key], f"{what} key {key!r}", optional)
             for key, item in payload.items()
-        })
+        }
+        try:  # the dataclass's own checks; a field's errors above name their path
+            return kind(**fields)
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from None
     origin, args = get_origin(kind), get_args(kind)
     if origin is dict:
         return {

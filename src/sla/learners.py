@@ -37,6 +37,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -56,6 +57,31 @@ def _as_csr(X) -> sparse.csr_matrix:
     if not sparse.issparse(X):
         raise ValueError(f"X must be a scipy sparse matrix, got {type(X).__name__}")
     return X.tocsr()
+
+
+# X @ v, X.T @ v and X @ M for a CSR X: the kernel that scipy's ``@`` ends in
+# (private to scipy; there is no fallback), on the same arrays and so with the
+# same bits, without the dispatch around it, which costs more than the kernel
+# at the learners' sizes.  A kernel adds into its output: each call's is fresh.
+
+
+def _matvec(X: sparse.csr_matrix, v: np.ndarray) -> np.ndarray:
+    out = np.zeros(X.shape[0])
+    _sparsetools.csr_matvec(*X.shape, X.indptr, X.indices, X.data, v, out)
+    return out
+
+
+def _rmatvec(X: sparse.csr_matrix, v: np.ndarray) -> np.ndarray:
+    out = np.zeros(X.shape[1])
+    _sparsetools.csc_matvec(*X.shape[::-1], X.indptr, X.indices, X.data, v, out)
+    return out
+
+
+def _matmat(X: sparse.csr_matrix, M: np.ndarray) -> np.ndarray:
+    out = np.zeros((X.shape[0], M.shape[1]))
+    _sparsetools.csr_matvecs(*X.shape, M.shape[1], X.indptr, X.indices, X.data, M.ravel(),
+                             out.ravel())
+    return out
 
 
 def balanced_class_weights(labels: Sequence[Hashable]) -> dict[Hashable, float]:
@@ -216,7 +242,7 @@ def _grow_tree(
             M[all_rows, F + owner] = hess[all_rows]
             M[all_rows, 2 * F + owner] = 1.0
             # each statistic as its own C-contiguous (F x features) block
-            G1, H1, C1 = np.ascontiguousarray((XT @ M).T).reshape(3, F, len(columns))
+            G1, H1, C1 = np.ascontiguousarray(_matmat(XT, M).T).reshape(3, F, len(columns))
             del M  # freed before the gain's (F x features) temporaries
 
             G0 = Gt[:, None] - G1
@@ -412,41 +438,46 @@ class LinearModel:
 def logloss_value_grad(
     w: np.ndarray,
     b: float,
-    X: sparse.csr_matrix,
+    X: sparse.spmatrix,
     y_pm: np.ndarray,
     sample_weights: np.ndarray,
 ) -> tuple[float, np.ndarray, float]:
     """Weighted logistic loss (the smooth part of the objective) and its
-    gradient in (w, b).  y_pm is +/-1.  Exposed for verification: it runs
-    the same loss and gradient expressions as the solver."""
-    z = X.dot(w) + b
+    gradient in (w, b), for the sparse X.  y_pm is +/-1.  Exposed for
+    verification: it runs the solver's products, loss and gradient."""
+    X, w = _as_csr(X), np.asarray(w, dtype=np.float64)
+    if w.shape != (X.shape[1],):  # the kernel reads w without a check
+        raise ValueError(f"w must hold {X.shape[1]} weights, got shape {w.shape}")
     neg_y = -y_pm
-    grad_w, grad_b = _smooth_grad(X.T, z, neg_y, sample_weights * neg_y)
-    return _smooth_value(z, neg_y, sample_weights), grad_w, grad_b
+    u = neg_y * (_matvec(X, w) + b)
+    grad_w, grad_b = _smooth_grad(X, u, sample_weights * neg_y)
+    return _smooth_value(u, sample_weights), grad_w, grad_b
 
 
-def _smooth_value(z: np.ndarray, neg_y: np.ndarray, sample_weights: np.ndarray) -> float:
-    """sum_i s_i * log(1 + exp(-y_i * z_i)), with neg_y = -y."""
-    return float(np.dot(sample_weights, np.logaddexp(0.0, neg_y * z)))
+def _smooth_value(u: np.ndarray, sample_weights: np.ndarray) -> float:
+    """sum_i s_i * log(1 + exp(u_i)), with u = -y * z at margins z."""
+    return float(np.dot(sample_weights, np.logaddexp(0.0, u)))
 
 
 def _smooth_grad(
-    XT, z: np.ndarray, neg_y: np.ndarray, sw_neg_y: np.ndarray
+    X: sparse.csr_matrix, u: np.ndarray, sw_neg_y: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Gradient of ``_smooth_value`` in (w, b) at margins z = X.w + b, given
-    XT = X.T and sw_neg_y = s * (-y)."""
-    coef = sw_neg_y * _sigmoid(neg_y * z)
-    return np.asarray(XT @ coef, dtype=np.float64), float(coef.sum())
+    """Gradient of ``_smooth_value`` in (w, b) at u = -y * (X.w + b), given
+    sw_neg_y = s * (-y)."""
+    coef = sw_neg_y * _sigmoid(u)
+    return _rmatvec(X, coef), float(coef.sum())
 
 
-def _soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
+def _soft_threshold(v: np.ndarray, thresh: float) -> tuple[np.ndarray, float]:
+    """sign(v) * max(|v| - thresh, 0), and its L1 norm summed before the sign."""
     # Not v - clip(v, -t, t): that gives +0.0 where this gives -0.0 (negative
     # v with |v| <= t), and the signed zeros reach the model bundle's JSON.
     out = np.abs(v)
     out -= thresh
     np.maximum(out, 0.0, out=out)
+    norm = float(out.sum())
     out *= np.sign(v)
-    return out
+    return out, norm
 
 
 _NOT_CONVERGED = (
@@ -480,7 +511,9 @@ def _fit_l1_binary(
     improves the objective by less than tol (or fails to descend); a small
     improvement after a momentum step forces a plain step instead.  Stopping
     at ``max_iter`` or on a step-size underflow issues a RuntimeWarning and
-    returns the current iterate.
+    returns the current iterate.  Each point's u = -y * z serves both its
+    loss and its gradient, and an accepted point keeps its u for the next
+    plain step.
 
     A column of X with no stored entry has gradient +0.0 and weight +0.0
     throughout; dropping it changes no w, b or z, as X @ dw adds each row's
@@ -490,14 +523,14 @@ def _fit_l1_binary(
     where one of their comparisons lands within rounding of its threshold.
     """
     n, d = X.shape
-    XT = X.T  # a CSC view sharing X's arrays; building one costs more than a matvec
     neg_y = -y_pm
     sw_neg_y = sample_weights * neg_y
     w = w_prev = np.zeros(d, dtype=np.float64)
     b = b_prev = 0.0
     z = z_prev = np.zeros(n, dtype=np.float64)
+    u = neg_y * z
 
-    f = _smooth_value(z, neg_y, sample_weights)
+    f = _smooth_value(u, sample_weights)
     obj = f  # ||w||_1 is zero at the start
     step = 1.0
     t = 1.0
@@ -506,21 +539,23 @@ def _fit_l1_binary(
         beta = (t - 1.0) / t_next
         plain = beta == 0.0
         if plain:
-            w_y, b_y, z_y, f_y = w, b, z, f
+            w_y, b_y, z_y, u_y, f_y = w, b, z, u, f
         else:
             w_y = w + beta * (w - w_prev)
             b_y = b + beta * (b - b_prev)
             z_y = z + beta * (z - z_prev)
-            f_y = _smooth_value(z_y, neg_y, sample_weights)
-        grad_w, grad_b = _smooth_grad(XT, z_y, neg_y, sw_neg_y)
+            u_y = neg_y * z_y
+            f_y = _smooth_value(u_y, sample_weights)
+        grad_w, grad_b = _smooth_grad(X, u_y, sw_neg_y)
 
         while True:
-            w_new = _soft_threshold(w_y - step * grad_w, step * lam)
+            w_new, norm_new = _soft_threshold(w_y - step * grad_w, step * lam)
             b_new = b_y - step * grad_b
             dw = w_new - w_y
             db = b_new - b_y
-            z_new = z_y + X @ dw + db
-            f_new = _smooth_value(z_new, neg_y, sample_weights)
+            z_new = z_y + _matvec(X, dw) + db
+            u_new = neg_y * z_new
+            f_new = _smooth_value(u_new, sample_weights)
             bound = (
                 f_y
                 + float(np.dot(grad_w, dw))
@@ -535,7 +570,7 @@ def _fit_l1_binary(
         if step < 1e-18:  # the line search underflowed (accepted steps never do)
             break
 
-        obj_new = f_new + lam * float(np.abs(w_new).sum())
+        obj_new = f_new + lam * norm_new
         delta = obj - obj_new
         if delta < 0.0:  # the monotone safeguard
             if plain:
@@ -544,7 +579,7 @@ def _fit_l1_binary(
             continue
         restart = float(np.dot(dw, w_new - w)) + db * (b_new - b) < 0.0
         w_prev, b_prev, z_prev = w, b, z
-        w, b, z, f, obj = w_new, b_new, z_new, f_new, obj_new
+        w, b, z, u, f, obj = w_new, b_new, z_new, u_new, f_new, obj_new
         step *= 1.25
         if delta < tol and plain:
             return w, b

@@ -400,6 +400,31 @@ def test_predict_names_a_nested_bundle_value_of_the_wrong_type(workdir, bundles,
     assert not preds.exists()
 
 
+@pytest.mark.parametrize("dotted, value, message", [
+    ("final_vocab.max_n", 7, "sla model bundle final_vocab: max_n must be in [1, 4], got 7"),
+    ("line_scorer.params.max_depth", -1,
+     "sla model bundle line_scorer params: max_depth must be >= 1"),
+    ("hyper.k", 0, "sla model bundle hyper: k must be >= 1"),
+    ("hyper.gbt.subsample", 2.0,
+     "sla model bundle hyper key 'gbt': subsample must be in (0, 1]"),
+    ("hyper.lin.l1_strength", -1,
+     "sla model bundle hyper key 'lin': l1_strength must be > 0"),
+])
+def test_predict_names_the_path_of_a_bundle_value_out_of_range(workdir, bundles, capsys,
+                                                              tmp_path, dotted, value, message):
+    """A value of the right type that its object's own checks refuse is
+    named by its path, once."""
+    bundle = json.loads(bundles["sla"].read_text())
+    _set_dotted(bundle, dotted, value)
+    edited, preds = tmp_path / "edited.json", tmp_path / "preds.jsonl"
+    edited.write_text(json.dumps(bundle), encoding="utf-8")
+    code, _, err = run(capsys, "predict", "--model", str(edited),
+                       "--corpus", str(workdir / "corpus.jsonl"), "--out", str(preds))
+    assert code == 2, err
+    assert f"data error: {edited}: {message}\n" in err
+    assert not preds.exists()
+
+
 @pytest.mark.parametrize("name, key", [
     ("sla", "line_vocab"),
     ("sla-orders", "line_vocab"),

@@ -59,6 +59,26 @@ def test_gradient_matches_central_finite_differences():
         assert abs(grad_b - fd_b) / max(abs(fd_b), abs(grad_b), 1e-8) <= 1e-4
 
 
+def test_loss_and_gradient_read_any_sparse_format_as_csr():
+    """A CSC X gives the bytes of its CSR, and both the dense formulas; a w
+    of another length is refused, since the kernel would read past it."""
+    rng = np.random.default_rng(19)
+    X, y_pm, sw = random_problem(rng)
+    w, b = rng.normal(size=X.shape[1]), 0.3
+    value, grad_w, grad_b = logloss_value_grad(w, b, X, y_pm, sw)
+    csc_value, csc_grad_w, csc_grad_b = logloss_value_grad(w, b, X.tocsc(), y_pm, sw)
+    assert (csc_value, csc_grad_b) == (value, grad_b)
+    assert csc_grad_w.tobytes() == grad_w.tobytes()
+    dense = X.toarray()
+    margin = -y_pm * (dense @ w + b)
+    coef = sw * -y_pm / (1.0 + np.exp(-margin))
+    assert value == pytest.approx(float(sw @ np.log1p(np.exp(margin))), rel=1e-12)
+    np.testing.assert_allclose(grad_w, dense.T @ coef, rtol=1e-12, atol=1e-12)
+    assert grad_b == pytest.approx(coef.sum(), rel=1e-12, abs=1e-12)
+    with pytest.raises(ValueError, match=f"w must hold {X.shape[1]} weights"):
+        logloss_value_grad(w[:-1], b, X, y_pm, sw)
+
+
 # ---------------------------------------------------------------------------
 # optimality at convergence
 # ---------------------------------------------------------------------------
@@ -567,8 +587,10 @@ def test_soft_threshold_matches_reference_and_keeps_signed_zeros():
         np.array([0.0, -0.0, t, -t, 0.1, -0.1]),
         rng.normal(scale=0.5, size=10_000),
     ])
-    got = learners._soft_threshold(v, t)
+    got, norm = learners._soft_threshold(v, t)
     assert got.tobytes() == _ref_soft_threshold(v, t).tobytes()
+    # the norm the solver adds to its objective is ||w||_1, bit for bit
+    assert norm == float(np.abs(got).sum())
     # a small negative weight thresholds to -0.0, which the bundle JSON keeps
     assert np.signbit(got[5]) and got[5] == 0.0
 
